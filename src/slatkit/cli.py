@@ -61,7 +61,7 @@ def _slp_goal(p: SlpProblem):
 
 def _load(path: str) -> str:
     try:
-        return Path(path).read_text(encoding="utf-8")
+        return Path(path).read_text(encoding="utf-8-sig")
     except OSError as e:
         raise _InputError(f"cannot read {path}: {e.strerror or e}") from e
 

@@ -23,6 +23,7 @@ from .terms import (
     Meet,
     ParseError,
     Term,
+    _TermParser,
     mk_meet,
     tokenize,
 )
@@ -169,33 +170,17 @@ class ELProblem:
 # .elp concrete syntax
 
 
-class _ConceptParser:
+class _ConceptParser(_TermParser):
+    """Concept grammar over the term parser's tokens and nesting bound."""
+
     def __init__(self, toks, line: int, roles: set[str]):
-        self.toks = toks
-        self.line = line
-        self.i = 0
+        super().__init__(toks, line)
         self.roles = roles
 
-    def peek(self):
-        return self.toks[self.i][0] if self.i < len(self.toks) else None
-
-    def col(self) -> int:
-        if self.i < len(self.toks):
-            return self.toks[self.i][1]
-        return self.toks[-1][1] + len(self.toks[-1][0]) if self.toks else 1
-
     def take(self):
-        tok = self.peek()
-        if tok is None:
+        if self.peek() is None:
             raise ParseError("unexpected end of line", self.line, self.col())
-        self.i += 1
-        return tok
-
-    def expect(self, tok: str):
-        got = self.peek()
-        if got != tok:
-            raise ParseError(f"expected {tok!r}, got {got!r}", self.line, self.col())
-        self.i += 1
+        return super().take()
 
     def ident(self, what: str) -> str:
         col = self.col()
@@ -216,23 +201,22 @@ class _ConceptParser:
     def unary(self) -> Concept:
         tok = self.peek()
         if tok == "(":
-            self.take()
+            self.enter()
             c = self.concept()
             self.expect(")")
+            self.depth -= 1
             return c
         if tok == "ex":
-            self.take()
+            self.enter()
             col = self.col()
             role = self.ident("a role")
             if role not in self.roles:
                 raise ParseError(f"undeclared role {role}", self.line, col)
             self.expect(".")
-            return Exists(role, self.unary())
+            c = Exists(role, self.unary())
+            self.depth -= 1
+            return c
         return Name(self.ident("a concept name"))
-
-    def done(self):
-        if self.i != len(self.toks):
-            raise ParseError(f"trailing input {self.peek()!r}", self.line, self.col())
 
 
 def _strip_comment(line: str) -> str:

@@ -1,12 +1,13 @@
 """Interpolating terms for entailments in extended semilattices.
 
 Given A and B with A and B together entailing a <= b, find a term t over
-the shared signature with a <= t and t <= b. Forward chaining runs as in
-locality.decide, but every fired instance is attributed to a side; an
-instance whose constants span both sides is split at an intermediate
-term into two one-sided instances around a fresh shared constant. The
-final interpolant is the meet of the shared candidates lying above the
-goal's left hand side.
+the shared signature with a <= t and t <= b. Forward chaining is
+locality.saturate, the engine behind locality.decide, with a fire hook
+that attributes every fired instance to a side; an instance whose
+constants span both sides is split at an intermediate term into two
+one-sided instances around a fresh shared constant. The final
+interpolant is the meet of the shared candidates lying above the goal's
+left hand side.
 
 Sharing of operator symbols is by co-occurrence in the axioms: functions
 linked by an axiom, transitively, count as shared as soon as the class
@@ -197,53 +198,6 @@ def _owner_side(clause: GroundHornClause, premise: Leq, colors) -> Color:
     return Color.A
 
 
-def split_mixed(clause: GroundHornClause, sep_terms, state: SeparationState) -> tuple[GroundHornClause, GroundHornClause]:
-    """Separate a mixed instance at the given intermediate terms.
-
-    For the unary schemas there is exactly one premise c <= d and one
-    separating term t between them. A fresh shared constant u names f(t)
-    for the instance's outer function f; the instance becomes the Mon
-    piece c <= t -> f(c)-name <= u on the premise owner's side and the
-    original-schema piece t <= d -> u <= conclusion-rhs on the other.
-    Raises NoSharedWitness when the outer function is not shared, since
-    u could then never enter an interpolant.
-    """
-    problem = state.problem
-    if len(clause.premises) != 1 or len(sep_terms) != 1:
-        raise NoSharedWitness(
-            f"cannot separate instance with {len(clause.premises)} premises"
-        )
-    p = clause.premises[0]
-    t = normalize(sep_terms[0])
-    bad = {c for c in term_constants(t) if problem.colors[c] is not Color.SHARED}
-    if bad:
-        raise RuntimeError(f"separating term uses non-shared constant {sorted(bad)[0]}")
-    schema = clause.provenance[0]
-    f = clause.provenance[1]
-    if state.fn_colors.get(f) is not Color.SHARED:
-        raise NoSharedWitness(
-            f"mixed instance of non-shared operator {f} cannot be separated"
-        )
-    u = problem.purifier.name_for(f, t)
-    if problem.colors[u] is not Color.SHARED:
-        raise RuntimeError(f"separation name {u} is not shared")
-    if u not in state.candidates:
-        state.candidates.append(u)
-    c_a = GroundHornClause(
-        (Leq(p.lhs, t),),
-        Leq(clause.conclusion.lhs, Const(u)),
-        ("mon", f, p.lhs, t),
-    )
-    if schema == "mon":
-        prov = ("mon", f, t, clause.provenance[3])
-    else:
-        prov = ("comp", *clause.provenance[1:4], t, clause.provenance[5])
-    c_b = GroundHornClause((Leq(t, p.rhs),), Leq(Const(u), clause.conclusion.rhs), prov)
-    owner = _owner_side(clause, p, problem.colors)
-    state.splits.append(Split(clause, p, t, u, c_a, c_b, owner))
-    return c_a, c_b
-
-
 @dataclass
 class InterpolationResult:
     """Interpolating term plus the evidence it was built from."""
@@ -337,34 +291,24 @@ def interpolate(a_atoms, b_atoms, goal: Leq, axioms: AxiomSet, *,
             c for c in consts if problem.colors[c] is Color.SHARED
         ),
     )
-    negs = [*problem.neg_a, *problem.neg_b]
-    extra = locality._query_terms(problem)
-    unfired = list(range(len(problem.instances)))
-    while True:
-        ent = slat.Entailer(state.all_atoms(), extra)
-        if ent.holds(problem.goal):
-            break
-        for n in negs:
-            if ent.holds(n):
-                raise ValueError(
-                    f"premises are inconsistent (derived {format_atom(n)}); "
-                    "no intermediate term exists"
-                )
-        applicable = [i for i in unfired
-                      if all(ent.holds(p) for p in problem.instances[i].premises)]
-        if not applicable:
-            raise NotEntailed(f"goal not entailed: {format_atom(goal)}")
-        for i in applicable:
-            clause = problem.instances[i]
-            strict = _clause_strict_colors(clause, problem.colors)
-            if Color.A in strict and Color.B in strict:
-                _fire_split(clause, state)
-            else:
-                side = state.side_b if strict == {Color.B} else state.side_a
-                side.append(clause.conclusion)
-                state.fired.append(clause)
-        done = set(applicable)
-        unfired = [i for i in unfired if i not in done]
+
+    def fire(clause: GroundHornClause) -> tuple[Leq, ...]:
+        strict = _clause_strict_colors(clause, problem.colors)
+        if Color.A in strict and Color.B in strict:
+            return _fire_split(clause, state)
+        side = state.side_b if strict == {Color.B} else state.side_a
+        side.append(clause.conclusion)
+        state.fired.append(clause)
+        return (clause.conclusion,)
+
+    trace = locality.saturate(problem, fire)
+    if trace.inconsistent is not None:
+        raise ValueError(
+            f"premises are inconsistent (derived {format_atom(trace.inconsistent)}); "
+            "no intermediate term exists"
+        )
+    if not trace.result:
+        raise NotEntailed(f"goal not entailed: {format_atom(goal)}")
 
     lhs_strict = _strict_colors(problem.goal.lhs, problem.colors)
     own = state.side_b if Color.B in lhs_strict else state.side_a
@@ -407,20 +351,57 @@ def interpolate(a_atoms, b_atoms, goal: Leq, axioms: AxiomSet, *,
     )
 
 
-def _fire_split(clause: GroundHornClause, state: SeparationState) -> None:
-    p = clause.premises[0] if clause.premises else None
-    if p is None:
+def _fire_split(clause: GroundHornClause, state: SeparationState) -> tuple[Leq, Leq]:
+    """Separate a mixed instance at an intermediate term; return the atoms added.
+
+    For the unary schemas there is exactly one premise c <= d, and the
+    premise owner's atoms give a shared term t between them. A fresh
+    shared constant u names f(t) for the instance's outer function f; the
+    instance becomes the Mon piece c <= t -> f(c)-name <= u on the owner's
+    side and the original-schema piece t <= d -> u <= conclusion-rhs on the
+    other. Raises NoSharedWitness when the outer function is not shared,
+    since u could then never enter an interpolant.
+    """
+    problem = state.problem
+    if not clause.premises:
         raise NoSharedWitness("mixed unit instance cannot be separated")
-    owner = _owner_side(clause, p, state.problem.colors)
-    own_atoms = state.side_a if owner is Color.A else state.side_b
+    if len(clause.premises) != 1:
+        raise NoSharedWitness(f"cannot separate instance with {len(clause.premises)} premises")
+    p = clause.premises[0]
+    owner = _owner_side(clause, p, problem.colors)
+    own_atoms, other = (state.side_a, state.side_b) if owner is Color.A else (state.side_b, state.side_a)
     t = slat.intermediate_term(
         own_atoms, state.all_atoms(), p.lhs, p.rhs, state.candidate_terms(),
     )
-    c_a, c_b = split_mixed(clause, [t], state)
+    bad = {c for c in term_constants(t) if problem.colors[c] is not Color.SHARED}
+    if bad:
+        raise RuntimeError(f"separating term uses non-shared constant {sorted(bad)[0]}")
+    schema = clause.provenance[0]
+    f = clause.provenance[1]
+    if state.fn_colors.get(f) is not Color.SHARED:
+        raise NoSharedWitness(
+            f"mixed instance of non-shared operator {f} cannot be separated"
+        )
+    u = problem.purifier.name_for(f, t)
+    if problem.colors[u] is not Color.SHARED:
+        raise RuntimeError(f"separation name {u} is not shared")
+    if u not in state.candidates:
+        state.candidates.append(u)
+    c_a = GroundHornClause(
+        (Leq(p.lhs, t),),
+        Leq(clause.conclusion.lhs, Const(u)),
+        ("mon", f, p.lhs, t),
+    )
+    if schema == "mon":
+        prov = ("mon", f, t, clause.provenance[3])
+    else:
+        prov = ("comp", *clause.provenance[1:4], t, clause.provenance[5])
+    c_b = GroundHornClause((Leq(t, p.rhs),), Leq(Const(u), clause.conclusion.rhs), prov)
+    state.splits.append(Split(clause, p, t, u, c_a, c_b, owner))
     own_atoms.append(c_a.conclusion)
-    other = state.side_b if owner is Color.A else state.side_a
     other.append(c_b.conclusion)
     state.fired.extend((c_a, c_b))
+    return c_a.conclusion, c_b.conclusion
 
 
 def _check_signature(term: Term, smap: SharingMap, colors, real_consts) -> None:

@@ -377,52 +377,58 @@ class Trace:
     result: bool | None = None
 
 
-def decide(problem: PurifiedProblem) -> tuple[bool, Trace]:
-    """Forward chaining over the instances, in passes.
+def saturate(problem: PurifiedProblem, fire=lambda clause: (clause.conclusion,)) -> Trace:
+    """Forward chaining over the instances, in breadth-first passes.
 
-    Each pass checks the goal, then fires every not yet fired instance
-    whose premises are entailed by the atoms as of the start of the pass,
-    in clause order. True when the goal is entailed or the atoms
-    contradict a negative literal; false at the fixpoint.
+    Each pass checks the goal and then the negative literals, and fires,
+    in clause order, every instance whose premises were entailed at the
+    start of the pass. fire(clause) returns the atoms that firing adds.
+    The atoms are encoded once: every premise waits on its (lhs, rhs)
+    variable pair, and the pairs the added atoms make derivable wake the
+    instances for the next pass. The result is true when the goal is
+    entailed or a negative literal is contradicted, false at the fixpoint.
     """
-    atoms = [*problem.a0, *problem.b0]
-    negs = [*problem.neg_a, *problem.neg_b]
-    extra = _query_terms(problem)
-    unfired = list(range(len(problem.instances)))
+    checked = (problem.goal, *problem.neg_a, *problem.neg_b)
+    ent = slat.Entailer([*problem.a0, *problem.b0], [t for a in checked for t in (a.lhs, a.rhs)])
     trace = Trace()
+    waiting: dict[tuple[int, int], list[int]] | None = None
     while True:
-        ent = slat.Entailer(atoms, extra)
-        if ent.holds(problem.goal):
-            trace.result = True
-            return True, trace
-        for n in negs:
-            if ent.holds(n):
-                trace.inconsistent = n
+        for k, atom in enumerate(checked):
+            if ent.holds(atom):
+                trace.inconsistent = atom if k else None
                 trace.result = True
-                return True, trace
-        applicable = [i for i in unfired
-                      if all(ent.holds(p) for p in problem.instances[i].premises)]
-        if not applicable:
+                return trace
+        if waiting is None:
+            # premise closures are built only once the pass-0 checks fail
+            waiting, missing, ready = {}, [], []
+            for i, clause in enumerate(problem.instances):
+                premises = {(ent.var(p.lhs), ent.var(p.rhs)) for p in clause.premises}
+                pending = [pair for pair in premises if not ent.derives(*pair)]
+                missing.append(len(pending))
+                for pair in pending:
+                    waiting.setdefault(pair, []).append(i)
+                if not pending:
+                    ready.append(i)
+        if not ready:
             trace.result = False
-            return False, trace
+            return trace
         trace.passes += 1
-        for i in applicable:
-            clause = problem.instances[i]
-            atoms.append(clause.conclusion)
-            trace.fired.append(clause)
-        fired = set(applicable)
-        unfired = [i for i in unfired if i not in fired]
+        woken = []
+        for i in ready:
+            trace.fired.append(problem.instances[i])
+            for atom in fire(problem.instances[i]):
+                for pair in ent.add(atom):
+                    for j in waiting.pop(pair, ()):
+                        missing[j] -= 1
+                        if not missing[j]:
+                            woken.append(j)
+        ready = sorted(woken)
 
 
-def _query_terms(problem: PurifiedProblem) -> tuple[Term, ...]:
-    out = [problem.goal.lhs, problem.goal.rhs]
-    for n in (*problem.neg_a, *problem.neg_b):
-        out.extend((n.lhs, n.rhs))
-    for cl in problem.instances:
-        for p in cl.premises:
-            out.extend((p.lhs, p.rhs))
-        out.extend((cl.conclusion.lhs, cl.conclusion.rhs))
-    return tuple(out)
+def decide(problem: PurifiedProblem) -> tuple[bool, Trace]:
+    """Decide the purified problem by saturate(), firing conclusions."""
+    trace = saturate(problem)
+    return trace.result, trace
 
 
 def entails(a_atoms, b_atoms, goal: Leq, axioms: AxiomSet, *, neg_a=(), neg_b=()) -> bool:

@@ -13,7 +13,6 @@ Entailment of s <= t is decided by unit propagation from P_s.
 from __future__ import annotations
 
 import itertools
-from collections import deque
 from dataclasses import dataclass, field
 
 from .terms import (
@@ -49,80 +48,137 @@ class PropHornProblem:
     """Propositional Horn encoding of a ground atom set.
 
     index maps each registered term to its variable. Every clause is a
-    (premises, conclusion) pair of variable ids with definite conclusion.
+    (premises, conclusion) pair of variable ids with definite conclusion;
+    watch lists, per variable, the clauses it is a premise of.
     """
 
     index: dict[Term, int] = field(default_factory=dict)
     clauses: list[tuple[tuple[int, ...], int]] = field(default_factory=list)
+    watch: list[list[int]] = field(default_factory=list)
 
     def var(self, t: Term) -> int:
         return self.index[t]
 
+    def add_clause(self, premises: tuple[int, ...], conclusion: int) -> None:
+        for v in premises:
+            self.watch[v].append(len(self.clauses))
+        self.clauses.append((premises, conclusion))
+
+    def register(self, terms) -> None:
+        """Give the new normalized terms and their subterms variables.
+
+        New variables are numbered in term order, and every new meet gets
+        the three clauses tying it to its binary left-fold decomposition,
+        whose prefix is itself registered.
+        """
+        new: set[Term] = set()
+        for t in terms:
+            if t not in self.index:
+                new |= {s for s in subterms(t) if s not in self.index}
+        new_sorted = sorted(new, key=term_key)
+        for t in new_sorted:
+            self.index[t] = len(self.index)
+            self.watch.append([])
+        for t in new_sorted:
+            if isinstance(t, Meet):
+                left = t.args[0] if len(t.args) == 2 else Meet(t.args[:-1])
+                m, l, r = self.var(t), self.var(left), self.var(t.args[-1])
+                self.add_clause((m,), l)
+                self.add_clause((m,), r)
+                self.add_clause(tuple(sorted({l, r})), m)
+
+    def add_leqs(self, leqs, extra_terms=()) -> None:
+        """Register the atoms' and the extra terms; add P_s -> P_t per atom s <= t."""
+        self.register([*(t for a in leqs for t in (a.lhs, a.rhs)), *extra_terms])
+        for a in leqs:
+            self.add_clause((self.var(a.lhs),), self.var(a.rhs))
+
 
 def encode(atoms, extra_terms=()) -> PropHornProblem:
     """Encode atoms (Eq expanded to two Leq) plus registered extra terms."""
-    leqs = expand_eqs(normalize_atom(a) for a in atoms)
-    terms: set[Term] = set()
-    for a in leqs:
-        terms |= subterms(a.lhs) | subterms(a.rhs)
-    for t in extra_terms:
-        terms |= subterms(normalize(t))
     problem = PropHornProblem()
-    for t in sorted(terms, key=term_key):
-        problem.index[t] = len(problem.index)
-    for t in sorted(terms, key=term_key):
-        if not isinstance(t, Meet):
-            continue
-        # binary left-fold decomposition; the prefix is itself registered
-        left = t.args[0] if len(t.args) == 2 else Meet(t.args[:-1])
-        m, l, r = problem.var(t), problem.var(left), problem.var(t.args[-1])
-        problem.clauses.append(((m,), l))
-        problem.clauses.append(((m,), r))
-        problem.clauses.append((tuple(sorted({l, r})), m))
-    for a in leqs:
-        problem.clauses.append(((problem.var(a.lhs),), problem.var(a.rhs)))
+    problem.add_leqs(expand_eqs(normalize_atom(a) for a in atoms),
+                     [normalize(t) for t in extra_terms])
     return problem
+
+
+def _spread(problem: PropHornProblem, true: list[bool], queue: list[int]) -> list[int]:
+    """Make the queued variables and their consequences true; return them.
+
+    A clause fires when the variable just made true completes its premises.
+    """
+    made = []
+    while queue:
+        v = queue.pop()
+        if true[v]:
+            continue
+        true[v] = True
+        made.append(v)
+        for cid in problem.watch[v]:
+            premises, conclusion = problem.clauses[cid]
+            if not true[conclusion] and (len(premises) == 1 or all(true[p] for p in premises)):
+                queue.append(conclusion)
+    return made
 
 
 def propagate(problem: PropHornProblem, seeds) -> list[bool]:
     """Unit propagation closure of the seed variables."""
-    nvars = len(problem.index)
-    true = [False] * nvars
-    remaining = []
-    watch: list[list[int]] = [[] for _ in range(nvars)]
-    for cid, (premises, _) in enumerate(problem.clauses):
-        remaining.append(len(premises))
-        for v in premises:
-            watch[v].append(cid)
-    queue = deque(seeds)
-    while queue:
-        v = queue.popleft()
-        if true[v]:
-            continue
-        true[v] = True
-        for cid in watch[v]:
-            remaining[cid] -= 1
-            if remaining[cid] == 0:
-                conclusion = problem.clauses[cid][1]
-                if not true[conclusion]:
-                    queue.append(conclusion)
+    true = [False] * len(problem.index)
+    _spread(problem, true, list(seeds))
     return true
 
 
 class Entailer:
-    """Reusable entailment checks against one fixed atom set."""
+    """Entailment checks against one growing atom set.
+
+    The closure of every queried left hand side is cached, and add()
+    extends each cached closure in place, so the atom set is encoded
+    once however often it grows.
+    """
 
     def __init__(self, atoms, extra_terms=()):
-        self.atoms = tuple(atoms)
+        self.atoms = list(atoms)
         self.problem = encode(self.atoms, extra_terms)
-        self._closures: dict[Term, list[bool]] = {}
+        self._closures: dict[int, list[bool]] = {}
+        self._synced = (len(self.problem.index), len(self.problem.clauses))
 
-    def _closure(self, seed: Term) -> list[bool]:
-        closure = self._closures.get(seed)
+    def var(self, t: Term) -> int:
+        """Variable of a term, registering it first when it is new."""
+        t = normalize(t)
+        if t not in self.problem.index:
+            self.problem.register([t])
+            self._sync()
+        return self.problem.var(t)
+
+    def derives(self, lhs: int, rhs: int) -> bool:
+        """True iff the atoms entail the term of lhs below that of rhs."""
+        closure = self._closures.get(lhs)
         if closure is None:
-            closure = propagate(self.problem, [self.problem.var(seed)])
-            self._closures[seed] = closure
-        return closure
+            closure = propagate(self.problem, [lhs])
+            self._closures[lhs] = closure
+        return closure[rhs]
+
+    def add(self, atom: Atom) -> list[tuple[int, int]]:
+        """Add an atom; return the (lhs, rhs) variable pairs it made derivable.
+
+        Only cached closures report pairs, so a caller learns of a new
+        consequence of every left hand side it has already queried.
+        """
+        self.atoms.append(atom)
+        self.problem.add_leqs(expand_eqs([normalize_atom(atom)]))
+        return self._sync()
+
+    def _sync(self) -> list[tuple[int, int]]:
+        """Extend the cached closures by the new variables and clauses."""
+        nvars, first = self._synced
+        self._synced = (len(self.problem.index), len(self.problem.clauses))
+        made = []
+        for seed, true in self._closures.items():
+            true.extend([False] * (self._synced[0] - nvars))
+            queue = [c for p, c in self.problem.clauses[first:]
+                     if not true[c] and all(true[v] for v in p)]
+            made.extend((seed, v) for v in _spread(self.problem, true, queue))
+        return made
 
     def holds(self, atom: Atom) -> bool:
         lhs, rhs = normalize(atom.lhs), normalize(atom.rhs)
@@ -130,7 +186,7 @@ class Entailer:
             return self.holds(Leq(lhs, rhs)) and self.holds(Leq(rhs, lhs))
         if lhs not in self.problem.index or rhs not in self.problem.index:
             raise ValueError(f"unregistered goal term in {format_atom(atom)}")
-        return self._closure(lhs)[self.problem.var(rhs)]
+        return self.derives(self.problem.var(lhs), self.problem.var(rhs))
 
 
 def entails_atom(atoms, goal: Atom) -> bool:

@@ -254,6 +254,10 @@ _TOKEN_RE = re.compile(r"<=|[&().=!,<]|[^\s&().=!,<]+|\s+")
 
 _PUNCT = {"&", "(", ")", ".", "<=", "=", "!", ",", "<"}
 
+# deepest bracket (or EL 'ex') nesting the parsers accept; the recursive
+# term functions need a few interpreter frames per level
+MAX_NESTING = 100
+
 
 def tokenize(text: str, line: int = 1) -> list[tuple[str, int]]:
     """Split into (token, column) pairs. '<' outside '<=' is rejected."""
@@ -279,6 +283,7 @@ class _TermParser:
         self.toks = toks
         self.line = line
         self.i = 0
+        self.depth = 0
 
     def peek(self) -> str | None:
         return self.toks[self.i][0] if self.i < len(self.toks) else None
@@ -301,6 +306,13 @@ class _TermParser:
             raise ParseError(f"expected {tok!r}, got {got!r}", self.line, self.col())
         self.i += 1
 
+    def enter(self) -> None:
+        """Take the token opening one more nesting level."""
+        if self.depth == MAX_NESTING:
+            raise ParseError(f"nesting deeper than {MAX_NESTING} levels", self.line, self.col())
+        self.depth += 1
+        self.take()
+
     def term(self) -> Term:
         args = [self.factor()]
         while self.peek() == "&":
@@ -311,9 +323,10 @@ class _TermParser:
     def factor(self) -> Term:
         tok = self.peek()
         if tok == "(":
-            self.take()
+            self.enter()
             t = self.term()
             self.expect(")")
+            self.depth -= 1
             return t
         if tok is None:
             raise ParseError("expected a term, got end of line", self.line, self.col())
@@ -321,9 +334,10 @@ class _TermParser:
             raise ParseError(f"expected a term, got {tok!r}", self.line, self.col())
         name = self.take()
         if self.peek() == "(":
-            self.take()
+            self.enter()
             arg = self.term()
             self.expect(")")
+            self.depth -= 1
             return App(name, arg)
         return Const(name)
 

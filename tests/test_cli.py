@@ -6,9 +6,10 @@ from pathlib import Path
 import jsonschema
 import pytest
 
-from conftest import DATA
+from conftest import DATA, read_data
 from golden_cases import CASES, run_cli
 from slatkit import cli
+from slatkit.terms import MAX_NESTING
 
 SCHEMA = json.loads(
     (Path(__file__).parent.parent / "src" / "slatkit" / "cli_schema.json")
@@ -175,3 +176,53 @@ def test_beth_depth_bound_reshapes_the_search(capsys):
          "--depth", "2"], capsys)
     assert code == 1
     assert "no defining term up to depth 2" in out
+
+
+# ---------------------------------------------------------------------------
+# input limits and encodings
+
+
+def nested_slp(depth: int) -> str:
+    term = "f(" * depth + "a" + ")" * depth
+    return f"functions f\nside A\n{term} <= b\nside B\nb <= c\ngoal {term} <= c\n"
+
+
+def nested_elp(depth: int) -> str:
+    concept = "ex r . " * depth + "A"
+    return f"roles r\nside A\n{concept} <= B\nside B\nB <= C\ngoal {concept} <= C\n"
+
+
+# format, file text for a depth, column of the token opening level MAX_NESTING + 1
+NESTED = [
+    ("slp", nested_slp, len("f(") * MAX_NESTING + len("f(")),
+    ("elp", nested_elp, len("ex r . ") * MAX_NESTING + 1),
+]
+
+
+@pytest.mark.parametrize("ext,make,column", NESTED, ids=[n[0] for n in NESTED])
+def test_nesting_at_the_limit_still_runs(ext, make, column, tmp_path, capsys):
+    f = tmp_path / f"deep.{ext}"
+    f.write_text(make(MAX_NESTING), encoding="utf-8")
+    for command in ("check", "interpolate"):
+        code, out, err = in_process([command, f], capsys)
+        assert code == 0, err
+        assert err == ""
+
+
+@pytest.mark.parametrize("depth", [MAX_NESTING + 1, 1500])
+@pytest.mark.parametrize("ext,make,column", NESTED, ids=[n[0] for n in NESTED])
+def test_nesting_past_the_limit_is_an_input_error(ext, make, column, depth, tmp_path, capsys):
+    f = tmp_path / f"deep.{ext}"
+    f.write_text(make(depth), encoding="utf-8")
+    code, _, err = in_process(["check", f], capsys)
+    assert code == 2
+    assert err.startswith(f"error: 3:{column}: nesting deeper than {MAX_NESTING} levels")
+
+
+def test_byte_order_mark_is_ignored(tmp_path, capsys):
+    f = tmp_path / "slo.slp"
+    f.write_text(read_data("slo.slp"), encoding="utf-8-sig")
+    assert f.read_bytes().startswith(b"\xef\xbb\xbf")
+    code, out, err = in_process(["check", f], capsys)
+    assert code == 0, err
+    assert out.encode("utf-8") == (DATA / "golden" / "check_slo.txt").read_bytes()
