@@ -21,6 +21,7 @@ from .terms import (
     Atom,
     Const,
     Leq,
+    Meet,
     Term,
     atom_constants,
     atom_functions,
@@ -193,10 +194,15 @@ def enumerate_terms(functions, constants, depth: int, *, limit: int = 200000) ->
     for k in range(depth + 1):
         if 2 ** len(pool) - 1 > limit:
             raise ValueError(f"term enumeration exceeds limit of {limit}")
-        level = []
-        for r in range(1, len(pool) + 1):
-            for combo in combinations(pool, r):
-                level.append(mk_meet(combo))
+        # pool items are never meets, so a combination of the sorted pool
+        # is already a normal form, and term_key orders the meets like
+        # their index tuples, after the single terms
+        pool.sort(key=term_key)
+        combos = sorted(
+            (c for r in range(1, len(pool) + 1) for c in combinations(range(len(pool)), r)),
+            key=lambda c: (len(c) > 1, c),
+        )
+        level = [pool[c[0]] if len(c) == 1 else Meet(tuple(pool[i] for i in c)) for c in combos]
         if k < depth:
             pool = consts + [App(f, t) for f in functions for t in level]
-    return sorted(set(level), key=term_key)
+    return level

@@ -431,10 +431,70 @@ def decide(problem: PurifiedProblem) -> tuple[bool, Trace]:
     return trace.result, trace
 
 
-def entails(a_atoms, b_atoms, goal: Leq, axioms: AxiomSet, *, neg_a=(), neg_b=()) -> bool:
-    """Ground entailment in the extended theory."""
+def entails(a_atoms, b_atoms, goal: Leq, axioms: AxiomSet, *, neg_a=(), neg_b=(),
+            support: dict[str, set[int]] | None = None) -> bool:
+    """Ground entailment in the extended theory.
+
+    When the goal is entailed and support is a dict, it is filled with
+    the positions, per argument ("a", "b", "na", "nb", "ax"), of the
+    inputs one proof uses: those alone entail the goal.
+    """
     problem = prepare_problem(a_atoms, b_atoms, goal, axioms, neg_a=neg_a, neg_b=neg_b)
-    return decide(problem)[0]
+    result, trace = decide(problem)
+    if result and support is not None:
+        support.update(proof_support(problem, trace, a_atoms, b_atoms))
+    return result
+
+
+def proof_support(problem: PurifiedProblem, trace: Trace, a_atoms, b_atoms) -> dict[str, set[int]]:
+    """Input positions one proof found by a successful saturate() uses.
+
+    Back-chains from the goal, or from the negative literal found
+    contradicted, over the atoms the run ended with: a0, b0, then the
+    fired conclusions in order. A purified input atom stands for its
+    input position (an = input for two atoms); binder atoms are
+    definitions. A fired incl or comp instance adds every axiom with its
+    schema and functions (mon needs none), and its premises join the
+    search, proved only from atoms added before its conclusion so that
+    the proof is well founded.
+    """
+    owner: list[tuple[str, int] | None] = []
+    for kind, atoms, purified in (("a", a_atoms, problem.a0), ("b", b_atoms, problem.b0)):
+        inputs = [(kind, i) for i, x in enumerate(atoms) for _ in expand_eqs([x])]
+        owner += inputs + [None] * (len(purified) - len(inputs))
+    axioms_of: dict[tuple, set[int]] = {}
+    for i, ax in enumerate(problem.axioms.axioms):
+        key = ("incl", ax.f, ax.g) if isinstance(ax, Inclusion) else ("comp", ax.f, ax.g, ax.h)
+        axioms_of.setdefault(key, set()).add(i)
+    support: dict[str, set[int]] = {"a": set(), "b": set(), "na": set(), "nb": set(), "ax": set()}
+    top = problem.goal if trace.inconsistent is None else trace.inconsistent
+    if trace.inconsistent is not None:
+        k = (*problem.neg_a, *problem.neg_b).index(top)
+        if k < len(problem.neg_a):
+            support["na"].add(k)
+        else:
+            support["nb"].add(k - len(problem.neg_a))
+    ent = slat.Entailer([*problem.a0, *problem.b0, *(c.conclusion for c in trace.fired)])
+    todo: list[tuple[Atom, int | None]] = [(top, None)]
+    searched: set[int] = set()
+    while todo:
+        atom, limit = todo.pop()
+        for leq in expand_eqs([atom]):
+            used = ent.proof(ent.var(leq.lhs), ent.var(leq.rhs), limit)
+            if used is None:
+                raise RuntimeError(f"saturation reported {format_atom(leq)} without a proof")
+            for j in used:
+                if j < len(owner):
+                    if owner[j] is not None:
+                        support[owner[j][0]].add(owner[j][1])
+                elif j not in searched:
+                    searched.add(j)
+                    clause = trace.fired[j - len(owner)]
+                    prov = clause.provenance
+                    if prov[0] != "mon":
+                        support["ax"] |= axioms_of[prov[:3] if prov[0] == "incl" else prov[:4]]
+                    todo.extend((p, j) for p in clause.premises)
+    return support
 
 
 # ---------------------------------------------------------------------------
@@ -454,39 +514,39 @@ class Justification:
 
 def minimize_axioms(a_atoms, b_atoms, goal: Leq, axioms: AxiomSet, *,
                     neg_a=(), neg_b=(), pinned_a=(), pinned_b=()) -> Justification:
-    """Deletion based minimization of literals and axioms.
+    """Deletion based minimization of literals and axioms, guided by proofs.
 
     Candidates are tried one at a time, later input positions first, so
     axioms listed earlier are kept in preference to later alternatives.
     Every drop is permanent when the goal stays entailed. The result is
     minimal: dropping any kept member breaks the entailment. Pinned
     literal positions are never offered for deletion.
+
+    Each successful decision also gives the support of one proof
+    (proof_support). Entailment is monotone, so a candidate outside the
+    current support is dropped without a decision: what is left still
+    holds the support. A candidate inside it is decided, and a
+    successful drop refreshes the support from that decision's proof.
+    The result is the one deciding every candidate gives. When the final
+    kept set is not the last one a decision accepted, it is decided once
+    more, so the answer always rests on a real decision.
     """
-    a_atoms = tuple(a_atoms)
-    b_atoms = tuple(b_atoms)
-    neg_a, neg_b = tuple(neg_a), tuple(neg_b)
-    keep = {
-        "a": set(range(len(a_atoms))),
-        "b": set(range(len(b_atoms))),
-        "na": set(range(len(neg_a))),
-        "nb": set(range(len(neg_b))),
-        "ax": set(range(len(axioms.axioms))),
-    }
+    inputs = {"a": tuple(a_atoms), "b": tuple(b_atoms), "na": tuple(neg_a),
+              "nb": tuple(neg_b), "ax": axioms.axioms}
+    keep = {kind: set(range(len(xs))) for kind, xs in inputs.items()}
 
-    def entailed() -> bool:
-        reduced = AxiomSet(
-            axioms.functions,
-            tuple(ax for i, ax in enumerate(axioms.axioms) if i in keep["ax"]),
-        )
-        return entails(
-            tuple(x for i, x in enumerate(a_atoms) if i in keep["a"]),
-            tuple(x for i, x in enumerate(b_atoms) if i in keep["b"]),
-            goal, reduced,
-            neg_a=tuple(x for i, x in enumerate(neg_a) if i in keep["na"]),
-            neg_b=tuple(x for i, x in enumerate(neg_b) if i in keep["nb"]),
-        )
+    def proved() -> set[tuple[str, int]] | None:
+        """Support of a proof from the kept set, or None when not entailed."""
+        kept = {kind: sorted(ids) for kind, ids in keep.items()}
+        part = {kind: tuple(inputs[kind][i] for i in ids) for kind, ids in kept.items()}
+        found: dict[str, set[int]] = {}
+        if not entails(part["a"], part["b"], goal, AxiomSet(axioms.functions, part["ax"]),
+                       neg_a=part["na"], neg_b=part["nb"], support=found):
+            return None
+        return {(kind, kept[kind][j]) for kind, js in found.items() for j in js}
 
-    if not entailed():
+    support = proved()
+    if support is None:
         raise NotEntailed(f"goal not entailed: {format_atom(goal)}")
     candidates = [
         *(("a", i) for i in range(len(a_atoms)) if i not in set(pinned_a)),
@@ -495,10 +555,19 @@ def minimize_axioms(a_atoms, b_atoms, goal: Leq, axioms: AxiomSet, *,
         *(("nb", i) for i in range(len(neg_b))),
         *(("ax", i) for i in range(len(axioms.axioms))),
     ]
+    unchecked = False
     for kind, i in reversed(candidates):
         keep[kind].discard(i)
-        if not entailed():
+        if (kind, i) not in support:
+            unchecked = True
+            continue
+        found = proved()
+        if found is None:
             keep[kind].add(i)
+        else:
+            support, unchecked = found, False
+    if unchecked and proved() is None:
+        raise RuntimeError(f"minimized premises do not entail {format_atom(goal)}")
     return Justification(
         kept_a=tuple(sorted(keep["a"])),
         kept_b=tuple(sorted(keep["b"])),

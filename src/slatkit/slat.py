@@ -81,11 +81,14 @@ class PropHornProblem:
             self.watch.append([])
         for t in new_sorted:
             if isinstance(t, Meet):
-                left = t.args[0] if len(t.args) == 2 else Meet(t.args[:-1])
-                m, l, r = self.var(t), self.var(left), self.var(t.args[-1])
-                self.add_clause((m,), l)
-                self.add_clause((m,), r)
-                self.add_clause(tuple(sorted({l, r})), m)
+                for premises, conclusion in self.meet_clauses(t):
+                    self.add_clause(premises, conclusion)
+
+    def meet_clauses(self, t: Meet) -> tuple[tuple[tuple[int, ...], int], ...]:
+        """The three clauses tying a registered meet to its decomposition."""
+        left = t.args[0] if len(t.args) == 2 else Meet(t.args[:-1])
+        m, l, r = self.var(t), self.var(left), self.var(t.args[-1])
+        return ((m,), l), ((m,), r), (tuple(sorted({l, r})), m)
 
     def add_leqs(self, leqs, extra_terms=()) -> None:
         """Register the atoms' and the extra terms; add P_s -> P_t per atom s <= t."""
@@ -140,6 +143,7 @@ class Entailer:
         self.atoms = list(atoms)
         self.problem = encode(self.atoms, extra_terms)
         self._closures: dict[int, list[bool]] = {}
+        self._origin: list[int] = []
         self._synced = (len(self.problem.index), len(self.problem.clauses))
 
     def var(self, t: Term) -> int:
@@ -180,6 +184,56 @@ class Entailer:
             made.extend((seed, v) for v in _spread(self.problem, true, queue))
         return made
 
+    def proof(self, lhs: int, rhs: int, limit: int | None = None) -> list[int] | None:
+        """Indices of the atoms one derivation of lhs <= rhs uses, or None.
+
+        Only atoms at positions below limit (all by default) may be used.
+        The closure of lhs is recomputed with, for every variable, the
+        first clause that made it true; that clause's premises were true
+        before it, so following these reasons back from rhs ends. Meet
+        clauses need no atom; an atom clause stands for the first atom
+        that encodes it. Cached closures are not touched.
+        """
+        clauses = self.problem.clauses
+        if len(self._origin) != len(clauses):
+            self._origin = self._clause_origins()
+        origin = self._origin
+        limit = len(self.atoms) if limit is None else limit
+        reason: dict[int, int | None] = {lhs: None}
+        queue = [lhs]
+        while queue and rhs not in reason:
+            for cid in self.problem.watch[queue.pop()]:
+                premises, conclusion = clauses[cid]
+                if (conclusion not in reason and origin[cid] < limit
+                        and all(p in reason for p in premises)):
+                    reason[conclusion] = cid
+                    queue.append(conclusion)
+        if rhs not in reason:
+            return None
+        used: set[int] = set()
+        todo, seen = [rhs], {rhs}
+        while todo:
+            cid = reason[todo.pop()]
+            if cid is None:
+                continue
+            if origin[cid] >= 0:
+                used.add(origin[cid])
+            for p in clauses[cid][0]:
+                if p not in seen:
+                    seen.add(p)
+                    todo.append(p)
+        return sorted(used)
+
+    def _clause_origins(self) -> list[int]:
+        """Per clause, the position of the first atom encoding it; -1 for meet clauses."""
+        index = self.problem.index
+        meet = {c for t in index if isinstance(t, Meet) for c in self.problem.meet_clauses(t)}
+        first: dict[tuple[tuple[int, ...], int], int] = {}
+        for i, atom in enumerate(self.atoms):
+            for a in expand_eqs([normalize_atom(atom)]):
+                first.setdefault(((index[a.lhs],), index[a.rhs]), i)
+        return [-1 if c in meet else first[c] for c in self.problem.clauses]
+
     def holds(self, atom: Atom) -> bool:
         lhs, rhs = normalize(atom.lhs), normalize(atom.rhs)
         if isinstance(atom, Eq):
@@ -217,7 +271,9 @@ def intermediate_term(a_atoms, ab_atoms, a: Term, b: Term, candidates) -> Term:
     Given ab_atoms entails a <= b, the returned t satisfies a <= t from
     a_atoms alone and t <= b from ab_atoms; both claims are re-checked.
     Raises NoSharedWitness when no candidate is entailed, since then no
-    meet over the candidates can lie above a.
+    meet over the candidates can lie above a, and when the meet fails
+    t <= b: it is the least meet of candidates above a, so no other one
+    lies below b either.
     """
     a, b = normalize(a), normalize(b)
     cand = sorted({normalize(c) for c in candidates}, key=term_key)
@@ -234,7 +290,11 @@ def intermediate_term(a_atoms, ab_atoms, a: Term, b: Term, candidates) -> Term:
     if not entails_atom(a_atoms, Leq(a, t)):
         raise RuntimeError(f"intermediate term claim failed: {format_term(a)} <= {format_term(t)}")
     if not entails_atom(ab_atoms, Leq(t, b)):
-        raise RuntimeError(f"intermediate term claim failed: {format_term(t)} <= {format_term(b)}")
+        raise NoSharedWitness(
+            f"no shared term lies between {format_term(a)} and {format_term(b)}: "
+            f"the least shared meet above {format_term(a)}, {format_term(t)}, "
+            f"is not below {format_term(b)}"
+        )
     return t
 
 

@@ -1,6 +1,8 @@
 """Definability via signature doubling, and the bounded refutation
 machinery."""
 
+from itertools import combinations
+
 import pytest
 
 from slatkit import locality
@@ -13,7 +15,7 @@ from slatkit.beth import (
 )
 from slatkit.locality import AxiomSet, Composition
 from slatkit.slat import eval_term
-from slatkit.terms import Const, Leq, parse_atom, parse_term
+from slatkit.terms import App, Const, Leq, mk_meet, parse_atom, parse_term, term_key
 from test_slat import model4
 
 
@@ -146,6 +148,39 @@ def test_enumeration_counts_single_function():
     assert len(enumerate_terms({"g"}, {"e"}, 1)) == 3
     assert len(enumerate_terms({"g"}, {"e"}, 2)) == 15
     assert len(enumerate_terms({"g"}, {"e"}, 3)) == 65535
+
+
+def _enumerate_terms_by_mk_meet(functions, constants, depth):
+    """The original enumeration: every combination through mk_meet, then
+    one sort of the deduplicated last level by term_key."""
+    functions = sorted(functions)
+    consts = [Const(c) for c in sorted(set(constants))]
+    pool = list(consts)
+    level = []
+    for k in range(depth + 1):
+        level = []
+        for r in range(1, len(pool) + 1):
+            for combo in combinations(pool, r):
+                level.append(mk_meet(combo))
+        if k < depth:
+            pool = consts + [App(f, t) for f in functions for t in level]
+    return sorted(set(level), key=term_key)
+
+
+@pytest.mark.parametrize("functions,constants,depth", [
+    ((), ("a",), 0),
+    ((), ("c", "a", "b"), 2),
+    (("f",), ("a",), 2),
+    (("f",), ("b", "a"), 1),
+    (("f",), ("a", "b", "c"), 1),
+    (("g", "f"), ("a",), 1),
+    (("g", "f"), ("a", "b", "c"), 0),
+    (("g", "f"), ("b", "a"), 0),
+    (("g",), ("e",), 3),
+])
+def test_enumeration_matches_the_mk_meet_reference(functions, constants, depth):
+    assert enumerate_terms(functions, constants, depth) == \
+        _enumerate_terms_by_mk_meet(functions, constants, depth)
 
 
 def test_enumeration_respects_limit():

@@ -122,6 +122,16 @@ def test_interpolate_engine_error(tmp_path, capsys):
     assert err.startswith("engine error:")
 
 
+def test_interpolate_without_a_shared_term_between_the_goal_sides(tmp_path, capsys):
+    # a is A-only, so no shared term lies between a and a
+    f = tmp_path / "between.slp"
+    f.write_text("side A\na <= b\nside B\nb <= c\ngoal a <= a\n", encoding="utf-8")
+    code, _, err = in_process(["interpolate", f], capsys)
+    assert code == 3
+    assert err == ("engine error: no shared term lies between a and a: the least "
+                   "shared meet above a, b, is not below a\n")
+
+
 def test_beth_requires_target(tmp_path, capsys):
     f = tmp_path / "nogoal.slp"
     f.write_text("side A\na <= b\ngoal a <= b\n", encoding="utf-8")

@@ -86,6 +86,41 @@ def test_entailer_reuse_across_queries():
     assert not ent.holds(parse_atom("c <= a"))
 
 
+def test_proof_names_the_atoms_of_one_derivation():
+    atoms = atoms_of("a <= b", "x <= y", "b <= c & d", "c <= e", "a <= e")
+    ent = Entailer(atoms, [Const("a"), Const("c")])
+    a, c = ent.var(Const("a")), ent.var(Const("c"))
+    assert ent.proof(a, c) == [0, 2]
+    assert ent.proof(a, c, limit=2) is None
+    assert ent.proof(a, a) == []
+    assert ent.proof(c, a) is None
+
+
+def test_proof_uses_the_first_of_equal_atoms():
+    atoms = atoms_of("a = b", "b <= c", "a <= b", "b = a")
+    ent = Entailer(atoms, [Const("a"), Const("c")])
+    assert ent.proof(ent.var(Const("a")), ent.var(Const("c"))) == [0, 1]
+    assert ent.proof(ent.var(Const("b")), ent.var(Const("a"))) == [0]
+
+
+def test_proof_after_growth_uses_added_atoms():
+    ent = Entailer(atoms_of("a <= b"), [Const("a"), Const("c")])
+    ent.add(parse_atom("b <= c & d"))
+    assert ent.proof(ent.var(Const("a")), ent.var(Const("c"))) == [0, 1]
+    assert ent.proof(ent.var(Const("a")), ent.var(Const("c")), limit=1) is None
+
+
+@given(st.randoms(use_true_random=False))
+def test_proof_atoms_alone_entail_the_pair(rng):
+    atoms, goal = rand_flat_problem(rng)
+    goal = Leq(goal.lhs, goal.rhs)
+    ent = Entailer(atoms, [goal.lhs, goal.rhs])
+    used = ent.proof(ent.var(goal.lhs), ent.var(goal.rhs))
+    assert (used is not None) == ent.holds(goal)
+    if used is not None:
+        assert entails_atom([atoms[i] for i in used], goal)
+
+
 def test_is_consistent():
     atoms = atoms_of("a <= b")
     assert is_consistent(atoms, atoms_of("b <= a"))
@@ -151,6 +186,14 @@ def test_intermediate_term_no_shared_witness():
     a_side = atoms_of("a <= b")
     with pytest.raises(NoSharedWitness):
         intermediate_term(a_side, a_side, Const("a"), Const("b"), [Const("c")])
+
+
+def test_intermediate_term_with_no_shared_term_below_the_rhs():
+    # a is A-only: the least shared meet above it, b, is not below a
+    a_side = atoms_of("a <= b")
+    ab = a_side + atoms_of("b <= c")
+    with pytest.raises(NoSharedWitness, match="no shared term lies between a and a"):
+        intermediate_term(a_side, ab, Const("a"), Const("a"), [Const("b")])
 
 
 def test_intermediate_term_claims_hold():
