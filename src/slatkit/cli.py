@@ -315,6 +315,17 @@ _COMMANDS = {
 }
 
 
+def _depth(text: str) -> int:
+    """The --depth value: a nonnegative int, else a usage error (exit 2)."""
+    try:
+        depth = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if depth < 0:
+        raise argparse.ArgumentTypeError(f"must be nonnegative, got {depth}")
+    return depth
+
+
 def _parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(
         prog="slatkit",
@@ -330,7 +341,7 @@ def _parser() -> argparse.ArgumentParser:
                     help="show fired instances and splits")
     ap.add_argument("--no-verify", action="store_true",
                     help="skip certificate re-checking after interpolation")
-    ap.add_argument("--depth", type=int, default=3,
+    ap.add_argument("--depth", type=_depth, default=3,
                     help="term depth bound for the definability search (default 3)")
     ap.add_argument("--sharing", choices=("theta", "intersection"), default="theta",
                     help="shared-operator policy for interpolate and beth")

@@ -92,7 +92,11 @@ FlatTerm = tuple[str, Term]
 
 @dataclass
 class PurifiedProblem:
-    """Ground problem with applications replaced by fresh constants."""
+    """Ground problem with applications replaced by fresh constants.
+
+    flat is the psi-closed flat term set the instances range over, every
+    member named in defs; saturate() generates the instances from it.
+    """
 
     a0: tuple[Leq, ...]
     b0: tuple[Leq, ...]
@@ -104,7 +108,7 @@ class PurifiedProblem:
     binders: dict[str, Term]
     colors: dict[str, Color]
     axioms: AxiomSet
-    instances: tuple[GroundHornClause, ...] = ()
+    flat: tuple[FlatTerm, ...] = ()
     purifier: "_Purifier | None" = field(default=None, repr=False)
 
     def unfold_map(self) -> dict[str, Term]:
@@ -200,8 +204,8 @@ def flatten_purify(a_atoms, b_atoms, goal: Leq, *, neg_a=(), neg_b=(), fn_colors
     Nested applications are named inside out, so f(g(a)) contributes the
     flat terms (g, a) and (f, g_a). Fresh names inherit a color from the
     named term: the function's sharing color combined with the colors of
-    the argument constants. Returns the purified problem (instances not
-    yet filled in) and the set of flat terms that occurred.
+    the argument constants. Returns the purified problem (its flat term
+    set not yet closed) and the set of flat terms that occurred.
     """
     a_atoms = expand_eqs(normalize_atom(x) for x in a_atoms)
     b_atoms = expand_eqs(normalize_atom(x) for x in b_atoms)
@@ -295,14 +299,88 @@ def psi_closure(flat_terms, axioms: AxiomSet) -> tuple[FlatTerm, ...]:
     return _sorted_flat(closed)
 
 
-def instantiate(axioms: AxiomSet, flat_terms, defs: dict[FlatTerm, str]) -> tuple[GroundHornClause, ...]:
-    """Ground instances of Mon and of the axioms over the flat term set.
+class InstanceSpace:
+    """The ground instances of Mon and of the axioms over a flat term set.
 
-    The set must be psi-closed and every flat term named in defs.
-    Instances come in a fixed order: monotonicity for each function over
-    ordered pairs of distinct arguments, then inclusions, then
-    compositions, arguments sorted. Instances whose conclusion is
-    reflexive are dropped.
+    Every instance has an order key, and the key order is the clause
+    order: mon (0, function, c, d) for each function over ordered pairs
+    of distinct arguments, incl (1, axiom, c), comp (2, axiom, d, c),
+    with functions and axioms in declaration order and arguments by
+    position in sorted order. Instances whose conclusion is reflexive
+    have no key. clause(key) builds an instance; instantiate() lists all
+    of them and saturate() builds only those it fires.
+
+    Mon and comp instances have one premise seed <= target, grouped by
+    (schema, index): mon over function f has the arguments of f as seeds
+    and as targets, comp over an axiom has the arguments of its outer f
+    as seeds and the names of g(c) with (h, c) in the set as targets.
+    """
+
+    def __init__(self, axioms: AxiomSet, flat_terms, defs: dict[FlatTerm, str]):
+        self.axioms, self.defs = axioms, defs
+        terms = set(flat_terms)
+        self.args_of: dict[str, list[Term]] = {f: [] for f in axioms.functions}
+        for fn, arg in _sorted_flat(terms):
+            self.args_of.setdefault(fn, []).append(arg)
+        self.inner = {i: [c for c in self.args_of[ax.g] if (ax.h, c) in terms]
+                      for i, ax in enumerate(axioms.axioms) if isinstance(ax, Composition)}
+
+    def premise_groups(self):
+        """(group, seeds, targets) per premise schema, in key order."""
+        for i, f in enumerate(self.axioms.functions):
+            yield (0, i), self.args_of[f], self.args_of[f]
+        for i, inner in self.inner.items():
+            ax = self.axioms.axioms[i]
+            yield (2, i), self.args_of[ax.f], [Const(self.defs[(ax.g, c)]) for c in inner]
+
+    def incl_keys(self):
+        """Keys of the premise-free inclusion instances, in order."""
+        for i, ax in enumerate(self.axioms.axioms):
+            if isinstance(ax, Inclusion) and ax.f != ax.g:
+                yield from ((1, i, c) for c in range(len(self.args_of[ax.f])))
+
+    def proper(self, key: tuple) -> bool:
+        """False for a premise pair whose instance concludes x <= x."""
+        if key[0] == 0:
+            return key[2] != key[3]
+        ax = self.axioms.axioms[key[1]]
+        return ax.f != ax.h or self.args_of[ax.f][key[2]] != self.inner[key[1]][key[3]]
+
+    def keys(self) -> list[tuple]:
+        """Every instance key, in clause order."""
+        pairs = [(*group, i, j) for group, seeds, targets in self.premise_groups()
+                 for i in range(len(seeds)) for j in range(len(targets))]
+        return sorted([*filter(self.proper, pairs), *self.incl_keys()])
+
+    def clause(self, key: tuple) -> GroundHornClause:
+        """The instance with this key."""
+        defs = self.defs
+        if key[0] == 0:
+            f = self.axioms.functions[key[1]]
+            c, d = self.args_of[f][key[2]], self.args_of[f][key[3]]
+            return GroundHornClause(
+                (Leq(c, d),), Leq(Const(defs[(f, c)]), Const(defs[(f, d)])), ("mon", f, c, d),
+            )
+        ax = self.axioms.axioms[key[1]]
+        if key[0] == 1:
+            c = self.args_of[ax.f][key[2]]
+            return GroundHornClause(
+                (), Leq(Const(defs[(ax.f, c)]), Const(defs[(ax.g, c)])), ("incl", ax.f, ax.g, c),
+            )
+        d, c = self.args_of[ax.f][key[2]], self.inner[key[1]][key[3]]
+        return GroundHornClause(
+            (Leq(d, Const(defs[(ax.g, c)])),),
+            Leq(Const(defs[(ax.f, d)]), Const(defs[(ax.h, c)])),
+            ("comp", ax.f, ax.g, ax.h, d, c),
+        )
+
+
+def instantiate(axioms: AxiomSet, flat_terms, defs: dict[FlatTerm, str]) -> tuple[GroundHornClause, ...]:
+    """Every ground instance over the flat term set, in clause order.
+
+    The set must be psi-closed and every flat term named in defs. This
+    is the eager enumeration of InstanceSpace; saturate() generates the
+    same instances lazily.
     """
     terms = set(flat_terms)
     if set(psi_closure(terms, axioms)) != terms:
@@ -310,56 +388,24 @@ def instantiate(axioms: AxiomSet, flat_terms, defs: dict[FlatTerm, str]) -> tupl
     for ft in terms:
         if ft not in defs:
             raise ValueError(f"unnamed flat term {ft[0]}({ft[1]})")
-    args_of: dict[str, list[Term]] = {f: [] for f in axioms.functions}
-    for fn, arg in _sorted_flat(terms):
-        args_of.setdefault(fn, []).append(arg)
-    out: list[GroundHornClause] = []
-    for f in axioms.functions:
-        for c in args_of[f]:
-            for d in args_of[f]:
-                if c != d:
-                    out.append(GroundHornClause(
-                        (Leq(c, d),),
-                        Leq(Const(defs[(f, c)]), Const(defs[(f, d)])),
-                        ("mon", f, c, d),
-                    ))
-    for ax in axioms.axioms:
-        if not isinstance(ax, Inclusion):
-            continue
-        for c in args_of[ax.f]:
-            lhs, rhs = defs[(ax.f, c)], defs[(ax.g, c)]
-            if lhs != rhs:
-                out.append(GroundHornClause(
-                    (), Leq(Const(lhs), Const(rhs)), ("incl", ax.f, ax.g, c),
-                ))
-    for ax in axioms.axioms:
-        if not isinstance(ax, Composition):
-            continue
-        inner_args = [c for c in args_of[ax.g] if (ax.h, c) in terms]
-        for d in args_of[ax.f]:
-            for c in inner_args:
-                lhs, rhs = defs[(ax.f, d)], defs[(ax.h, c)]
-                if lhs != rhs:
-                    out.append(GroundHornClause(
-                        (Leq(d, Const(defs[(ax.g, c)])),),
-                        Leq(Const(lhs), Const(rhs)),
-                        ("comp", ax.f, ax.g, ax.h, d, c),
-                    ))
-    return tuple(out)
+    space = InstanceSpace(axioms, terms, defs)
+    return tuple(space.clause(k) for k in space.keys())
 
 
 def prepare_problem(a_atoms, b_atoms, goal: Leq, axioms: AxiomSet, *,
                     neg_a=(), neg_b=(), fn_colors=None) -> PurifiedProblem:
-    """Purify, close the term set, name the new terms, instantiate."""
+    """Purify, close the term set and name the new terms.
+
+    No instance is built here: saturate() generates them from the closed
+    set (problem.flat) as their premises become derivable.
+    """
     problem, est = flatten_purify(
         a_atoms, b_atoms, goal, neg_a=neg_a, neg_b=neg_b,
         fn_colors=fn_colors, axioms=axioms,
     )
-    closed = psi_closure(est, axioms)
-    purifier = problem.purifier
-    for fn, arg in closed:
-        purifier.name_for(fn, arg)
-    problem.instances = instantiate(axioms, closed, problem.defs)
+    problem.flat = psi_closure(est, axioms)
+    for fn, arg in problem.flat:
+        problem.purifier.name_for(fn, arg)
     return problem
 
 
@@ -381,47 +427,60 @@ def saturate(problem: PurifiedProblem, fire=lambda clause: (clause.conclusion,))
     """Forward chaining over the instances, in breadth-first passes.
 
     Each pass checks the goal and then the negative literals, and fires,
-    in clause order, every instance whose premises were entailed at the
+    in clause order, every instance whose premise was entailed at the
     start of the pass. fire(clause) returns the atoms that firing adds.
-    The atoms are encoded once: every premise waits on its (lhs, rhs)
-    variable pair, and the pairs the added atoms make derivable wake the
-    instances for the next pass. The result is true when the goal is
-    entailed or a negative literal is contradicted, false at the fixpoint.
+    The atoms are encoded once, and an instance is built only when it
+    fires: once the pass-0 checks fail, the closures of the seeds
+    (InstanceSpace) are built and each derivable (seed, target) pair
+    wakes its instances; later, the pairs the added atoms make derivable
+    wake the instances of the next pass. Inclusion instances have no
+    premise and fire in pass 1. Names made while chaining (interpolation
+    splits) are not in problem.flat and add no instances. The result is
+    true when the goal is entailed or a negative literal is
+    contradicted, false at the fixpoint.
     """
     checked = (problem.goal, *problem.neg_a, *problem.neg_b)
     ent = slat.Entailer([*problem.a0, *problem.b0], [t for a in checked for t in (a.lhs, a.rhs)])
+    space = InstanceSpace(problem.axioms, problem.flat, problem.defs)
     trace = Trace()
-    waiting: dict[tuple[int, int], list[int]] | None = None
+    seeds: dict[int, dict[tuple, list[int]]] | None = None
+    targets: dict[int, list[tuple[tuple, int]]] = {}
+
+    def wake(pairs) -> list[tuple]:
+        """Keys of the instances whose premise is one of the variable pairs."""
+        out = []
+        for s, v in pairs:
+            groups = seeds.get(s)
+            if groups:
+                for group, j in targets.get(v, ()):
+                    out.extend(k for i in groups.get(group, ()) if space.proper(k := (*group, i, j)))
+        return out
+
     while True:
         for k, atom in enumerate(checked):
             if ent.holds(atom):
                 trace.inconsistent = atom if k else None
                 trace.result = True
                 return trace
-        if waiting is None:
-            # premise closures are built only once the pass-0 checks fail
-            waiting, missing, ready = {}, [], []
-            for i, clause in enumerate(problem.instances):
-                premises = {(ent.var(p.lhs), ent.var(p.rhs)) for p in clause.premises}
-                pending = [pair for pair in premises if not ent.derives(*pair)]
-                missing.append(len(pending))
-                for pair in pending:
-                    waiting.setdefault(pair, []).append(i)
-                if not pending:
-                    ready.append(i)
+        if seeds is None:
+            # seed closures are built only once the pass-0 checks fail
+            seeds = {}
+            for group, seed_terms, target_terms in space.premise_groups():
+                for i, t in enumerate(seed_terms):
+                    seeds.setdefault(ent.var(t), {}).setdefault(group, []).append(i)
+                for j, t in enumerate(target_terms):
+                    targets.setdefault(ent.var(t), []).append((group, j))
+            ready = sorted([*space.incl_keys(), *wake((s, v) for s in seeds for v in ent.above(s))])
         if not ready:
             trace.result = False
             return trace
         trace.passes += 1
         woken = []
-        for i in ready:
-            trace.fired.append(problem.instances[i])
-            for atom in fire(problem.instances[i]):
-                for pair in ent.add(atom):
-                    for j in waiting.pop(pair, ()):
-                        missing[j] -= 1
-                        if not missing[j]:
-                            woken.append(j)
+        for key in ready:
+            clause = space.clause(key)
+            trace.fired.append(clause)
+            for atom in fire(clause):
+                woken += wake(ent.add(atom))
         ready = sorted(woken)
 
 

@@ -154,13 +154,20 @@ class Entailer:
             self._sync()
         return self.problem.var(t)
 
-    def derives(self, lhs: int, rhs: int) -> bool:
-        """True iff the atoms entail the term of lhs below that of rhs."""
+    def _closure(self, lhs: int) -> list[bool]:
         closure = self._closures.get(lhs)
         if closure is None:
             closure = propagate(self.problem, [lhs])
             self._closures[lhs] = closure
-        return closure[rhs]
+        return closure
+
+    def derives(self, lhs: int, rhs: int) -> bool:
+        """True iff the atoms entail the term of lhs below that of rhs."""
+        return self._closure(lhs)[rhs]
+
+    def above(self, lhs: int) -> list[int]:
+        """Every variable the atoms entail above lhs; its closure is cached."""
+        return list(itertools.compress(itertools.count(), self._closure(lhs)))
 
     def add(self, atom: Atom) -> list[tuple[int, int]]:
         """Add an atom; return the (lhs, rhs) variable pairs it made derivable.
@@ -270,6 +277,7 @@ def intermediate_term(a_atoms, ab_atoms, a: Term, b: Term, candidates) -> Term:
 
     Given ab_atoms entails a <= b, the returned t satisfies a <= t from
     a_atoms alone and t <= b from ab_atoms; both claims are re-checked.
+    One Entailer per atom set decides all four entailments.
     Raises NoSharedWitness when no candidate is entailed, since then no
     meet over the candidates can lie above a, and when the meet fails
     t <= b: it is the least meet of candidates above a, so no other one
@@ -277,7 +285,8 @@ def intermediate_term(a_atoms, ab_atoms, a: Term, b: Term, candidates) -> Term:
     """
     a, b = normalize(a), normalize(b)
     cand = sorted({normalize(c) for c in candidates}, key=term_key)
-    if not entails_atom(ab_atoms, Leq(a, b)):
+    ab = Entailer(ab_atoms, [a, b])
+    if not ab.holds(Leq(a, b)):
         raise ValueError(f"premise atoms do not entail {format_term(a)} <= {format_term(b)}")
     ent = Entailer(a_atoms, [a, *cand])
     chosen = [e for e in cand if ent.holds(Leq(a, e))]
@@ -287,9 +296,9 @@ def intermediate_term(a_atoms, ab_atoms, a: Term, b: Term, candidates) -> Term:
             f"(candidates: {', '.join(format_term(c) for c in cand) or 'none'})"
         )
     t = mk_meet(chosen)
-    if not entails_atom(a_atoms, Leq(a, t)):
+    if not ent.derives(ent.var(a), ent.var(t)):
         raise RuntimeError(f"intermediate term claim failed: {format_term(a)} <= {format_term(t)}")
-    if not entails_atom(ab_atoms, Leq(t, b)):
+    if not ab.derives(ab.var(t), ab.var(b)):
         raise NoSharedWitness(
             f"no shared term lies between {format_term(a)} and {format_term(b)}: "
             f"the least shared meet above {format_term(a)}, {format_term(t)}, "

@@ -188,6 +188,17 @@ def test_beth_depth_bound_reshapes_the_search(capsys):
     assert "no defining term up to depth 2" in out
 
 
+@pytest.mark.parametrize("depth", ["-1", "two"])
+def test_bad_depth_is_a_usage_error(depth, capsys):
+    with pytest.raises(SystemExit) as exit_info:
+        cli.main(["beth", str(DATA / "beth_fe.slp"), "--sharing", "intersection",
+                  "--depth", depth])
+    assert exit_info.value.code == 2
+    err = capsys.readouterr().err
+    assert "argument --depth" in err
+    assert "search skipped" not in err
+
+
 # ---------------------------------------------------------------------------
 # input limits and encodings
 

@@ -199,3 +199,22 @@ def test_random_interpolants_certify_against_fresh_runs():
         right = Leq(res.term, goal.rhs)
         assert locality.entails(a, b, left, axioms)
         assert locality.entails(a, b, right, axioms)
+
+
+def test_interpolate_builds_two_entailers_per_intermediate_term(monkeypatch):
+    from slatkit import slat
+    from test_saturate import ladder
+
+    builds = []
+    init = slat.Entailer.__init__
+
+    def counted(self, *args, **kwargs):
+        builds.append(1)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(slat.Entailer, "__init__", counted)
+    res = interpolate(*ladder(8))
+    # 1 for the decide, 2 for each of the 8 intermediate terms (7 splits
+    # and the interpolant), 1 for each certificate, decided from scratch
+    assert len(res.splits) == 7
+    assert len(builds) == 19

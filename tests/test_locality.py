@@ -1,7 +1,6 @@
 """Purification, psi-closure, instantiation, forward chaining,
 minimization."""
 
-import dataclasses
 import random
 
 import pytest
@@ -23,6 +22,7 @@ from slatkit.locality import (
 )
 from slatkit.slat import entails_atom
 from slatkit.terms import App, Color, Const, Leq, Meet, parse_atom, parse_term
+from test_saturate import _decide_by_passes
 
 
 def atoms_of(*texts):
@@ -283,11 +283,10 @@ def test_decide_invariant_under_instance_permutations():
     for a, b, goal, axioms in cases:
         problem = prepare_problem(a, b, goal, axioms)
         expected = decide(problem)[0]
-        instances = list(problem.instances)
+        instances = list(instantiate(problem.axioms, problem.flat, problem.defs))
         for _ in range(20):
             rng.shuffle(instances)
-            shuffled = dataclasses.replace(problem, instances=tuple(instances))
-            assert decide(shuffled)[0] == expected
+            assert _decide_by_passes(problem, instances)[0] == expected
 
 
 def test_decide_stable_under_larger_closed_term_set():
@@ -312,7 +311,7 @@ def test_decide_stable_under_larger_closed_term_set():
         closed = psi_closure((*est, (fn, fresh_arg)), axioms)
         for f, arg in closed:
             problem.purifier.name_for(f, arg)
-        problem.instances = instantiate(axioms, closed, problem.defs)
+        problem.flat = closed
         assert decide(problem)[0] == expected
 
 

@@ -10,7 +10,7 @@ import random
 
 import pytest
 
-from conftest import rand_slo_problem, rand_term, read_data
+from conftest import onto_text, rand_slo_problem, rand_term, read_data
 from slatkit import el, locality
 from slatkit.locality import AxiomSet, Justification, NotEntailed, entails, minimize_axioms
 from slatkit.terms import Eq, Leq, atom_constants, format_atom, parse_atom
@@ -100,38 +100,6 @@ def with_equations(rng):
         return tuple(Eq(x.lhs, x.rhs) if rng.random() < 0.35 else x for x in atoms)
 
     return eqs(a), eqs(b), goal, axioms
-
-
-def onto_text(rng, n, nd, dup=3):
-    """An .elp role chain C0 .. Cn split across A and B, plus distractors.
-
-    The distractors chain a second role over a small pool of names, so
-    some GCIs come twice; dup more chain GCIs are duplicated outright.
-    """
-    m = rng.randint(1, n - 1)
-    chain = [f"C{i} <= ex r . C{i + 1}" for i in range(n)]
-    chain += rng.sample(chain, dup)
-    pool = max(4, nd // 3)
-    perm = list(range(pool))
-    rng.shuffle(perm)
-    distract = []
-    for i in range(nd):
-        j, k, l = i % pool, perm[i % pool], perm[(i + 1) % pool]
-        if i % 20 < 14:
-            distract.append(f"D{j} <= ex s . D{k}")
-        elif i % 20 < 17:
-            distract.append(f"D{j} & D{k} <= D{l}")
-        else:
-            distract.append(f"ex s . D{j} <= D{k}")
-    side_a = [g for g in chain if int(g.split()[0][1:]) < m]
-    side_b = [g for g in chain if int(g.split()[0][1:]) >= m]
-    for g in distract:
-        (side_a if rng.random() < 0.5 else side_b).append(g)
-    rng.shuffle(side_a)
-    rng.shuffle(side_b)
-    return "\n".join(["roles r s", "ri r o r <= r", "ri s o s <= s",
-                      "side A", *side_a, "side B", *side_b,
-                      f"goal C0 <= ex r . C{n}"]) + "\n"
 
 
 def minimize_el(text, minimize):

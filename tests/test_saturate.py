@@ -1,8 +1,10 @@
 """The incremental chaining engine against the pass-by-pass reference.
 
-`_decide_by_passes` is the original decision loop: it rebuilds the
-Entailer from all atoms on every pass and re-tests every unfired
-instance. `locality.decide` must give an equal Trace on every input.
+`_decide_by_passes` is the original decision loop: it takes the eager
+instance list (`locality.instantiate`), rebuilds the Entailer from all
+atoms on every pass and re-tests every unfired instance.
+`locality.decide`, which generates instances lazily, must give an equal
+Trace on every input.
 """
 
 import random
@@ -10,23 +12,25 @@ import random
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import rand_flat_atom, rand_slo_problem, read_data
+from conftest import onto_text, rand_flat_atom, rand_slo_problem, rand_term, read_data
 from slatkit import el, locality, slat
-from slatkit.locality import AxiomSet, Trace, decide, prepare_problem
+from slatkit.locality import AxiomSet, Composition, Trace, decide, instantiate, prepare_problem
 from slatkit.terms import App, Const, Leq, parse_atom
 
 
-def _decide_by_passes(problem) -> tuple[bool, Trace]:
+def _decide_by_passes(problem, instances=None) -> tuple[bool, Trace]:
+    if instances is None:
+        instances = instantiate(problem.axioms, problem.flat, problem.defs)
     atoms = [*problem.a0, *problem.b0]
     negs = [*problem.neg_a, *problem.neg_b]
     extra = [problem.goal.lhs, problem.goal.rhs]
     for n in negs:
         extra.extend((n.lhs, n.rhs))
-    for cl in problem.instances:
+    for cl in instances:
         for p in cl.premises:
             extra.extend((p.lhs, p.rhs))
         extra.extend((cl.conclusion.lhs, cl.conclusion.rhs))
-    unfired = list(range(len(problem.instances)))
+    unfired = list(range(len(instances)))
     trace = Trace()
     while True:
         ent = slat.Entailer(atoms, extra)
@@ -39,14 +43,14 @@ def _decide_by_passes(problem) -> tuple[bool, Trace]:
                 trace.result = True
                 return True, trace
         applicable = [i for i in unfired
-                      if all(ent.holds(p) for p in problem.instances[i].premises)]
+                      if all(ent.holds(p) for p in instances[i].premises)]
         if not applicable:
             trace.result = False
             return False, trace
         trace.passes += 1
         for i in applicable:
-            atoms.append(problem.instances[i].conclusion)
-            trace.fired.append(problem.instances[i])
+            atoms.append(instances[i].conclusion)
+            trace.fired.append(instances[i])
         fired = set(applicable)
         unfired = [i for i in unfired if i not in fired]
 
@@ -114,6 +118,54 @@ def test_decide_encodes_once(monkeypatch):
     ok, trace = locality.decide(problem)
     assert ok and trace.passes == 20
     assert len(calls) == 1
+
+
+def test_role_chains_with_distractors_match_the_pass_loop():
+    rng = random.Random(6007)
+    for n, nd in ((3, 4), (4, 8), (6, 12), (6, 20), (8, 30)):
+        t = el.translate(el.parse_cbox(onto_text(rng, n, nd)))
+        problem = prepare_problem(t.a_atoms, t.b_atoms, t.goal, t.axioms)
+        assert_same_trace(problem)
+        ok, trace = decide(problem)
+        assert ok and any(cl.provenance[0] == "comp" for cl in trace.fired)
+
+
+def test_reflexive_composition_instances_are_skipped():
+    # Composition(f, g, f) concludes f(d) <= f(c); with d == c that is
+    # reflexive, so c <= g(c) wakes no instance of its own
+    axioms = AxiomSet(("f", "g"), (Composition("f", "g", "f"),))
+    problem = prepare_problem([parse_atom("c <= g(c)")], [], parse_atom("f(c) <= e"), axioms)
+    ok, trace = decide(problem)
+    assert not ok and trace.fired == [] and trace.passes == 0
+    assert_same_trace(problem)
+    rng = random.Random(6011)
+    fns, names = ["f", "g"], ["a", "b", "c"]
+    for _ in range(300):
+        a = [Leq(rand_term(rng, names, fns), rand_term(rng, names, fns))
+             for _ in range(rng.randint(1, 4))]
+        if rng.random() < 0.5:
+            c = Const(rng.choice(names))
+            a.append(Leq(c, App("g", c)))
+        goal = Leq(rand_term(rng, names, fns), rand_term(rng, names, fns))
+        problem = prepare_problem(a, [], goal, axioms)
+        assert_same_trace(problem)
+        for cl in decide(problem)[1].fired:
+            assert cl.conclusion.lhs != cl.conclusion.rhs
+
+
+def test_decide_builds_only_the_clauses_it_fires(monkeypatch):
+    built = []
+    clause = locality.GroundHornClause
+
+    def counted(*args, **kwargs):
+        built.append(1)
+        return clause(*args, **kwargs)
+
+    monkeypatch.setattr(locality, "GroundHornClause", counted)
+    ok, trace = decide(prepare_problem(*ladder(40)))
+    assert ok and trace.passes == 40
+    # 40 of the 6,320 mon instances over the 80 arguments of f fire
+    assert len(built) <= len(trace.fired) + 2
 
 
 consts = ["a", "b", "c", "d"]
