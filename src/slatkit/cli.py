@@ -16,7 +16,7 @@ from pathlib import Path
 from . import beth, el, interp, locality
 from .inputs import SlpProblem, parse_model, parse_slp
 from .interp import VerificationFailed
-from .locality import Composition, Inclusion, NotEntailed
+from .locality import Inclusion, NotEntailed
 from .slat import NoSharedWitness, check_finite_model
 from .terms import Const, Leq, ParseError, format_atom, format_term
 
@@ -88,28 +88,21 @@ def _want(fmt: str, allowed: tuple[str, ...], command: str) -> None:
 # commands
 
 def _cmd_check(args, fmt: str, text: str):
-    trace_lines: list[str] = []
     if fmt == "slp":
         p = parse_slp(text)
         problem = locality.prepare_problem(
             p.a_pos, p.b_pos, _slp_goal(p), p.axioms, neg_a=p.a_neg, neg_b=p.b_neg
         )
-        entailed, trace = locality.decide(problem)
-        if args.trace:
-            trace_lines = [_clause_line(cl) for cl in trace.fired]
-            trace_lines.append(f"passes: {trace.passes}")
-            if trace.inconsistent is not None:
-                trace_lines.append(
-                    f"inconsistent: {format_atom(trace.inconsistent)} holds"
-                )
     else:
-        p = el.parse_cbox(text)
-        t = el.translate(p)
+        t = el.translate(el.parse_cbox(text))
         problem = locality.prepare_problem(t.a_atoms, t.b_atoms, t.goal, t.axioms)
-        entailed, trace = locality.decide(problem)
-        if args.trace:
-            trace_lines = [_clause_line(cl) for cl in trace.fired]
-            trace_lines.append(f"passes: {trace.passes}")
+    entailed, trace = locality.decide(problem)
+    trace_lines: list[str] = []
+    if args.trace:
+        trace_lines = [_clause_line(cl) for cl in trace.fired]
+        trace_lines.append(f"passes: {trace.passes}")
+        if trace.inconsistent is not None:
+            trace_lines.append(f"inconsistent: {format_atom(trace.inconsistent)} holds")
     lines = [*trace_lines, "ENTAILED" if entailed else "NOT-ENTAILED"]
     jobj = {"command": "check", "entailed": entailed}
     if args.trace:
@@ -191,12 +184,8 @@ def _cmd_justify(args, fmt: str, text: str):
         lines += [f"side A: ! {format_atom(p.a_neg[i])}" for i in j.kept_neg_a]
         lines += [f"side B: {format_atom(p.b_pos[i])}" for i in j.kept_b]
         lines += [f"side B: ! {format_atom(p.b_neg[i])}" for i in j.kept_neg_b]
-        axioms = [p.axioms.axioms[i] for i in j.kept_axioms]
-        lines += [
-            f"axiom: inclusion {ax.f} {ax.g}" if isinstance(ax, Inclusion)
-            else f"axiom: composition {ax.f} {ax.g} {ax.h}"
-            for ax in axioms
-        ]
+        axioms = [_axiom_text(p.axioms.axioms[i]) for i in j.kept_axioms]
+        lines += [f"axiom: {ax}" for ax in axioms]
         jobj = {
             "command": "justify",
             "kept": {
@@ -204,13 +193,7 @@ def _cmd_justify(args, fmt: str, text: str):
                 "A_negative": [format_atom(p.a_neg[i]) for i in j.kept_neg_a],
                 "B": [format_atom(p.b_pos[i]) for i in j.kept_b],
                 "B_negative": [format_atom(p.b_neg[i]) for i in j.kept_neg_b],
-                "axioms": [
-                    " ".join(
-                        ("inclusion", ax.f, ax.g) if isinstance(ax, Inclusion)
-                        else ("composition", ax.f, ax.g, ax.h)
-                    )
-                    for ax in axioms
-                ],
+                "axioms": axioms,
             },
         }
         return EXIT_OK, lines, jobj
@@ -219,6 +202,12 @@ def _cmd_justify(args, fmt: str, text: str):
     if labels is None:
         raise _InputError("goal is not entailed; nothing to justify")
     return EXIT_OK, list(labels), {"command": "justify", "labels": list(labels)}
+
+
+def _axiom_text(ax) -> str:
+    if isinstance(ax, Inclusion):
+        return f"inclusion {ax.f} {ax.g}"
+    return f"composition {ax.f} {ax.g} {ax.h}"
 
 
 def _cmd_beth(args, fmt: str, text: str):

@@ -1,19 +1,20 @@
 """EL ontology front end for the semilattice engine.
 
-Concepts are conjunctions of names and existential role restrictions.
-A subsumption problem over two ontology parts translates directly: names
-become constants, conjunction the meet, and each declared role a
-monotone operator, with role inclusion axioms r <= s as operator
-inclusions and chains r o s <= t as compositions. Subsumption,
-interpolating concepts and minimal justifying axiom sets all come back
-from the term level through the same translation.
+Concepts are conjunctions of names and existential role restrictions,
+kept as terms: a name is a constant, conjunction the meet and ex r . C
+the application r(C). A subsumption problem over two ontology parts
+translates directly: each declared role becomes a monotone operator,
+with role inclusion axioms r <= s as operator inclusions and chains
+r o s <= t as compositions. Subsumption, interpolating concepts and
+minimal justifying axiom sets all come back from the term level.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from . import interp, locality
+from .inputs import _problem_lines
 from .interp import VerificationFailed
 from .locality import AxiomSet, Composition, Inclusion, Justification, NotEntailed
 from .terms import (
@@ -23,9 +24,12 @@ from .terms import (
     Meet,
     ParseError,
     Term,
+    _PUNCT,
     _TermParser,
+    atom_constants,
     mk_meet,
-    tokenize,
+    term_constants,
+    term_functions,
 )
 
 _RESERVED = {"roles", "ri", "side", "goal", "ex"}
@@ -34,73 +38,22 @@ _RESERVED = {"roles", "ri", "side", "goal", "ex"}
 # ---------------------------------------------------------------------------
 # concepts
 
-
-@dataclass(frozen=True)
-class Name:
-    name: str
-
-
-@dataclass(frozen=True)
-class Exists:
-    role: str
-    arg: "Concept"
-
-
-@dataclass(frozen=True)
-class And:
-    args: tuple["Concept", ...]
-
-
-Concept = Name | And | Exists
-
-
-def concept_term(c: Concept) -> Term:
-    """Encode: names as constants, And as meet, exists as application."""
-    if isinstance(c, Name):
-        return Const(c.name)
-    if isinstance(c, Exists):
-        return App(c.role, concept_term(c.arg))
-    return mk_meet(concept_term(x) for x in c.args)
-
-
-def term_concept(t: Term) -> Concept:
-    """Decode a term back into a concept."""
-    if isinstance(t, Const):
-        return Name(t.name)
-    if isinstance(t, App):
-        return Exists(t.fn, term_concept(t.arg))
-    return And(tuple(term_concept(x) for x in t.args))
-
-
-def mk_and(args) -> Concept:
-    """ACI-normalized conjunction; a singleton collapses to its member."""
-    return term_concept(mk_meet(concept_term(a) for a in args))
-
-
-def concept_names(c: Concept) -> set[str]:
-    if isinstance(c, Name):
-        return {c.name}
-    if isinstance(c, Exists):
-        return concept_names(c.arg)
-    return set().union(*(concept_names(x) for x in c.args))
-
-
-def concept_roles(c: Concept) -> set[str]:
-    if isinstance(c, Name):
-        return set()
-    if isinstance(c, Exists):
-        return {c.role} | concept_roles(c.arg)
-    return set().union(*(concept_roles(x) for x in c.args))
+# the concept constructors are the term constructors
+Concept = Term
+Name = Const
+Exists = App
+And = Meet
+mk_and = mk_meet
 
 
 def format_concept(c: Concept) -> str:
-    if isinstance(c, Name):
+    if isinstance(c, Const):
         return c.name
-    if isinstance(c, Exists):
+    if isinstance(c, App):
         body = format_concept(c.arg)
-        if isinstance(c.arg, And):
+        if isinstance(c.arg, Meet):
             body = f"({body})"
-        return f"ex {c.role} . {body}"
+        return f"ex {c.fn} . {body}"
     return " & ".join(format_concept(x) for x in c.args)
 
 
@@ -148,7 +101,7 @@ class CBox:
         if len(self.roles) != len(declared):
             raise ValueError("role declared twice")
         for gci in self.gcis:
-            for r in concept_roles(gci.lhs) | concept_roles(gci.rhs):
+            for r in term_functions(gci.lhs) | term_functions(gci.rhs):
                 if r not in declared:
                     raise ValueError(f"undeclared role {r}")
         for ri in self.ris:
@@ -170,42 +123,34 @@ class ELProblem:
 # .elp concrete syntax
 
 
+_EL_DECLARATIONS = {
+    "roles": "roles must be declared before the sides",
+    "ri": "role axioms must precede the sides",
+}
+
+
 class _ConceptParser(_TermParser):
-    """Concept grammar over the term parser's tokens and nesting bound."""
+    """The term grammar with `ex r . C` for r(C) and bare concept names."""
 
     def __init__(self, toks, line: int, roles: set[str]):
         super().__init__(toks, line)
         self.roles = roles
 
-    def take(self):
-        if self.peek() is None:
-            raise ParseError("unexpected end of line", self.line, self.col())
-        return super().take()
-
     def ident(self, what: str) -> str:
         col = self.col()
+        if self.peek() is None:
+            raise ParseError("unexpected end of line", self.line, col)
         tok = self.take()
-        if tok in {"&", "(", ")", ".", "<=", "=", "!", ","}:
+        if tok in _PUNCT:
             raise ParseError(f"expected {what}, got {tok!r}", self.line, col)
         if tok in _RESERVED:
             raise ParseError(f"reserved word {tok!r} cannot name {what}", self.line, col)
         return tok
 
-    def concept(self) -> Concept:
-        args = [self.unary()]
-        while self.peek() == "&":
-            self.take()
-            args.append(self.unary())
-        return mk_and(args)
-
-    def unary(self) -> Concept:
+    def factor(self) -> Concept:
         tok = self.peek()
         if tok == "(":
-            self.enter()
-            c = self.concept()
-            self.expect(")")
-            self.depth -= 1
-            return c
+            return super().factor()
         if tok == "ex":
             self.enter()
             col = self.col()
@@ -213,15 +158,14 @@ class _ConceptParser(_TermParser):
             if role not in self.roles:
                 raise ParseError(f"undeclared role {role}", self.line, col)
             self.expect(".")
-            c = Exists(role, self.unary())
+            c = App(role, self.factor())
             self.depth -= 1
             return c
-        return Name(self.ident("a concept name"))
-
-
-def _strip_comment(line: str) -> str:
-    i = line.find("#")
-    return line if i < 0 else line[:i]
+        col = self.col()
+        name = self.ident("a concept name")
+        if name in self.roles:
+            raise ParseError(f"{name} used as both role and concept name", self.line, col)
+        return Const(name)
 
 
 def parse_cbox(text: str) -> ELProblem:
@@ -229,20 +173,12 @@ def parse_cbox(text: str) -> ELProblem:
     roles: list[str] = []
     ris: list[RoleAxiom] = []
     gcis: dict[str, list[GCI]] = {"A": [], "B": []}
-    side: str | None = None
     goal: tuple[Concept, Concept] | None = None
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        toks = tokenize(_strip_comment(raw), lineno)
-        if not toks:
-            continue
+    for side, lineno, _, toks in _problem_lines(text, _EL_DECLARATIONS, "concept inclusions"):
         head, col0 = toks[0]
-        if goal is not None:
-            raise ParseError("nothing may follow the goal", lineno, col0)
         if head == "roles":
-            if side is not None:
-                raise ParseError("roles must be declared before the sides", lineno, col0)
             for tok, col in toks[1:]:
-                if tok in _RESERVED or tok in {"&", "(", ")", ".", "<=", "=", "!", ","}:
+                if tok in _RESERVED or tok in _PUNCT:
                     raise ParseError(f"bad role name {tok!r}", lineno, col)
                 if tok in roles:
                     raise ParseError(f"role {tok} declared twice", lineno, col)
@@ -250,8 +186,6 @@ def parse_cbox(text: str) -> ELProblem:
             if len(toks) == 1:
                 raise ParseError("empty roles declaration", lineno, col0)
         elif head == "ri":
-            if side is not None:
-                raise ParseError("role axioms must precede the sides", lineno, col0)
             p = _ConceptParser(toks, lineno, set(roles))
             p.take()
             names = [p.ident("a role")]
@@ -269,43 +203,18 @@ def parse_cbox(text: str) -> ELProblem:
                 ris.append(RoleIncl(names[0], names[1], label))
             else:
                 ris.append(RoleComp(names[0], names[1], names[2], label))
-        elif head == "side":
-            if len(toks) != 2 or toks[1][0] not in ("A", "B"):
-                raise ParseError("expected 'side A' or 'side B'", lineno, col0)
-            side = toks[1][0]
-        elif head == "goal":
-            p = _ConceptParser(toks[1:], lineno, set(roles))
-            c = p.concept()
-            p.expect("<=")
-            d = p.concept()
-            p.done()
-            goal = (c, d)
         else:
-            if side is None:
-                raise ParseError(
-                    "concept inclusions must appear inside 'side A' or 'side B'",
-                    lineno, col0,
-                )
-            p = _ConceptParser(toks, lineno, set(roles))
-            lhs = p.concept()
+            p = _ConceptParser(toks[1:] if head == "goal" else toks, lineno, set(roles))
+            lhs = p.term()
             p.expect("<=")
-            rhs = p.concept()
+            rhs = p.term()
             p.done()
-            gcis[side].append(GCI(lhs, rhs, f"{side}{len(gcis[side]) + 1}"))
+            if head == "goal":
+                goal = (lhs, rhs)
+            else:
+                gcis[side].append(GCI(lhs, rhs, f"{side}{len(gcis[side]) + 1}"))
     if goal is None:
         raise ParseError("missing goal line", len(text.splitlines()) + 1, 1)
-    role_names = set(roles)
-    for side_gcis in gcis.values():
-        for gci in side_gcis:
-            overlap = (concept_names(gci.lhs) | concept_names(gci.rhs)) & role_names
-            if overlap:
-                raise ValueError(
-                    f"{sorted(overlap)[0]} used as both role and concept name"
-                )
-    for c in goal:
-        overlap = concept_names(c) & role_names
-        if overlap:
-            raise ValueError(f"{sorted(overlap)[0]} used as both role and concept name")
     ris_t = tuple(ris)
     return ELProblem(
         cbox_a=CBox(tuple(roles), tuple(gcis["A"]), ris_t),
@@ -333,10 +242,6 @@ class Translated:
     pinned_a: tuple[int, ...]
     pinned_b: tuple[int, ...]
     roles: tuple[str, ...]
-
-
-def _gci_atom(gci: GCI) -> Leq:
-    return Leq(concept_term(gci.lhs), concept_term(gci.rhs))
 
 
 def translate(p: ELProblem) -> Translated:
@@ -367,20 +272,19 @@ def translate(p: ELProblem) -> Translated:
             for ri in ris
         ),
     )
-    a_atoms = [_gci_atom(g) for g in p.cbox_a.gcis]
-    b_atoms = [_gci_atom(g) for g in p.cbox_b.gcis]
+    a_atoms = [Leq(g.lhs, g.rhs) for g in p.cbox_a.gcis]
+    b_atoms = [Leq(g.lhs, g.rhs) for g in p.cbox_b.gcis]
     a_labels = [g.label or f"A{i + 1}" for i, g in enumerate(p.cbox_a.gcis)]
     b_labels = [g.label or f"B{i + 1}" for i, g in enumerate(p.cbox_b.gcis)]
     used = set(roles)
     for atoms in (a_atoms, b_atoms):
         for x in atoms:
-            used |= _atom_names(x)
-    used |= concept_names(p.goal_c) | concept_names(p.goal_d)
+            used |= atom_constants(x)
+    used |= term_constants(p.goal_c) | term_constants(p.goal_d)
     pinned_a: list[int] = []
     pinned_b: list[int] = []
 
-    def bind(c: Concept, base: str, atoms: list, pinned: list[int]) -> Term:
-        t = concept_term(c)
+    def bind(t: Concept, base: str, atoms: list, pinned: list[int]) -> Term:
         if isinstance(t, Const):
             return t
         name = base
@@ -417,25 +321,13 @@ def _ri_key(ri: RoleAxiom):
     return ("comp", ri.first, ri.second, ri.sup)
 
 
-def _atom_names(a: Leq) -> set[str]:
-    from .terms import term_constants
-
-    return term_constants(a.lhs) | term_constants(a.rhs)
-
-
 def untranslate(t: Term, roles) -> Concept:
-    """Decode a term, checking every operator is a role."""
+    """The term as a concept, checking every operator is a role."""
     declared = set(roles)
-    for f in _term_fns(t):
+    for f in term_functions(t):
         if f not in declared:
             raise ValueError(f"not a role: {f}")
-    return term_concept(t)
-
-
-def _term_fns(t: Term) -> set[str]:
-    from .terms import term_functions
-
-    return term_functions(t)
+    return t
 
 
 # ---------------------------------------------------------------------------
@@ -462,11 +354,16 @@ def justify(p: ELProblem) -> list[str] | None:
         )
     except NotEntailed:
         return None
-    pinned_a, pinned_b = set(t.pinned_a), set(t.pinned_b)
-    out = [t.a_labels[i] for i in j.kept_a if i not in pinned_a and i < len(t.a_labels)]
-    out += [t.b_labels[i] for i in j.kept_b if i not in pinned_b and i < len(t.b_labels)]
-    out += [t.axiom_labels[i] for i in j.kept_axioms]
-    return out
+    return _kept_labels(t, j)
+
+
+def _kept_labels(t: Translated, j: Justification) -> list[str]:
+    """Labels of the kept inputs; goal-binding atoms sit past the labels."""
+    return (
+        [t.a_labels[i] for i in j.kept_a if i < len(t.a_labels)]
+        + [t.b_labels[i] for i in j.kept_b if i < len(t.b_labels)]
+        + [t.axiom_labels[i] for i in j.kept_axioms]
+    )
 
 
 @dataclass
@@ -506,12 +403,7 @@ def el_interpolation(p: ELProblem, *, minimize: bool = True, verify: bool = True
             t.axioms.functions,
             tuple(t.axioms.axioms[i] for i in j.kept_axioms),
         )
-        pinned_a, pinned_b = set(t.pinned_a), set(t.pinned_b)
-        kept_labels = tuple(
-            [t.a_labels[i] for i in j.kept_a if i not in pinned_a]
-            + [t.b_labels[i] for i in j.kept_b if i not in pinned_b]
-            + [t.axiom_labels[i] for i in j.kept_axioms]
-        )
+        kept_labels = tuple(_kept_labels(t, j))
     res = interp.interpolate(a_atoms, b_atoms, t.goal, axioms, verify=False)
     concept = untranslate(res.term, t.roles)
     if verify:

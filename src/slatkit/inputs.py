@@ -25,6 +25,7 @@ from .terms import (
     Eq,
     Leq,
     ParseError,
+    _PUNCT,
     atom_constants,
     atom_functions,
     tokenize,
@@ -33,8 +34,11 @@ from .terms import (
 )
 
 _SLP_RESERVED = {"functions", "axiom", "side", "goal", "sigma", "target"}
+_SLP_DECLARATIONS = {
+    "functions": "functions must be declared before the sides",
+    "axiom": "axioms must precede the sides",
+}
 _MODEL_RESERVED = {"carrier", "meet", "fun", "const", "axiom", "atom"}
-_PUNCT = {"&", "(", ")", ".", "<=", "=", "!", ",", "<"}
 
 
 @dataclass(frozen=True)
@@ -58,9 +62,44 @@ class ModelSpec:
     atoms: tuple[Atom, ...]
 
 
-def _strip_comment(line: str) -> str:
-    i = line.find("#")
-    return line if i < 0 else line[:i]
+def _lines(text: str):
+    """Yield (lineno, line, tokens) for each line with tokens, comments cut."""
+    for lineno, raw in enumerate(text.splitlines(), start=1):
+        i = raw.find("#")
+        line = raw if i < 0 else raw[:i]
+        toks = tokenize(line, lineno)
+        if toks:
+            yield lineno, line, toks
+
+
+def _problem_lines(text: str, declarations: dict[str, str], body: str, anywhere=()):
+    """Yield (side, lineno, line, tokens) for the lines of an .slp or .elp file.
+
+    Checks the layout both formats share: each head in declarations
+    comes before every side line (its value is the error message),
+    `side A` / `side B` lines switch sides and are not yielded, a body
+    line (any other head outside anywhere and `goal`) needs a side, and
+    nothing follows the goal. body names the body lines in the error.
+    """
+    side: str | None = None
+    goal_seen = False
+    for lineno, line, toks in _lines(text):
+        head, col0 = toks[0]
+        if goal_seen:
+            raise ParseError("nothing may follow the goal", lineno, col0)
+        if head in declarations:
+            if side is not None:
+                raise ParseError(declarations[head], lineno, col0)
+        elif head == "side":
+            if len(toks) != 2 or toks[1][0] not in ("A", "B"):
+                raise ParseError("expected 'side A' or 'side B'", lineno, col0)
+            side = toks[1][0]
+            continue
+        elif head == "goal":
+            goal_seen = True
+        elif head not in anywhere and side is None:
+            raise ParseError(f"{body} must appear inside 'side A' or 'side B'", lineno, col0)
+        yield side, lineno, line, toks
 
 
 def _idents(toks, lineno: int, what: str) -> list[str]:
@@ -92,16 +131,16 @@ def _axiom_line(toks, lineno: int):
 def parse_slp(text: str) -> SlpProblem:
     functions: list[str] = []
     axioms = []
+    axiom_toks = []
     pos = {"A": [], "B": []}
     neg = {"A": [], "B": []}
-    side: str | None = None
     goal: Leq | None = None
     sigma: list[str] | None = None
     target: str | None = None
     used_consts: set[str] = set()
     sigma_line = target_line = 0
 
-    def check_atom(atom: Atom, lineno: int) -> None:
+    def check_atom(atom: Atom, lineno: int, toks) -> None:
         for f in atom_functions(atom):
             if f not in functions:
                 raise ParseError(f"undeclared function {f}", lineno, 1)
@@ -109,18 +148,17 @@ def parse_slp(text: str) -> SlpProblem:
             if c in _SLP_RESERVED:
                 raise ParseError(f"reserved word {c!r} used as a constant", lineno, 1)
             used_consts.add(c)
+        # a declared function with no argument after it is used as a constant
+        after = [tok for tok, _ in toks[1:]] + [None]
+        for (tok, col), nxt in zip(toks, after):
+            if tok in functions and nxt != "(":
+                raise ParseError(f"used as both constant and function: {tok}", lineno, col)
 
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = _strip_comment(raw)
-        toks = tokenize(line, lineno)
-        if not toks:
-            continue
+    for side, lineno, line, toks in _problem_lines(
+        text, _SLP_DECLARATIONS, "literals", ("sigma", "target")
+    ):
         head, col0 = toks[0]
-        if goal is not None:
-            raise ParseError("nothing may follow the goal", lineno, col0)
         if head == "functions":
-            if side is not None:
-                raise ParseError("functions must be declared before the sides", lineno, col0)
             for name in _idents(toks[1:], lineno, "a function name"):
                 if name in _SLP_RESERVED:
                     raise ParseError(f"reserved word {name!r}", lineno, col0)
@@ -130,13 +168,8 @@ def parse_slp(text: str) -> SlpProblem:
             if len(toks) == 1:
                 raise ParseError("empty functions declaration", lineno, col0)
         elif head == "axiom":
-            if side is not None:
-                raise ParseError("axioms must precede the sides", lineno, col0)
             axioms.append(_axiom_line(toks[1:], lineno))
-        elif head == "side":
-            if len(toks) != 2 or toks[1][0] not in ("A", "B"):
-                raise ParseError("expected 'side A' or 'side B'", lineno, col0)
-            side = toks[1][0]
+            axiom_toks.append((lineno, toks[2:]))
         elif head == "sigma":
             if sigma is not None:
                 raise ParseError("sigma given twice", lineno, col0)
@@ -154,21 +187,22 @@ def parse_slp(text: str) -> SlpProblem:
             atom = parse_atom(line.split("goal", 1)[1], lineno)
             if not isinstance(atom, Leq):
                 raise ParseError("goal must be a <= atom", lineno, col0)
-            check_atom(atom, lineno)
+            check_atom(atom, lineno, toks)
             goal = atom
         else:
-            if side is None:
-                raise ParseError(
-                    "literals must appear inside 'side A' or 'side B'", lineno, col0
-                )
             atom, positive = parse_literal(line, lineno)
             if not positive and isinstance(atom, Eq):
                 raise ParseError("negated equality is not supported", lineno, col0)
-            check_atom(atom, lineno)
+            check_atom(atom, lineno, toks)
             (pos if positive else neg)[side].append(atom)
     if goal is None and target is None:
         nl = len(text.splitlines()) + 1
         raise ParseError("missing goal line (or target for definability)", nl, 1)
+    # checked here, not on the axiom line: functions may be declared later
+    for lineno, toks in axiom_toks:
+        for f, col in toks:
+            if f not in functions:
+                raise ParseError(f"axiom uses undeclared function {f}", lineno, col)
     axiom_set = AxiomSet(tuple(functions), tuple(axioms))
     if sigma is not None:
         for s in sigma:
@@ -204,11 +238,7 @@ def parse_model(text: str) -> ModelSpec:
             raise ParseError(f"not a carrier element: {name}", lineno, col)
         return name
 
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = _strip_comment(raw)
-        toks = tokenize(line, lineno)
-        if not toks:
-            continue
+    for lineno, line, toks in _lines(text):
         head, col0 = toks[0]
         if head != "carrier" and carrier is None:
             raise ParseError("carrier must be declared first", lineno, col0)

@@ -256,18 +256,6 @@ def entails_atom(atoms, goal: Atom) -> bool:
     return Entailer(atoms, (goal.lhs, goal.rhs)).holds(goal)
 
 
-def is_consistent(atoms, neg_atoms) -> bool:
-    """True iff no negated atom's positive part is entailed.
-
-    Sound and complete by convexity: a Horn atom set plus negative
-    literals is unsatisfiable exactly when one of the negated atoms is
-    entailed outright.
-    """
-    neg = [normalize_atom(n) for n in neg_atoms]
-    ent = Entailer(atoms, [t for n in neg for t in (n.lhs, n.rhs)])
-    return not any(ent.holds(n) for n in neg)
-
-
 # ---------------------------------------------------------------------------
 # intermediate terms
 

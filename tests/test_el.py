@@ -15,7 +15,6 @@ from slatkit.el import (
     Name,
     RoleComp,
     RoleIncl,
-    concept_term,
     el_interpolate,
     el_interpolation,
     el_subsumes,
@@ -23,7 +22,6 @@ from slatkit.el import (
     justify,
     mk_and,
     parse_cbox,
-    term_concept,
     translate,
     untranslate,
 )
@@ -65,13 +63,16 @@ goal b <= a
 
 @given(concepts)
 def test_concept_term_round_trip(c):
-    assert untranslate(concept_term(c), ["r", "s"]) == c
+    assert untranslate(c, ["r", "s"]) == c
+    text = f"roles r s\ngoal {format_concept(c)} <= X"
+    assert parse_cbox(text).goal_c == c
 
 
 def test_term_concept_shapes():
-    assert term_concept(Const("X")) == Name("X")
-    assert term_concept(parse_term("r(r(X))")) == Exists("r", Exists("r", Name("X")))
-    got = term_concept(parse_term("X & r(Y)"))
+    assert Name("X") == Const("X")
+    assert Exists("r", Name("X")) == App("r", Const("X"))
+    assert untranslate(parse_term("r(r(X))"), ["r"]) == Exists("r", Exists("r", Name("X")))
+    got = untranslate(parse_term("X & r(Y)"), ["r"])
     assert got == mk_and([Name("X"), Exists("r", Name("Y"))])
 
 
@@ -144,6 +145,18 @@ def test_role_concept_namespace_collision():
         parse_cbox("roles r\nside A\nr <= X\ngoal X <= X")
     with pytest.raises(ValueError):
         parse_cbox("roles r\ngoal r <= r")
+
+
+@pytest.mark.parametrize("text,line,column", [
+    ("roles r\nside A\nr <= X\ngoal X <= X", 3, 1),
+    ("roles r\ngoal r <= r", 2, 6),
+    ("roles r\nside A\nX <= ex r . (Y & r)\ngoal X <= X", 3, 18),
+])
+def test_role_concept_collision_position(text, line, column):
+    with pytest.raises(ParseError) as e:
+        parse_cbox(text)
+    assert e.value.message == "r used as both role and concept name"
+    assert (e.value.line, e.value.column) == (line, column)
 
 
 # ---------------------------------------------------------------------------

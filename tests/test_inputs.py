@@ -3,6 +3,7 @@
 import pytest
 
 from conftest import read_data
+from slatkit.el import parse_cbox
 from slatkit.inputs import parse_model, parse_slp
 from slatkit.locality import Composition, Inclusion
 from slatkit.terms import ParseError, parse_atom
@@ -74,10 +75,56 @@ def test_parse_slp_undeclared_axiom_function():
         parse_slp("functions f\naxiom inclusion f g\ngoal a <= a")
 
 
+@pytest.mark.parametrize("text,message,line,column", [
+    ("functions f\naxiom inclusion f g\ngoal a <= a",
+     "axiom uses undeclared function g", 2, 19),
+    ("functions f\nside A\nf <= b\ngoal a <= b",
+     "used as both constant and function: f", 3, 1),
+    ("functions f\nside A\na <= f(f)\ngoal a <= b",
+     "used as both constant and function: f", 3, 8),
+    ("functions f\ngoal a <= f", "used as both constant and function: f", 2, 11),
+])
+def test_parse_slp_signature_error_positions(text, message, line, column):
+    with pytest.raises(ParseError) as e:
+        parse_slp(text)
+    assert (e.value.message, e.value.line, e.value.column) == (message, line, column)
+
+
+def test_parse_slp_axiom_may_precede_its_functions():
+    p = parse_slp("axiom inclusion f g\nfunctions f g\ngoal a <= a")
+    assert p.axioms.axioms == (Inclusion("f", "g"),)
+
+
 def test_parse_slp_literal_position():
     with pytest.raises(ParseError) as e:
         parse_slp("side A\na <= (b\ngoal a <= b")
     assert (e.value.line, e.value.column) == (2, 8)
+
+
+# ---------------------------------------------------------------------------
+# the side/goal layout .slp and .elp share
+
+PARSERS = {"slp": parse_slp, "elp": parse_cbox}
+
+
+@pytest.mark.parametrize("fmt,text,message,line,column", [
+    ("slp", "functions f\nside C\ngoal a <= a", "expected 'side A' or 'side B'", 2, 1),
+    ("elp", "roles r\nside A B\ngoal X <= X", "expected 'side A' or 'side B'", 2, 1),
+    ("slp", "goal a <= a\n  b <= c", "nothing may follow the goal", 2, 3),
+    ("elp", "goal X <= X\n  ri r <= r", "nothing may follow the goal", 2, 3),
+    ("slp", "side A\na <= b\n axiom inclusion f f\ngoal a <= b",
+     "axioms must precede the sides", 3, 2),
+    ("elp", "roles r\nside B\nroles s\ngoal X <= X",
+     "roles must be declared before the sides", 3, 1),
+    ("slp", "functions f\n  f(a) <= b\ngoal a <= b",
+     "literals must appear inside 'side A' or 'side B'", 2, 3),
+    ("elp", "roles r\nex r . X <= Y\ngoal X <= Y",
+     "concept inclusions must appear inside 'side A' or 'side B'", 2, 1),
+])
+def test_problem_layout_errors(fmt, text, message, line, column):
+    with pytest.raises(ParseError) as e:
+        PARSERS[fmt](text)
+    assert (e.value.message, e.value.line, e.value.column) == (message, line, column)
 
 
 # ---------------------------------------------------------------------------
