@@ -174,7 +174,7 @@ def parse_cbox(text: str) -> ELProblem:
     ris: list[RoleAxiom] = []
     gcis: dict[str, list[GCI]] = {"A": [], "B": []}
     goal: tuple[Concept, Concept] | None = None
-    for side, lineno, _, toks in _problem_lines(text, _EL_DECLARATIONS, "concept inclusions"):
+    for side, lineno, toks in _problem_lines(text, _EL_DECLARATIONS, "concept inclusions"):
         head, col0 = toks[0]
         if head == "roles":
             for tok, col in toks[1:]:

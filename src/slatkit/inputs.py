@@ -28,9 +28,8 @@ from .terms import (
     _PUNCT,
     atom_constants,
     atom_functions,
+    parse_atom_tokens,
     tokenize,
-    parse_atom,
-    parse_literal,
 )
 
 _SLP_RESERVED = {"functions", "axiom", "side", "goal", "sigma", "target"}
@@ -63,17 +62,16 @@ class ModelSpec:
 
 
 def _lines(text: str):
-    """Yield (lineno, line, tokens) for each line with tokens, comments cut."""
+    """Yield (lineno, tokens) for each line with tokens, comments cut."""
     for lineno, raw in enumerate(text.splitlines(), start=1):
         i = raw.find("#")
-        line = raw if i < 0 else raw[:i]
-        toks = tokenize(line, lineno)
+        toks = tokenize(raw if i < 0 else raw[:i], lineno)
         if toks:
-            yield lineno, line, toks
+            yield lineno, toks
 
 
 def _problem_lines(text: str, declarations: dict[str, str], body: str, anywhere=()):
-    """Yield (side, lineno, line, tokens) for the lines of an .slp or .elp file.
+    """Yield (side, lineno, tokens) for the lines of an .slp or .elp file.
 
     Checks the layout both formats share: each head in declarations
     comes before every side line (its value is the error message),
@@ -83,7 +81,7 @@ def _problem_lines(text: str, declarations: dict[str, str], body: str, anywhere=
     """
     side: str | None = None
     goal_seen = False
-    for lineno, line, toks in _lines(text):
+    for lineno, toks in _lines(text):
         head, col0 = toks[0]
         if goal_seen:
             raise ParseError("nothing may follow the goal", lineno, col0)
@@ -99,7 +97,7 @@ def _problem_lines(text: str, declarations: dict[str, str], body: str, anywhere=
             goal_seen = True
         elif head not in anywhere and side is None:
             raise ParseError(f"{body} must appear inside 'side A' or 'side B'", lineno, col0)
-        yield side, lineno, line, toks
+        yield side, lineno, toks
 
 
 def _idents(toks, lineno: int, what: str) -> list[str]:
@@ -154,7 +152,7 @@ def parse_slp(text: str) -> SlpProblem:
             if tok in functions and nxt != "(":
                 raise ParseError(f"used as both constant and function: {tok}", lineno, col)
 
-    for side, lineno, line, toks in _problem_lines(
+    for side, lineno, toks in _problem_lines(
         text, _SLP_DECLARATIONS, "literals", ("sigma", "target")
     ):
         head, col0 = toks[0]
@@ -184,13 +182,14 @@ def parse_slp(text: str) -> SlpProblem:
                 raise ParseError("target takes one constant", lineno, col0)
             target, target_line = names[0], lineno
         elif head == "goal":
-            atom = parse_atom(line.split("goal", 1)[1], lineno)
+            atom = parse_atom_tokens(toks, lineno, 1)
             if not isinstance(atom, Leq):
                 raise ParseError("goal must be a <= atom", lineno, col0)
             check_atom(atom, lineno, toks)
             goal = atom
         else:
-            atom, positive = parse_literal(line, lineno)
+            positive = head != "!"
+            atom = parse_atom_tokens(toks, lineno, 0 if positive else 1)
             if not positive and isinstance(atom, Eq):
                 raise ParseError("negated equality is not supported", lineno, col0)
             check_atom(atom, lineno, toks)
@@ -238,7 +237,7 @@ def parse_model(text: str) -> ModelSpec:
             raise ParseError(f"not a carrier element: {name}", lineno, col)
         return name
 
-    for lineno, line, toks in _lines(text):
+    for lineno, toks in _lines(text):
         head, col0 = toks[0]
         if head != "carrier" and carrier is None:
             raise ParseError("carrier must be declared first", lineno, col0)
@@ -305,7 +304,7 @@ def parse_model(text: str) -> ModelSpec:
             else:
                 compositions.append((ax.f, ax.g, ax.h))
         elif head == "atom":
-            atom = parse_atom(line.split("atom", 1)[1], lineno)
+            atom = parse_atom_tokens(toks, lineno, 1)
             for f in atom_functions(atom):
                 if f not in funcs:
                     raise ParseError(f"uninterpreted function {f}", lineno, col0)

@@ -77,14 +77,6 @@ class AxiomSet:
                 if f not in seen:
                     raise ValueError(f"axiom uses undeclared function {f}")
 
-    @property
-    def inclusions(self) -> tuple[Inclusion, ...]:
-        return tuple(ax for ax in self.axioms if isinstance(ax, Inclusion))
-
-    @property
-    def compositions(self) -> tuple[Composition, ...]:
-        return tuple(ax for ax in self.axioms if isinstance(ax, Composition))
-
 
 # flat application term: function symbol paired with its pure argument
 FlatTerm = tuple[str, Term]
@@ -415,12 +407,13 @@ def prepare_problem(a_atoms, b_atoms, goal: Leq, axioms: AxiomSet, *,
 
 @dataclass
 class Trace:
-    """Chaining record: instances fired in order, pass count, outcome."""
+    """Chaining record: instances fired in order, pass count, outcome, the run's Entailer."""
 
     fired: list[GroundHornClause] = field(default_factory=list)
     passes: int = 0
     inconsistent: Atom | None = None
     result: bool | None = None
+    entailer: slat.Entailer | None = field(default=None, compare=False, repr=False)
 
 
 def saturate(problem: PurifiedProblem, fire=lambda clause: (clause.conclusion,)) -> Trace:
@@ -442,7 +435,7 @@ def saturate(problem: PurifiedProblem, fire=lambda clause: (clause.conclusion,))
     checked = (problem.goal, *problem.neg_a, *problem.neg_b)
     ent = slat.Entailer([*problem.a0, *problem.b0], [t for a in checked for t in (a.lhs, a.rhs)])
     space = InstanceSpace(problem.axioms, problem.flat, problem.defs)
-    trace = Trace()
+    trace = Trace(entailer=ent)
     seeds: dict[int, dict[tuple, list[int]]] | None = None
     targets: dict[int, list[tuple[tuple, int]]] = {}
 
@@ -509,13 +502,17 @@ def proof_support(problem: PurifiedProblem, trace: Trace, a_atoms, b_atoms) -> d
     """Input positions one proof found by a successful saturate() uses.
 
     Back-chains from the goal, or from the negative literal found
-    contradicted, over the atoms the run ended with: a0, b0, then the
-    fired conclusions in order. A purified input atom stands for its
-    input position (an = input for two atoms); binder atoms are
-    definitions. A fired incl or comp instance adds every axiom with its
-    schema and functions (mon needs none), and its premises join the
-    search, proved only from atoms added before its conclusion so that
-    the proof is well founded.
+    contradicted, through the reasons the run's Entailer recorded over
+    a0, b0 and the fired conclusions in order. A purified input atom
+    stands for its input position (an = input for two atoms); binder
+    atoms are definitions. A fired incl or comp instance adds every
+    axiom with its schema and functions (mon needs none), and its
+    premises join the search. The proof is well founded by construction:
+    a premise's left side (a seed) had its closure cached before the
+    instance fired, and a cached closure grows only through add(), so
+    its reasons name atoms added before the premise became derivable,
+    hence before the instance's conclusion. The trace must come from
+    decide(), whose fire adds just each conclusion; else ValueError.
     """
     owner: list[tuple[str, int] | None] = []
     for kind, atoms, purified in (("a", a_atoms, problem.a0), ("b", b_atoms, problem.b0)):
@@ -533,13 +530,14 @@ def proof_support(problem: PurifiedProblem, trace: Trace, a_atoms, b_atoms) -> d
             support["na"].add(k)
         else:
             support["nb"].add(k - len(problem.neg_a))
-    ent = slat.Entailer([*problem.a0, *problem.b0, *(c.conclusion for c in trace.fired)])
-    todo: list[tuple[Atom, int | None]] = [(top, None)]
+    ent = trace.entailer
+    if len(ent.atoms) != len(owner) + len(trace.fired):
+        raise ValueError("proof_support needs a trace that fired one conclusion per clause")
+    todo: list[Atom] = [top]
     searched: set[int] = set()
     while todo:
-        atom, limit = todo.pop()
-        for leq in expand_eqs([atom]):
-            used = ent.proof(ent.var(leq.lhs), ent.var(leq.rhs), limit)
+        for leq in expand_eqs([todo.pop()]):
+            used = ent.proof(ent.var(leq.lhs), ent.var(leq.rhs))
             if used is None:
                 raise RuntimeError(f"saturation reported {format_atom(leq)} without a proof")
             for j in used:
@@ -552,7 +550,7 @@ def proof_support(problem: PurifiedProblem, trace: Trace, a_atoms, b_atoms) -> d
                     prov = clause.provenance
                     if prov[0] != "mon":
                         support["ax"] |= axioms_of[prov[:3] if prov[0] == "incl" else prov[:4]]
-                    todo.extend((p, j) for p in clause.premises)
+                    todo.extend(clause.premises)
     return support
 
 

@@ -7,7 +7,8 @@ its two components, one clause P_s -> P_t per atom. Evaluations into the
 two element semilattice {0, 1} with meet = min separate non-entailed atoms,
 which is what the brute force oracle below enumerates.
 
-Entailment of s <= t is decided by unit propagation from P_s.
+Entailment of s <= t is decided by unit propagation from P_s, which keeps
+for each variable the clause that made it true: a derivation to read back.
 """
 
 from __future__ import annotations
@@ -48,21 +49,21 @@ class PropHornProblem:
     """Propositional Horn encoding of a ground atom set.
 
     index maps each registered term to its variable. Every clause is a
-    (premises, conclusion) pair of variable ids with definite conclusion;
+    (premises, conclusion) pair of variable ids with definite conclusion,
+    origin the position of the atom that added it (-1 for meet clauses);
     watch lists, per variable, the clauses it is a premise of.
     """
 
     index: dict[Term, int] = field(default_factory=dict)
     clauses: list[tuple[tuple[int, ...], int]] = field(default_factory=list)
+    origin: list[int] = field(default_factory=list)
     watch: list[list[int]] = field(default_factory=list)
 
-    def var(self, t: Term) -> int:
-        return self.index[t]
-
-    def add_clause(self, premises: tuple[int, ...], conclusion: int) -> None:
+    def add_clause(self, premises: tuple[int, ...], conclusion: int, origin: int = -1) -> None:
         for v in premises:
             self.watch[v].append(len(self.clauses))
         self.clauses.append((premises, conclusion))
+        self.origin.append(origin)
 
     def register(self, terms) -> None:
         """Give the new normalized terms and their subterms variables.
@@ -81,70 +82,70 @@ class PropHornProblem:
             self.watch.append([])
         for t in new_sorted:
             if isinstance(t, Meet):
-                for premises, conclusion in self.meet_clauses(t):
-                    self.add_clause(premises, conclusion)
+                left = t.args[0] if len(t.args) == 2 else Meet(t.args[:-1])
+                m, l, r = self.index[t], self.index[left], self.index[t.args[-1]]
+                self.add_clause((m,), l)
+                self.add_clause((m,), r)
+                self.add_clause(tuple(sorted({l, r})), m)
 
-    def meet_clauses(self, t: Meet) -> tuple[tuple[tuple[int, ...], int], ...]:
-        """The three clauses tying a registered meet to its decomposition."""
-        left = t.args[0] if len(t.args) == 2 else Meet(t.args[:-1])
-        m, l, r = self.var(t), self.var(left), self.var(t.args[-1])
-        return ((m,), l), ((m,), r), (tuple(sorted({l, r})), m)
+    def add_atoms(self, atoms, start: int = 0) -> None:
+        """Register the atoms' terms; add P_s -> P_t per s <= t they expand to.
 
-    def add_leqs(self, leqs, extra_terms=()) -> None:
-        """Register the atoms' and the extra terms; add P_s -> P_t per atom s <= t."""
-        self.register([*(t for a in leqs for t in (a.lhs, a.rhs)), *extra_terms])
-        for a in leqs:
-            self.add_clause((self.var(a.lhs),), self.var(a.rhs))
+        Each atom clause records its atom's position, counted from start.
+        """
+        leqs = [(i, a) for i, x in enumerate(atoms, start) for a in expand_eqs([normalize_atom(x)])]
+        self.register([t for _, a in leqs for t in (a.lhs, a.rhs)])
+        for i, a in leqs:
+            self.add_clause((self.index[a.lhs],), self.index[a.rhs], i)
 
 
 def encode(atoms, extra_terms=()) -> PropHornProblem:
     """Encode atoms (Eq expanded to two Leq) plus registered extra terms."""
     problem = PropHornProblem()
-    problem.add_leqs(expand_eqs(normalize_atom(a) for a in atoms),
-                     [normalize(t) for t in extra_terms])
+    problem.add_atoms(atoms)
+    problem.register([normalize(t) for t in extra_terms])
     return problem
 
 
-def _spread(problem: PropHornProblem, true: list[bool], queue: list[int]) -> list[int]:
-    """Make the queued variables and their consequences true; return them.
+def _spread(problem: PropHornProblem, closure: dict[int, int | None], queue: list[int]) -> list[int]:
+    """Close closure, which holds the queued variables, under the clauses.
 
-    A clause fires when the variable just made true completes its premises.
+    closure maps each variable it holds, in the order they entered, to
+    the clause that made it true (None for a seed). A clause fires when
+    the variable taken from the queue completes its premises; the queue
+    is returned, ending as every variable that entered, in order.
     """
-    made = []
-    while queue:
-        v = queue.pop()
-        if true[v]:
-            continue
-        true[v] = True
-        made.append(v)
+    clauses = problem.clauses
+    for v in queue:
         for cid in problem.watch[v]:
-            premises, conclusion = problem.clauses[cid]
-            if not true[conclusion] and (len(premises) == 1 or all(true[p] for p in premises)):
+            premises, conclusion = clauses[cid]
+            if conclusion not in closure and (
+                    len(premises) == 1 or all(p in closure for p in premises)):
+                closure[conclusion] = cid
                 queue.append(conclusion)
-    return made
+    return queue
 
 
-def propagate(problem: PropHornProblem, seeds) -> list[bool]:
-    """Unit propagation closure of the seed variables."""
-    true = [False] * len(problem.index)
-    _spread(problem, true, list(seeds))
-    return true
+def propagate(problem: PropHornProblem, seeds) -> dict[int, int | None]:
+    """Unit propagation closure of the seed variables, with reasons."""
+    closure = dict.fromkeys(seeds)
+    _spread(problem, closure, list(closure))
+    return closure
 
 
 class Entailer:
     """Entailment checks against one growing atom set.
 
-    The closure of every queried left hand side is cached, and add()
-    extends each cached closure in place, so the atom set is encoded
-    once however often it grows.
+    The closure of every queried left hand side is cached, with its
+    reasons, and add() extends each cached closure in place, so the atom
+    set is encoded once however often it grows.
     """
 
     def __init__(self, atoms, extra_terms=()):
         self.atoms = list(atoms)
         self.problem = encode(self.atoms, extra_terms)
-        self._closures: dict[int, list[bool]] = {}
-        self._origin: list[int] = []
-        self._synced = (len(self.problem.index), len(self.problem.clauses))
+        self._closures: dict[int, dict[int, int | None]] = {}
+        self._synced = len(self.problem.clauses)
 
     def var(self, t: Term) -> int:
         """Variable of a term, registering it first when it is new."""
@@ -152,9 +153,9 @@ class Entailer:
         if t not in self.problem.index:
             self.problem.register([t])
             self._sync()
-        return self.problem.var(t)
+        return self.problem.index[t]
 
-    def _closure(self, lhs: int) -> list[bool]:
+    def _closure(self, lhs: int) -> dict[int, int | None]:
         closure = self._closures.get(lhs)
         if closure is None:
             closure = propagate(self.problem, [lhs])
@@ -163,11 +164,11 @@ class Entailer:
 
     def derives(self, lhs: int, rhs: int) -> bool:
         """True iff the atoms entail the term of lhs below that of rhs."""
-        return self._closure(lhs)[rhs]
+        return rhs in self._closure(lhs)
 
     def above(self, lhs: int) -> list[int]:
         """Every variable the atoms entail above lhs; its closure is cached."""
-        return list(itertools.compress(itertools.count(), self._closure(lhs)))
+        return list(self._closure(lhs))
 
     def add(self, atom: Atom) -> list[tuple[int, int]]:
         """Add an atom; return the (lhs, rhs) variable pairs it made derivable.
@@ -175,48 +176,39 @@ class Entailer:
         Only cached closures report pairs, so a caller learns of a new
         consequence of every left hand side it has already queried.
         """
+        self.problem.add_atoms([atom], len(self.atoms))
         self.atoms.append(atom)
-        self.problem.add_leqs(expand_eqs([normalize_atom(atom)]))
         return self._sync()
 
     def _sync(self) -> list[tuple[int, int]]:
-        """Extend the cached closures by the new variables and clauses."""
-        nvars, first = self._synced
-        self._synced = (len(self.problem.index), len(self.problem.clauses))
+        """Extend the cached closures by the new clauses."""
+        clauses, first = self.problem.clauses, self._synced
+        self._synced = len(clauses)
         made = []
-        for seed, true in self._closures.items():
-            true.extend([False] * (self._synced[0] - nvars))
-            queue = [c for p, c in self.problem.clauses[first:]
-                     if not true[c] and all(true[v] for v in p)]
-            made.extend((seed, v) for v in _spread(self.problem, true, queue))
+        for seed, closure in self._closures.items():
+            queue = []
+            for cid in range(first, len(clauses)):
+                premises, conclusion = clauses[cid]
+                if conclusion not in closure and all(p in closure for p in premises):
+                    closure[conclusion] = cid
+                    queue.append(conclusion)
+            made.extend((seed, v) for v in _spread(self.problem, closure, queue))
         return made
 
-    def proof(self, lhs: int, rhs: int, limit: int | None = None) -> list[int] | None:
-        """Indices of the atoms one derivation of lhs <= rhs uses, or None.
+    def proof(self, lhs: int, rhs: int) -> list[int] | None:
+        """Positions of the atoms one derivation of lhs <= rhs uses, or None.
 
-        Only atoms at positions below limit (all by default) may be used.
-        The closure of lhs is recomputed with, for every variable, the
-        first clause that made it true; that clause's premises were true
-        before it, so following these reasons back from rhs ends. Meet
-        clauses need no atom; an atom clause stands for the first atom
-        that encodes it. Cached closures are not touched.
+        Follows the reasons in the cached closure of lhs back from rhs;
+        meet clauses need no atom. A reason's premises entered the closure
+        before its conclusion, so the walk ends. A cached closure grows
+        only through add() (and var() registering a meet), so the proof
+        uses only atoms present when the pair became derivable; atoms
+        added later never change it.
         """
-        clauses = self.problem.clauses
-        if len(self._origin) != len(clauses):
-            self._origin = self._clause_origins()
-        origin = self._origin
-        limit = len(self.atoms) if limit is None else limit
-        reason: dict[int, int | None] = {lhs: None}
-        queue = [lhs]
-        while queue and rhs not in reason:
-            for cid in self.problem.watch[queue.pop()]:
-                premises, conclusion = clauses[cid]
-                if (conclusion not in reason and origin[cid] < limit
-                        and all(p in reason for p in premises)):
-                    reason[conclusion] = cid
-                    queue.append(conclusion)
+        reason = self._closure(lhs)
         if rhs not in reason:
             return None
+        clauses, origin = self.problem.clauses, self.problem.origin
         used: set[int] = set()
         todo, seen = [rhs], {rhs}
         while todo:
@@ -231,23 +223,13 @@ class Entailer:
                     todo.append(p)
         return sorted(used)
 
-    def _clause_origins(self) -> list[int]:
-        """Per clause, the position of the first atom encoding it; -1 for meet clauses."""
-        index = self.problem.index
-        meet = {c for t in index if isinstance(t, Meet) for c in self.problem.meet_clauses(t)}
-        first: dict[tuple[tuple[int, ...], int], int] = {}
-        for i, atom in enumerate(self.atoms):
-            for a in expand_eqs([normalize_atom(atom)]):
-                first.setdefault(((index[a.lhs],), index[a.rhs]), i)
-        return [-1 if c in meet else first[c] for c in self.problem.clauses]
-
     def holds(self, atom: Atom) -> bool:
         lhs, rhs = normalize(atom.lhs), normalize(atom.rhs)
         if isinstance(atom, Eq):
             return self.holds(Leq(lhs, rhs)) and self.holds(Leq(rhs, lhs))
         if lhs not in self.problem.index or rhs not in self.problem.index:
             raise ValueError(f"unregistered goal term in {format_atom(atom)}")
-        return self.derives(self.problem.var(lhs), self.problem.var(rhs))
+        return self.derives(self.problem.index[lhs], self.problem.index[rhs])
 
 
 def entails_atom(atoms, goal: Atom) -> bool:

@@ -364,23 +364,16 @@ def parse_term(text: str, line: int = 1) -> Term:
 
 
 def parse_atom(text: str, line: int = 1) -> Atom:
-    p = _TermParser(tokenize(text, line), line)
+    return parse_atom_tokens(tokenize(text, line), line)
+
+
+def parse_atom_tokens(toks: list[tuple[str, int]], line: int, start: int = 0) -> Atom:
+    """Parse the (token, column) pairs from toks[start] on as exactly one atom."""
+    p = _TermParser(toks, line)
+    p.i = start
     a = p.atom()
     p.done()
     return a
-
-
-def parse_literal(text: str, line: int = 1) -> tuple[Atom, bool]:
-    """Parse an atom with optional leading '!'. Returns (atom, positive)."""
-    toks = tokenize(text, line)
-    positive = True
-    if toks and toks[0][0] == "!":
-        positive = False
-        toks = toks[1:]
-    p = _TermParser(toks, line)
-    a = p.atom()
-    p.done()
-    return a, positive
 
 
 def format_term(t: Term) -> str:

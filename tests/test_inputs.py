@@ -101,6 +101,21 @@ def test_parse_slp_literal_position():
     assert (e.value.line, e.value.column) == (2, 8)
 
 
+@pytest.mark.parametrize("parse,text,message,line,column", [
+    (parse_slp, "goal a <= (b", "expected ')', got None", 1, 13),
+    (parse_model, "carrier a\nmeet a a\nconst a = a\natom a <= (a", "expected ')', got None", 4, 13),
+    # nothing after the head word: the column just past it
+    (parse_slp, "goal", "expected a term, got end of line", 1, 5),
+    (parse_slp, "side A\n  !\ngoal a <= a", "expected a term, got end of line", 2, 4),
+    (parse_model, "carrier a\nmeet a a\nconst a = a\natom", "expected a term, got end of line", 4, 5),
+])
+def test_goal_and_atom_line_positions(parse, text, message, line, column):
+    # columns count from the start of the line, head word included
+    with pytest.raises(ParseError) as e:
+        parse(text)
+    assert (e.value.message, e.value.line, e.value.column) == (message, line, column)
+
+
 # ---------------------------------------------------------------------------
 # the side/goal layout .slp and .elp share
 

@@ -9,6 +9,7 @@ Trace on every input.
 
 import random
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -120,6 +121,34 @@ def test_decide_encodes_once(monkeypatch):
     assert len(calls) == 1
 
 
+def test_entails_with_support_encodes_once(monkeypatch):
+    # the proof support reads the saturation's own Entailer
+    calls = []
+    encode = slat.encode
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return encode(*args, **kwargs)
+
+    monkeypatch.setattr(slat, "encode", counted)
+    support = {}
+    assert locality.entails(*ladder(20), support=support)
+    assert support["a"] and support["b"]
+    assert len(calls) == 1
+
+
+def test_proof_support_rejects_a_trace_of_another_fire():
+    # positions past a0 and b0 name fired clauses only when each fired one conclusion
+    a_atoms, b_atoms, goal, axioms = ladder(3)
+    problem = prepare_problem(a_atoms, b_atoms, goal, axioms)
+    trace = locality.saturate(problem, lambda clause: (clause.conclusion, clause.conclusion))
+    assert trace.result
+    with pytest.raises(ValueError):
+        locality.proof_support(problem, trace, a_atoms, b_atoms)
+    trace = locality.saturate(problem)
+    assert locality.proof_support(problem, trace, a_atoms, b_atoms)["a"]
+
+
 def test_role_chains_with_distractors_match_the_pass_loop():
     rng = random.Random(6007)
     for n, nd in ((3, 4), (4, 8), (6, 12), (6, 20), (8, 30)):
@@ -172,7 +201,7 @@ consts = ["a", "b", "c", "d"]
 
 
 def _true_vars(closure) -> set[int]:
-    return {v for v, true in enumerate(closure) if true}
+    return set(closure)
 
 
 @settings(max_examples=60, deadline=None)

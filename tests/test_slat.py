@@ -90,7 +90,6 @@ def test_proof_names_the_atoms_of_one_derivation():
     ent = Entailer(atoms, [Const("a"), Const("c")])
     a, c = ent.var(Const("a")), ent.var(Const("c"))
     assert ent.proof(a, c) == [0, 2]
-    assert ent.proof(a, c, limit=2) is None
     assert ent.proof(a, a) == []
     assert ent.proof(c, a) is None
 
@@ -106,7 +105,14 @@ def test_proof_after_growth_uses_added_atoms():
     ent = Entailer(atoms_of("a <= b"), [Const("a"), Const("c")])
     ent.add(parse_atom("b <= c & d"))
     assert ent.proof(ent.var(Const("a")), ent.var(Const("c"))) == [0, 1]
-    assert ent.proof(ent.var(Const("a")), ent.var(Const("c")), limit=1) is None
+
+
+def test_proof_keeps_the_reason_from_before_growth():
+    # a <= c was derivable from atoms 0 and 1 before atom 2 arrived
+    ent = Entailer(atoms_of("a <= b", "b <= c"))
+    assert ent.holds(parse_atom("a <= c"))
+    assert ent.add(parse_atom("a <= c")) == []
+    assert ent.proof(ent.var(Const("a")), ent.var(Const("c"))) == [0, 1]
 
 
 @given(st.randoms(use_true_random=False))

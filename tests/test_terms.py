@@ -3,6 +3,7 @@
 import pytest
 from hypothesis import given, strategies as st
 
+from slatkit.inputs import parse_slp
 from slatkit.terms import (
     App,
     Color,
@@ -21,7 +22,6 @@ from slatkit.terms import (
     mk_meet,
     normalize,
     parse_atom,
-    parse_literal,
     parse_term,
     subterms,
     term_constants,
@@ -156,9 +156,10 @@ def test_parse_atom_kinds():
 
 
 def test_parse_literal_negation():
-    # second component says whether the literal is positive
-    assert parse_literal("! a <= b") == (Leq(Const("a"), Const("b")), False)
-    assert parse_literal("a <= b") == (Leq(Const("a"), Const("b")), True)
+    # a leading '!' puts the literal among the negative ones of its side
+    p = parse_slp("side A\n! a <= b\na <= b\ngoal a <= b")
+    assert p.a_neg == (Leq(Const("a"), Const("b")),)
+    assert p.a_pos == (Leq(Const("a"), Const("b")),)
 
 
 @given(terms)
