@@ -151,18 +151,29 @@ class Split:
 
 @dataclass
 class SeparationState:
-    """Side-attributed atoms and fresh names accumulated while chaining."""
+    """Side-attributed atoms and fresh names accumulated while chaining.
+
+    entailers keeps one growing Entailer per side, built over the side's
+    atoms when a split or the final step first needs it; append() adds.
+    """
 
     problem: PurifiedProblem
     fn_colors: dict[str, Color]
-    side_a: list[Leq]
-    side_b: list[Leq]
+    atoms: dict[Color, list[Leq]]
     candidates: list[str]
     splits: list[Split] = field(default_factory=list)
     fired: list[GroundHornClause] = field(default_factory=list)
+    entailers: dict[Color, slat.Entailer] = field(default_factory=dict)
 
-    def all_atoms(self) -> list[Leq]:
-        return [*self.side_a, *self.side_b]
+    def entailer(self, side: Color) -> slat.Entailer:
+        if side not in self.entailers:
+            self.entailers[side] = slat.Entailer(self.atoms[side])
+        return self.entailers[side]
+
+    def append(self, side: Color, atom: Leq) -> None:
+        self.atoms[side].append(atom)
+        if side in self.entailers:
+            self.entailers[side].add(atom)
 
     def candidate_terms(self) -> list[Term]:
         return [Const(c) for c in self.candidates]
@@ -213,23 +224,35 @@ class InterpolationResult:
 
 
 def unfold(term: Term, names: dict[str, Term]) -> Term:
-    """Replace fresh names by the terms they stand for, recursively."""
+    """Replace fresh names by their terms, depth first from a stack, not by recursion."""
     memo: dict[str, Term] = {}
 
-    def go(t: Term, active: frozenset[str]) -> Term:
+    def refs(t: Term) -> list[str]:
         if isinstance(t, Const):
-            if t.name not in names:
-                return t
-            if t.name in active:
-                raise RuntimeError(f"cyclic definition through {t.name}")
-            if t.name not in memo:
-                memo[t.name] = go(names[t.name], active | {t.name})
-            return memo[t.name]
+            return [t.name] if t.name in names else []
         if isinstance(t, App):
-            return App(t.fn, go(t.arg, active))
-        return mk_meet(go(x, active) for x in t.args)
+            return refs(t.arg)
+        return [n for x in t.args for n in refs(x)]
 
-    return go(normalize(term), frozenset())
+    def subst(t: Term) -> Term:
+        if isinstance(t, Const):
+            return memo.get(t.name, t)
+        if isinstance(t, App):
+            return App(t.fn, subst(t.arg))
+        return mk_meet(subst(x) for x in t.args)
+
+    term, path = normalize(term), []
+    todo = [(n, False) for n in reversed(refs(term))]
+    while todo:
+        n, done = todo.pop()
+        if done:
+            memo[path.pop()] = subst(names[n])
+        elif n not in memo:
+            if n in path:
+                raise RuntimeError(f"cyclic definition through {n}")
+            path.append(n)
+            todo += [(n, True), *((m, False) for m in reversed(refs(names[n])))]
+    return subst(term)
 
 
 def interpolate(a_atoms, b_atoms, goal: Leq, axioms: AxiomSet, *,
@@ -285,19 +308,17 @@ def interpolate(a_atoms, b_atoms, goal: Leq, axioms: AxiomSet, *,
     state = SeparationState(
         problem=problem,
         fn_colors=fn_colors,
-        side_a=[*problem.a0],
-        side_b=[*problem.b0],
+        atoms={Color.A: [*problem.a0], Color.B: [*problem.b0]},
         candidates=sorted(
             c for c in consts if problem.colors[c] is Color.SHARED
         ),
     )
 
-    def fire(clause: GroundHornClause) -> tuple[Leq, ...]:
+    def fire(clause: GroundHornClause, ent: slat.Entailer) -> tuple[Leq, ...]:
         strict = _clause_strict_colors(clause, problem.colors)
         if Color.A in strict and Color.B in strict:
-            return _fire_split(clause, state)
-        side = state.side_b if strict == {Color.B} else state.side_a
-        side.append(clause.conclusion)
+            return _fire_split(clause, state, ent)
+        state.append(Color.B if strict == {Color.B} else Color.A, clause.conclusion)
         state.fired.append(clause)
         return (clause.conclusion,)
 
@@ -310,10 +331,9 @@ def interpolate(a_atoms, b_atoms, goal: Leq, axioms: AxiomSet, *,
     if not trace.result:
         raise NotEntailed(f"goal not entailed: {format_atom(goal)}")
 
-    lhs_strict = _strict_colors(problem.goal.lhs, problem.colors)
-    own = state.side_b if Color.B in lhs_strict else state.side_a
+    own = Color.B if Color.B in _strict_colors(problem.goal.lhs, problem.colors) else Color.A
     t = slat.intermediate_term(
-        own, state.all_atoms(), problem.goal.lhs, problem.goal.rhs,
+        state.entailer(own), trace.entailer, problem.goal.lhs, problem.goal.rhs,
         state.candidate_terms(),
     )
     names = problem.unfold_map()
@@ -351,12 +371,13 @@ def interpolate(a_atoms, b_atoms, goal: Leq, axioms: AxiomSet, *,
     )
 
 
-def _fire_split(clause: GroundHornClause, state: SeparationState) -> tuple[Leq, Leq]:
+def _fire_split(clause: GroundHornClause, state: SeparationState, ent: slat.Entailer) -> tuple[Leq, Leq]:
     """Separate a mixed instance at an intermediate term; return the atoms added.
 
     For the unary schemas there is exactly one premise c <= d, and the
-    premise owner's atoms give a shared term t between them. A fresh
-    shared constant u names f(t) for the instance's outer function f; the
+    premise owner's atoms give a shared term t between them (ent, the
+    saturation's Entailer, holds both sides' atoms). A fresh shared
+    constant u names f(t) for the instance's outer function f; the
     instance becomes the Mon piece c <= t -> f(c)-name <= u on the owner's
     side and the original-schema piece t <= d -> u <= conclusion-rhs on the
     other. Raises NoSharedWitness when the outer function is not shared,
@@ -369,9 +390,8 @@ def _fire_split(clause: GroundHornClause, state: SeparationState) -> tuple[Leq, 
         raise NoSharedWitness(f"cannot separate instance with {len(clause.premises)} premises")
     p = clause.premises[0]
     owner = _owner_side(clause, p, problem.colors)
-    own_atoms, other = (state.side_a, state.side_b) if owner is Color.A else (state.side_b, state.side_a)
     t = slat.intermediate_term(
-        own_atoms, state.all_atoms(), p.lhs, p.rhs, state.candidate_terms(),
+        state.entailer(owner), ent, p.lhs, p.rhs, state.candidate_terms(),
     )
     bad = {c for c in term_constants(t) if problem.colors[c] is not Color.SHARED}
     if bad:
@@ -398,8 +418,8 @@ def _fire_split(clause: GroundHornClause, state: SeparationState) -> tuple[Leq, 
         prov = ("comp", *clause.provenance[1:4], t, clause.provenance[5])
     c_b = GroundHornClause((Leq(t, p.rhs),), Leq(Const(u), clause.conclusion.rhs), prov)
     state.splits.append(Split(clause, p, t, u, c_a, c_b, owner))
-    own_atoms.append(c_a.conclusion)
-    other.append(c_b.conclusion)
+    state.append(owner, c_a.conclusion)
+    state.append(Color.B if owner is Color.A else Color.A, c_b.conclusion)
     state.fired.extend((c_a, c_b))
     return c_a.conclusion, c_b.conclusion
 

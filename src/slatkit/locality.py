@@ -416,12 +416,15 @@ class Trace:
     entailer: slat.Entailer | None = field(default=None, compare=False, repr=False)
 
 
-def saturate(problem: PurifiedProblem, fire=lambda clause: (clause.conclusion,)) -> Trace:
+def saturate(problem: PurifiedProblem, fire=lambda clause, ent: (clause.conclusion,)) -> Trace:
     """Forward chaining over the instances, in breadth-first passes.
 
     Each pass checks the goal and then the negative literals, and fires,
     in clause order, every instance whose premise was entailed at the
-    start of the pass. fire(clause) returns the atoms that firing adds.
+    start of the pass. fire(clause, ent) returns the atoms that firing
+    adds; ent holds a0, b0 and the atoms added so far, and a hook may
+    query it: seeds and targets are constants, so the meets a query
+    registers wake nothing.
     The atoms are encoded once, and an instance is built only when it
     fires: once the pass-0 checks fail, the closures of the seeds
     (InstanceSpace) are built and each derivable (seed, target) pair
@@ -472,7 +475,7 @@ def saturate(problem: PurifiedProblem, fire=lambda clause: (clause.conclusion,))
         for key in ready:
             clause = space.clause(key)
             trace.fired.append(clause)
-            for atom in fire(clause):
+            for atom in fire(clause, ent):
                 woken += wake(ent.add(atom))
         ready = sorted(woken)
 

@@ -138,17 +138,25 @@ class Entailer:
 
     The closure of every queried left hand side is cached, with its
     reasons, and add() extends each cached closure in place, so the atom
-    set is encoded once however often it grows.
+    set is encoded once however often it grows. holders, the "who has
+    this subsumer" index of EL saturation, maps each variable to the
+    query positions of the closures holding it; add() visits only those.
     """
 
     def __init__(self, atoms, extra_terms=()):
         self.atoms = list(atoms)
         self.problem = encode(self.atoms, extra_terms)
         self._closures: dict[int, dict[int, int | None]] = {}
+        self._seeds: list[int] = []
+        self.holders: dict[int, set[int]] = {}
         self._synced = len(self.problem.clauses)
 
     def var(self, t: Term) -> int:
-        """Variable of a term, registering it first when it is new."""
+        """Variable of a term, registering it first when it is new.
+
+        The pairs registering a meet makes derivable, each with a new
+        meet on the right, grow the cached closures but are not reported.
+        """
         t = normalize(t)
         if t not in self.problem.index:
             self.problem.register([t])
@@ -158,8 +166,10 @@ class Entailer:
     def _closure(self, lhs: int) -> dict[int, int | None]:
         closure = self._closures.get(lhs)
         if closure is None:
-            closure = propagate(self.problem, [lhs])
-            self._closures[lhs] = closure
+            closure = self._closures[lhs] = propagate(self.problem, [lhs])
+            for v in closure:
+                self.holders.setdefault(v, set()).add(len(self._seeds))
+            self._seeds.append(lhs)
         return closure
 
     def derives(self, lhs: int, rhs: int) -> bool:
@@ -181,18 +191,28 @@ class Entailer:
         return self._sync()
 
     def _sync(self) -> list[tuple[int, int]]:
-        """Extend the cached closures by the new clauses."""
+        """Extend the cached closures by the new clauses.
+
+        Only closures holding some new clause's premises but not its
+        conclusion can grow; holders names them, scanned in closure order.
+        """
         clauses, first = self.problem.clauses, self._synced
         self._synced = len(clauses)
-        made = []
-        for seed, closure in self._closures.items():
-            queue = []
+        holders, none, grow, made = self.holders, set(), set(), []
+        for premises, conclusion in clauses[first:]:
+            held = set.intersection(*(holders.get(p, none) for p in premises))
+            grow |= held - holders.get(conclusion, none)
+        for pos in sorted(grow):
+            seed, queue = self._seeds[pos], []
+            closure = self._closures[seed]
             for cid in range(first, len(clauses)):
                 premises, conclusion = clauses[cid]
                 if conclusion not in closure and all(p in closure for p in premises):
                     closure[conclusion] = cid
                     queue.append(conclusion)
-            made.extend((seed, v) for v in _spread(self.problem, closure, queue))
+            for v in _spread(self.problem, closure, queue):
+                holders.setdefault(v, set()).add(pos)
+                made.append((seed, v))
         return made
 
     def proof(self, lhs: int, rhs: int) -> list[int] | None:
@@ -247,7 +267,8 @@ def intermediate_term(a_atoms, ab_atoms, a: Term, b: Term, candidates) -> Term:
 
     Given ab_atoms entails a <= b, the returned t satisfies a <= t from
     a_atoms alone and t <= b from ab_atoms; both claims are re-checked.
-    One Entailer per atom set decides all four entailments.
+    Each atom set is the atoms or an Entailer over them, used as it is;
+    one Entailer per atom set decides all four entailments.
     Raises NoSharedWitness when no candidate is entailed, since then no
     meet over the candidates can lie above a, and when the meet fails
     t <= b: it is the least meet of candidates above a, so no other one
@@ -255,11 +276,11 @@ def intermediate_term(a_atoms, ab_atoms, a: Term, b: Term, candidates) -> Term:
     """
     a, b = normalize(a), normalize(b)
     cand = sorted({normalize(c) for c in candidates}, key=term_key)
-    ab = Entailer(ab_atoms, [a, b])
-    if not ab.holds(Leq(a, b)):
+    ab = ab_atoms if isinstance(ab_atoms, Entailer) else Entailer(ab_atoms, [a, b])
+    if not ab.derives(ab.var(a), ab.var(b)):
         raise ValueError(f"premise atoms do not entail {format_term(a)} <= {format_term(b)}")
-    ent = Entailer(a_atoms, [a, *cand])
-    chosen = [e for e in cand if ent.holds(Leq(a, e))]
+    ent = a_atoms if isinstance(a_atoms, Entailer) else Entailer(a_atoms, [a, *cand])
+    chosen = [e for e in cand if ent.derives(ent.var(a), ent.var(e))]
     if not chosen:
         raise NoSharedWitness(
             f"no shared candidate above {format_term(a)} "

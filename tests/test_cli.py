@@ -247,3 +247,19 @@ def test_byte_order_mark_is_ignored(tmp_path, capsys):
     code, out, err = in_process(["check", f], capsys)
     assert code == 0, err
     assert out.encode("utf-8") == (DATA / "golden" / "check_slo.txt").read_bytes()
+
+
+def test_interpolant_through_a_600_rung_ladder(tmp_path, capsys):
+    # every term has depth <= 1, but each split names f of the previous
+    # split's term, so the interpolant unfolds through 600 names
+    n = 600
+    f = tmp_path / "ladder.slp"
+    f.write_text("\n".join([
+        "functions f", "side A", "c0 <= d0", *(f"c{i + 1} <= f(c{i})" for i in range(n)),
+        "side B", *(f"f(d{i}) <= d{i + 1}" for i in range(n)), f"goal c{n} <= d{n}",
+    ]) + "\n", encoding="utf-8")
+    code, out, err = in_process(["interpolate", f], capsys)
+    assert code == 0, err
+    lines = out.splitlines()
+    assert lines[0] == "interpolant: " + "f(" * n + "d0" + ")" * n
+    assert lines[-1] == "verified"

@@ -5,7 +5,7 @@ import random
 
 import pytest
 
-from conftest import rand_slo_problem
+from conftest import rand_slo_problem, read_data
 from slatkit.interp import (
     NoSharedWitness,
     VerificationFailed,
@@ -84,6 +84,21 @@ def test_unfold_is_recursive():
 
 def test_unfold_leaves_real_constants_alone():
     assert unfold(parse_term("a & b"), {}) == parse_term("a & b")
+
+
+def test_unfold_rejects_a_cyclic_definition():
+    names = {"u": App("f", Const("v")), "v": parse_term("a & u")}
+    with pytest.raises(RuntimeError, match="cyclic definition through u"):
+        unfold(parse_term("b & u"), names)
+
+
+def test_unfold_follows_a_long_chain_of_names():
+    # each name defined by f of the one before: 3000 levels, no recursion
+    names = {f"n{i}": App("f", Const(f"n{i - 1}" if i else "a")) for i in range(3000)}
+    t, depth = unfold(Const("n2999"), names), 0
+    while isinstance(t, App):
+        t, depth = t.arg, depth + 1
+    assert (t, depth) == (Const("a"), 3000)
 
 
 # ---------------------------------------------------------------------------
@@ -201,7 +216,7 @@ def test_random_interpolants_certify_against_fresh_runs():
         assert locality.entails(a, b, right, axioms)
 
 
-def test_interpolate_builds_two_entailers_per_intermediate_term(monkeypatch):
+def test_interpolate_builds_as_many_entailers_at_any_ladder_length(monkeypatch):
     from slatkit import slat
     from test_saturate import ladder
 
@@ -213,8 +228,48 @@ def test_interpolate_builds_two_entailers_per_intermediate_term(monkeypatch):
         init(self, *args, **kwargs)
 
     monkeypatch.setattr(slat.Entailer, "__init__", counted)
-    res = interpolate(*ladder(8))
-    # 1 for the decide, 2 for each of the 8 intermediate terms (7 splits
-    # and the interpolant), 1 for each certificate, decided from scratch
-    assert len(res.splits) == 7
-    assert len(builds) == 19
+    counts = []
+    for n in (4, 8, 16):
+        builds.clear()
+        res = interpolate(*ladder(n))
+        assert len(res.splits) == n - 1
+        counts.append(len(builds))
+    # the saturation, one growing Entailer per side the split steps and
+    # the interpolant need, and one per certificate, decided from scratch
+    assert counts[0] == counts[1] == counts[2] <= 5
+
+
+def _outcome(a, b, goal, axioms):
+    try:
+        res = interpolate(a, b, goal, axioms, verify=False)
+    except (NotEntailed, NoSharedWitness, ValueError) as e:
+        return type(e), str(e)
+    return res.term, res.purified_term, res.splits, res.fired, res.names
+
+
+def test_split_steps_match_fresh_entailers(monkeypatch):
+    # the reference: intermediate_term on fresh Entailers built from the
+    # atoms each growing Entailer holds
+    from slatkit import el, slat
+    from test_saturate import ladder
+
+    rng = random.Random(9001)
+    problems = [ladder(n) for n in range(1, 13)]
+    for name in ("med.elp", "med_A.elp", "med_B.elp"):
+        t = el.translate(el.parse_cbox(read_data(name)))
+        problems.append((t.a_atoms, t.b_atoms, t.goal, t.axioms))
+    entailed = 0
+    while entailed < 300:
+        problem = rand_slo_problem(rng)
+        if _outcome(*problem)[0] is not NotEntailed:
+            problems.append(problem)
+            entailed += 1
+    want = [_outcome(*p) for p in problems]
+    orig = slat.intermediate_term
+
+    def fresh(a_atoms, ab_atoms, *args):
+        return orig(*(x.atoms if isinstance(x, slat.Entailer) else x
+                      for x in (a_atoms, ab_atoms)), *args)
+
+    monkeypatch.setattr(slat, "intermediate_term", fresh)
+    assert [_outcome(*p) for p in problems] == want

@@ -141,7 +141,7 @@ def test_proof_support_rejects_a_trace_of_another_fire():
     # positions past a0 and b0 name fired clauses only when each fired one conclusion
     a_atoms, b_atoms, goal, axioms = ladder(3)
     problem = prepare_problem(a_atoms, b_atoms, goal, axioms)
-    trace = locality.saturate(problem, lambda clause: (clause.conclusion, clause.conclusion))
+    trace = locality.saturate(problem, lambda clause, ent: (clause.conclusion, clause.conclusion))
     assert trace.result
     with pytest.raises(ValueError):
         locality.proof_support(problem, trace, a_atoms, b_atoms)
@@ -197,6 +197,22 @@ def test_decide_builds_only_the_clauses_it_fires(monkeypatch):
     assert len(built) <= len(trace.fired) + 2
 
 
+def test_decide_spreads_only_the_closures_that_grow(monkeypatch):
+    calls = []
+    spread = slat._spread
+
+    def counted(*args):
+        calls.append(1)
+        return spread(*args)
+
+    problem = prepare_problem(*ladder(80))
+    monkeypatch.setattr(slat, "_spread", counted)
+    ok, trace = decide(problem)
+    assert ok and trace.passes == 80
+    # 13,041 when every add() spread every cached closure
+    assert len(calls) <= 320
+
+
 consts = ["a", "b", "c", "d"]
 
 
@@ -235,3 +251,54 @@ def test_entailer_add_matches_a_fresh_build(rng, known):
             except ValueError:
                 got = None
             assert got == want, (atoms[:k], q)
+
+
+def _sync_all(ent) -> list[tuple[int, int]]:
+    """The walk over every cached closure that the holders index filters."""
+    clauses, first = ent.problem.clauses, ent._synced
+    ent._synced = len(clauses)
+    made = []
+    for seed, closure in ent._closures.items():
+        queue = []
+        for cid in range(first, len(clauses)):
+            premises, conclusion = clauses[cid]
+            if conclusion not in closure and all(p in closure for p in premises):
+                closure[conclusion] = cid
+                queue.append(conclusion)
+        made.extend((seed, v) for v in slat._spread(ent.problem, closure, queue))
+    return made
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.randoms(use_true_random=False))
+def test_holders_index_matches_a_walk_over_every_closure(rng):
+    names = ["a", "b", "c", "d", "e"]
+    ent, ref = slat.Entailer([]), slat.Entailer([])
+    made = {}
+    for e, sync in ((ent, ent._sync), (ref, lambda: _sync_all(ref))):
+        def recorded(e=e, sync=sync):
+            made[e] = sync()
+            return made[e]
+        e._sync = recorded
+
+    def closures(e):
+        return [(seed, list(closure.items())) for seed, closure in e._closures.items()]
+
+    for e in (ent, ref):   # several closures before the atoms arrive
+        for c in names[:3]:
+            e.above(e.var(Const(c)))
+    for _ in range(30):
+        made.clear()
+        roll = rng.random()
+        if roll < 0.4:   # query: cache the closure of a term
+            t = rand_flat_atom(rng, names).lhs
+            assert ent.above(ent.var(t)) == ref.above(ref.var(t))
+        elif roll < 0.7:
+            atom = rand_flat_atom(rng, names)
+            assert ent.add(atom) == ref.add(atom) == made[ent] == made[ref]
+        else:   # register a meet, new or not
+            t = rand_flat_atom(rng, names).rhs
+            assert ent.var(t) == ref.var(t)
+            assert made.get(ent) == made.get(ref)
+        assert closures(ent) == closures(ref)
+    assert len(ent._closures) >= 3
