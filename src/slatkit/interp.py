@@ -223,9 +223,13 @@ class InterpolationResult:
     certificates: tuple[tuple[Leq, locality.Trace], tuple[Leq, locality.Trace]] | None
 
 
-def unfold(term: Term, names: dict[str, Term]) -> Term:
-    """Replace fresh names by their terms, depth first from a stack, not by recursion."""
-    memo: dict[str, Term] = {}
+def unfold(term: Term, names: dict[str, Term], memo: dict[str, Term] | None = None) -> Term:
+    """Replace fresh names by their terms, depth first from a stack, not by recursion.
+
+    memo maps names already unfolded to their terms; pass one dict to
+    every call over the same names to unfold each name once in all.
+    """
+    memo = {} if memo is None else memo
 
     def refs(t: Term) -> list[str]:
         if isinstance(t, Const):
@@ -336,8 +340,8 @@ def interpolate(a_atoms, b_atoms, goal: Leq, axioms: AxiomSet, *,
         state.entailer(own), trace.entailer, problem.goal.lhs, problem.goal.rhs,
         state.candidate_terms(),
     )
-    names = problem.unfold_map()
-    term = unfold(t, names)
+    names, memo = problem.unfold_map(), {}
+    term = unfold(t, names, memo)
     _check_signature(term, smap, problem.colors, consts - set(names))
     shared_consts = frozenset(
         c for c in consts - set(names)
@@ -364,7 +368,7 @@ def interpolate(a_atoms, b_atoms, goal: Leq, axioms: AxiomSet, *,
         purified_term=t,
         goal=goal,
         sharing=smap,
-        names={n: unfold(Const(n), names) for n in names},
+        names={n: unfold(Const(n), names, memo) for n in names},
         splits=tuple(state.splits),
         fired=tuple(state.fired),
         certificates=certificates,

@@ -9,7 +9,7 @@ forward chaining loop that decides entailment live here.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 from . import slat
 from .terms import (
@@ -26,6 +26,7 @@ from .terms import (
     expand_eqs,
     format_atom,
     mk_meet,
+    normalize,
     normalize_atom,
     term_constants,
     term_functions,
@@ -416,7 +417,8 @@ class Trace:
     entailer: slat.Entailer | None = field(default=None, compare=False, repr=False)
 
 
-def saturate(problem: PurifiedProblem, fire=lambda clause, ent: (clause.conclusion,)) -> Trace:
+def saturate(problem: PurifiedProblem, fire=lambda clause, ent: (clause.conclusion,),
+             encoding: slat.PropHornProblem | None = None) -> Trace:
     """Forward chaining over the instances, in breadth-first passes.
 
     Each pass checks the goal and then the negative literals, and fires,
@@ -434,9 +436,12 @@ def saturate(problem: PurifiedProblem, fire=lambda clause, ent: (clause.conclusi
     splits) are not in problem.flat and add no instances. The result is
     true when the goal is entailed or a negative literal is
     contradicted, false at the fixpoint.
+    encoding, when given, is the Entailer's encoding of a0 then b0
+    (slat.Entailer), used instead of encoding them again.
     """
     checked = (problem.goal, *problem.neg_a, *problem.neg_b)
-    ent = slat.Entailer([*problem.a0, *problem.b0], [t for a in checked for t in (a.lhs, a.rhs)])
+    ent = slat.Entailer([*problem.a0, *problem.b0], [t for a in checked for t in (a.lhs, a.rhs)],
+                        encoding=encoding)
     space = InstanceSpace(problem.axioms, problem.flat, problem.defs)
     trace = Trace(entailer=ent)
     seeds: dict[int, dict[tuple, list[int]]] | None = None
@@ -517,10 +522,24 @@ def proof_support(problem: PurifiedProblem, trace: Trace, a_atoms, b_atoms) -> d
     hence before the instance's conclusion. The trace must come from
     decide(), whose fire adds just each conclusion; else ValueError.
     """
+    return _proof_support(problem, trace, input_owners(problem, a_atoms, b_atoms))
+
+
+def input_owners(problem: PurifiedProblem, a_atoms, b_atoms) -> list[tuple[str, int] | None]:
+    """The input ("a" or "b", position) of each purified atom of a0, then b0.
+
+    An = input owns two atoms; binder atoms, which define fresh names,
+    have no owner (None).
+    """
     owner: list[tuple[str, int] | None] = []
     for kind, atoms, purified in (("a", a_atoms, problem.a0), ("b", b_atoms, problem.b0)):
         inputs = [(kind, i) for i, x in enumerate(atoms) for _ in expand_eqs([x])]
         owner += inputs + [None] * (len(purified) - len(inputs))
+    return owner
+
+
+def _proof_support(problem: PurifiedProblem, trace: Trace, owner) -> dict[str, set[int]]:
+    """proof_support, with the owner of each atom of a0, then b0, given."""
     axioms_of: dict[tuple, set[int]] = {}
     for i, ax in enumerate(problem.axioms.axioms):
         key = ("incl", ax.f, ax.g) if isinstance(ax, Inclusion) else ("comp", ax.f, ax.g, ax.h)
@@ -590,20 +609,51 @@ def minimize_axioms(a_atoms, b_atoms, goal: Leq, axioms: AxiomSet, *,
     The result is the one deciding every candidate gives. When the final
     kept set is not the last one a decision accepted, it is decided once
     more, so the answer always rests on a real decision.
+
+    All inputs are purified, psi-closed and named once, and their terms
+    registered once in one meet-clause-only encoding. A decision
+    saturates that problem with the removed inputs masked out: their
+    purified atoms (input_owners), negative literals and axioms are
+    left out, while every binder atom and the whole flat term set stay.
+    Its Entailer starts from a copy of the shared encoding and adds the
+    kept atoms' clauses. The verdict is the one a fresh preparation of
+    the kept inputs gives: a larger psi-closed term set keeps decide's
+    verdict, a set closed under all the axioms is closed under any
+    subset of them, and binder atoms are conservative definitions of
+    fresh names.
     """
     inputs = {"a": tuple(a_atoms), "b": tuple(b_atoms), "na": tuple(neg_a),
               "nb": tuple(neg_b), "ax": axioms.axioms}
     keep = {kind: set(range(len(xs))) for kind, xs in inputs.items()}
+    problem = prepare_problem(inputs["a"], inputs["b"], goal, axioms, neg_a=neg_a, neg_b=neg_b)
+    owner = input_owners(problem, inputs["a"], inputs["b"])
+    atoms = (*problem.a0, *problem.b0)
+    terms = [t for x in (*atoms, problem.goal, *problem.neg_a, *problem.neg_b) for t in (x.lhs, x.rhs)]
+    terms += [t for fn, arg in problem.flat for t in (arg, Const(problem.defs[(fn, arg)]))]
+    base = slat.encode((), terms)
+    clause_of = [((base.index[normalize(x.lhs)],), base.index[normalize(x.rhs)]) for x in atoms]
 
     def proved() -> set[tuple[str, int]] | None:
         """Support of a proof from the kept set, or None when not entailed."""
-        kept = {kind: sorted(ids) for kind, ids in keep.items()}
-        part = {kind: tuple(inputs[kind][i] for i in ids) for kind, ids in kept.items()}
-        found: dict[str, set[int]] = {}
-        if not entails(part["a"], part["b"], goal, AxiomSet(axioms.functions, part["ax"]),
-                       neg_a=part["na"], neg_b=part["nb"], support=found):
+        live = [p for p, o in enumerate(owner) if o is None or o[1] in keep[o[0]]]
+        kept = {kind: sorted(keep[kind]) for kind in ("na", "nb", "ax")}
+        masked = replace(
+            problem,
+            a0=tuple(atoms[p] for p in live if p < len(problem.a0)),
+            b0=tuple(atoms[p] for p in live if p >= len(problem.a0)),
+            neg_a=tuple(problem.neg_a[i] for i in kept["na"]),
+            neg_b=tuple(problem.neg_b[i] for i in kept["nb"]),
+            axioms=AxiomSet(axioms.functions, tuple(axioms.axioms[i] for i in kept["ax"])),
+        )
+        encoding = base.copy()
+        for k, p in enumerate(live):
+            encoding.add_clause(*clause_of[p], k)
+        trace = saturate(masked, encoding=encoding)
+        if not trace.result:
             return None
-        return {(kind, kept[kind][j]) for kind, js in found.items() for j in js}
+        found = _proof_support(masked, trace, [owner[p] for p in live])
+        return {(kind, i) for kind in ("a", "b") for i in found[kind]} | {
+            (kind, ids[j]) for kind, ids in kept.items() for j in found[kind]}
 
     support = proved()
     if support is None:

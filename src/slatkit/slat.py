@@ -59,6 +59,11 @@ class PropHornProblem:
     origin: list[int] = field(default_factory=list)
     watch: list[list[int]] = field(default_factory=list)
 
+    def copy(self) -> PropHornProblem:
+        """An independent copy, to be grown apart from this encoding."""
+        return PropHornProblem(dict(self.index), self.clauses[:], self.origin[:],
+                               [w[:] for w in self.watch])
+
     def add_clause(self, premises: tuple[int, ...], conclusion: int, origin: int = -1) -> None:
         for v in premises:
             self.watch[v].append(len(self.clauses))
@@ -141,11 +146,16 @@ class Entailer:
     set is encoded once however often it grows. holders, the "who has
     this subsumer" index of EL saturation, maps each variable to the
     query positions of the closures holding it; add() visits only those.
+
+    encoding, when given, is used as is instead of encoding the atoms:
+    it must hold the clause of every atom, the i-th with origin i, and
+    register the extra terms. Entailers over subsets of one atom set
+    can so each start from a copy of one encoding of all its terms.
     """
 
-    def __init__(self, atoms, extra_terms=()):
+    def __init__(self, atoms, extra_terms=(), *, encoding: PropHornProblem | None = None):
         self.atoms = list(atoms)
-        self.problem = encode(self.atoms, extra_terms)
+        self.problem = encode(self.atoms, extra_terms) if encoding is None else encoding
         self._closures: dict[int, dict[int, int | None]] = {}
         self._seeds: list[int] = []
         self.holders: dict[int, set[int]] = {}

@@ -5,7 +5,8 @@ import random
 
 import pytest
 
-from conftest import rand_slo_problem, read_data
+from conftest import onto_text, rand_slo_problem, read_data
+from slatkit import el, interp
 from slatkit.interp import (
     NoSharedWitness,
     VerificationFailed,
@@ -99,6 +100,39 @@ def test_unfold_follows_a_long_chain_of_names():
     while isinstance(t, App):
         t, depth = t.arg, depth + 1
     assert (t, depth) == (Const("a"), 3000)
+
+
+def _names_match_unfolding_one_at_a_time(monkeypatch, run):
+    """run() interpolates; its names map must equal unfolding each name alone."""
+    maps = []
+
+    def recorded(term, names, memo=None):
+        maps.append(names)
+        return unfold(term, names, memo)
+
+    monkeypatch.setattr(interp, "unfold", recorded)
+    res = run()
+    raw = maps[-1]
+    assert res.names == {n: unfold(Const(n), raw) for n in raw}
+    return res
+
+
+def test_names_are_unfolded_like_one_name_at_a_time_on_ladders(monkeypatch):
+    from test_saturate import ladder
+    for n in range(1, 13):
+        res = _names_match_unfolding_one_at_a_time(monkeypatch, lambda: interpolate(*ladder(n)))
+        assert len(res.splits) == n - 1
+
+
+def test_names_are_unfolded_like_one_name_at_a_time_on_el_translations(monkeypatch):
+    # med.elp is the one shipped ontology with an entailed goal (med_A and
+    # med_B are its parts); seeded role chains add longer split chains
+    texts = [read_data("med.elp"), *(onto_text(random.Random(k), 6, 12) for k in range(4))]
+    for text in texts:
+        p = el.parse_cbox(text)
+        for minimize in (True, False):
+            _names_match_unfolding_one_at_a_time(
+                monkeypatch, lambda: el.el_interpolation(p, minimize=minimize, verify=False).result)
 
 
 # ---------------------------------------------------------------------------

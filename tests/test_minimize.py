@@ -1,9 +1,11 @@
 """Proof-guided minimization against the deletion-by-decision reference.
 
-`_minimize_by_deletion` is the original loop: it decides the kept set
-again for every candidate. `locality.minimize_axioms` skips the decision
-for candidates outside the current proof's support and must return an
-equal Justification on every input.
+`_minimize_by_deletion` is the original loop: it prepares and decides
+the kept set again for every candidate. `locality.minimize_axioms`
+prepares all inputs once, decides each kept set by masking the removed
+ones out of that problem, and skips the decision for candidates outside
+the current proof's support; it must return an equal Justification on
+every input.
 """
 
 import random
@@ -11,9 +13,17 @@ import random
 import pytest
 
 from conftest import onto_text, rand_slo_problem, rand_term, read_data
-from slatkit import el, locality
-from slatkit.locality import AxiomSet, Justification, NotEntailed, entails, minimize_axioms
-from slatkit.terms import Eq, Leq, atom_constants, format_atom, parse_atom
+from slatkit import el, locality, slat
+from slatkit.locality import (
+    AxiomSet,
+    Composition,
+    Inclusion,
+    Justification,
+    NotEntailed,
+    entails,
+    minimize_axioms,
+)
+from slatkit.terms import App, Const, Eq, Leq, atom_constants, format_atom, mk_meet, parse_atom
 from test_saturate import ladder
 
 
@@ -153,6 +163,103 @@ def test_medical_ontology_matches_the_deletion_loop(name):
 
 
 # ---------------------------------------------------------------------------
+# the mask: one prepared problem, removed inputs left out per decision
+
+
+def atoms(*texts):
+    return tuple(parse_atom(t) for t in texts)
+
+
+def with_shared_binders(rng):
+    """Nested terms reused across inputs of one side, = atoms, nested negatives.
+
+    Every application here has a meet or an application as its argument,
+    so purification binds the argument to a name once per side, and
+    inputs reusing a term share that binder atom. Inclusions pull new
+    flat terms into the psi-closure, so dropping one shrinks the closure
+    a fresh preparation would build.
+    """
+    fns = ["f", "g", "h"]
+    axioms = AxiomSet(tuple(fns), tuple(rng.sample(
+        [Inclusion("f", "g"), Inclusion("g", "h"), Inclusion("h", "f"),
+         Composition("f", "g", "h"), Composition("g", "g", "g")], rng.randint(1, 3))))
+
+    def side(priv):
+        vocab = [Const(c) for c in (*priv, "s0")]
+        pool = [App(rng.choice(fns), mk_meet(rng.sample(vocab, 2))) for _ in range(2)]
+        pool.append(App(rng.choice(fns), mk_meet([pool[0], rng.choice(vocab)])))
+        terms = pool + vocab
+        out = []
+        for _ in range(rng.randint(3, 5)):
+            lhs, rhs = rng.choice(terms), rng.choice(terms)
+            out.append(Eq(lhs, rhs) if rng.random() < 0.3 else Leq(lhs, rhs))
+        return out, [Leq(rng.choice(pool), rng.choice(vocab))]
+
+    a, neg_a = side(["a0", "a1"])
+    b, neg_b = side(["b0", "b1"])
+    goal = Leq(Const("a0"), Const("b0"))
+    if rng.random() < 0.7:
+        a.append(Leq(Const("a0"), Const("s0")))
+        b.append(Leq(Const("s0"), Const("b0")))
+    rng.shuffle(a)
+    rng.shuffle(b)
+    return tuple(a), tuple(b), goal, axioms, tuple(neg_a), tuple(neg_b)
+
+
+def test_shared_binders_equations_and_nested_negatives_match_the_deletion_loop():
+    rng = random.Random(8128)
+    entailed = contradicted = 0
+    for k in range(300):
+        a, b, goal, axioms, neg_a, neg_b = with_shared_binders(rng)
+        if k % 2:
+            neg_a = neg_b = ()
+        got = _outcome(minimize_axioms, a, b, goal, axioms, neg_a=neg_a, neg_b=neg_b)
+        assert got == _outcome(_minimize_by_deletion, a, b, goal, axioms,
+                               neg_a=neg_a, neg_b=neg_b)
+        entailed += got is not None
+        contradicted += got is not None and bool(got.kept_neg_a or got.kept_neg_b)
+    assert entailed > 100
+    assert contradicted > 10
+
+
+def test_dropped_input_sharing_a_binder_with_a_kept_one():
+    # all three share the binder of a & b on side A; the last is dropped
+    a = atoms("c <= f(a & b)", "f(a & b) <= d", "f(a & b) <= e")
+    args = (a, (), parse_atom("c <= d"), AxiomSet(("f",)))
+    assert minimize_axioms(*args) == Justification((0, 1), (), (), (), ())
+    assert assert_same_justification(*args)
+
+
+def test_equation_input_is_dropped_as_a_whole():
+    a = atoms("c = f(a & b)", "c <= e")
+    b = atoms("f(a & b) <= d", "e <= d")
+    args = (a, b, parse_atom("c <= d"), AxiomSet(("f",)))
+    assert minimize_axioms(*args) == Justification((0,), (0,), (), (), ())
+    assert assert_same_justification(*args)
+
+
+def test_negative_literal_over_nested_terms():
+    # the binders of the negatives sit in a0 whichever negative is kept
+    a = atoms("f(a & b) <= c", "c <= e")
+    neg_a = atoms("f(a & b) <= e", "g(f(a & b)) <= e")
+    args = (a, (), parse_atom("x <= y"), AxiomSet(("f", "g")))
+    kwargs = {"neg_a": neg_a}
+    assert minimize_axioms(*args, **kwargs) == Justification((0, 1), (), (0,), (), ())
+    assert assert_same_justification(*args, **kwargs)
+
+
+def test_axiom_drop_that_shrinks_the_psi_closure():
+    # Inclusion(f, h) puts h(a) into the closure; once dropped, a fresh
+    # preparation of the kept inputs has no h(a) at all
+    a = atoms("c <= f(a)")
+    b = atoms("g(a) <= d", "h(a) <= d")
+    axioms = AxiomSet(("f", "g", "h"), (Inclusion("f", "g"), Inclusion("f", "h")))
+    args = (a, b, parse_atom("c <= d"), axioms)
+    assert minimize_axioms(*args) == Justification((0,), (0,), (), (), (0,))
+    assert assert_same_justification(*args)
+
+
+# ---------------------------------------------------------------------------
 # the support itself
 
 
@@ -223,16 +330,35 @@ def test_support_skips_distractors():
 # decision count
 
 
-def test_justify_decides_once_per_kept_premise(monkeypatch):
+def _count_calls(monkeypatch, module, name) -> list:
     calls = []
-    real = locality.entails
+    real = getattr(module, name)
 
     def counted(*args, **kwargs):
         calls.append(args)
         return real(*args, **kwargs)
 
-    monkeypatch.setattr(locality, "entails", counted)
+    monkeypatch.setattr(module, name, counted)
+    return calls
+
+
+def test_justify_decides_once_per_kept_premise(monkeypatch):
+    # every decision saturates the one prepared problem once
+    calls = _count_calls(monkeypatch, locality, "saturate")
     labels = el.justify(el.parse_cbox(onto_text(random.Random(11), 6, 12, dup=0)))
     assert len(labels) == 7
     # the deletion loop makes one decision per candidate plus the first: 21 here
     assert len(calls) in (len(labels) + 1, len(labels) + 2)
+
+
+def test_minimize_prepares_and_encodes_once(monkeypatch):
+    purified = _count_calls(monkeypatch, locality, "flatten_purify")
+    encoded = _count_calls(monkeypatch, slat, "encode")
+    decided = _count_calls(monkeypatch, locality, "saturate")
+    a, b, goal, axioms = ladder(20)
+    assert minimize_axioms(a, b, goal, axioms) == Justification(
+        tuple(range(21)), tuple(range(20)), (), (), ())
+    # every premise of a ladder is in its proof: 41 candidates, all decided
+    assert len(decided) == 42
+    assert len(purified) == 1
+    assert len(encoded) == 1
