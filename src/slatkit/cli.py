@@ -329,7 +329,7 @@ def _parser() -> argparse.ArgumentParser:
     ap.add_argument("--trace", action="store_true",
                     help="show fired instances and splits")
     ap.add_argument("--no-verify", action="store_true",
-                    help="skip certificate re-checking after interpolation")
+                    help="skip the certificate proof check")
     ap.add_argument("--depth", type=_depth, default=3,
                     help="term depth bound for the definability search (default 3)")
     ap.add_argument("--sharing", choices=("theta", "intersection"), default="theta",

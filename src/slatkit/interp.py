@@ -21,6 +21,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from . import locality, slat
+from .kernel import Rejected
 from .locality import AxiomSet, Inclusion, NotEntailed, PurifiedProblem
 from .slat import NoSharedWitness
 from .terms import (
@@ -45,7 +46,7 @@ from .terms import (
 
 
 class VerificationFailed(Exception):
-    """A computed interpolant failed its certificate entailments."""
+    """The proof kernel rejected a certificate of a computed interpolant."""
 
 
 # ---------------------------------------------------------------------------
@@ -153,14 +154,17 @@ class Split:
 class SeparationState:
     """Side-attributed atoms and fresh names accumulated while chaining.
 
-    entailers keeps one growing Entailer per side, built over the side's
-    atoms when a split or the final step first needs it; append() adds.
+    candidates holds the shared constants, separation names included.
+    fired lists the clause of every atom chaining added, in order: a
+    fired instance or a split piece. entailers keeps one growing
+    Entailer per side, built over the side's atoms when a split or the
+    final step first needs it; append() adds.
     """
 
     problem: PurifiedProblem
     fn_colors: dict[str, Color]
     atoms: dict[Color, list[Leq]]
-    candidates: list[str]
+    candidates: set[Const]
     splits: list[Split] = field(default_factory=list)
     fired: list[GroundHornClause] = field(default_factory=list)
     entailers: dict[Color, slat.Entailer] = field(default_factory=dict)
@@ -174,9 +178,6 @@ class SeparationState:
         self.atoms[side].append(atom)
         if side in self.entailers:
             self.entailers[side].add(atom)
-
-    def candidate_terms(self) -> list[Term]:
-        return [Const(c) for c in self.candidates]
 
 
 def _strict_colors(term: Term, colors: dict[str, Color]) -> set[Color]:
@@ -211,7 +212,11 @@ def _owner_side(clause: GroundHornClause, premise: Leq, colors) -> Color:
 
 @dataclass
 class InterpolationResult:
-    """Interpolating term plus the evidence it was built from."""
+    """Interpolating term plus the evidence it was built from.
+
+    certificates, when verified, pairs goal.lhs <= term and term <= goal.rhs
+    each with its proof: kernel steps over the fresh names of definitions.
+    """
 
     term: Term
     purified_term: Term
@@ -220,7 +225,8 @@ class InterpolationResult:
     names: dict[str, Term]
     splits: tuple[Split, ...]
     fired: tuple[GroundHornClause, ...]
-    certificates: tuple[tuple[Leq, locality.Trace], tuple[Leq, locality.Trace]] | None
+    certificates: tuple[tuple[Leq, list[tuple]], tuple[Leq, list[tuple]]] | None
+    definitions: tuple[tuple[str, Term], ...] = ()
 
 
 def unfold(term: Term, names: dict[str, Term], memo: dict[str, Term] | None = None) -> Term:
@@ -261,15 +267,20 @@ def unfold(term: Term, names: dict[str, Term], memo: dict[str, Term] | None = No
 
 def interpolate(a_atoms, b_atoms, goal: Leq, axioms: AxiomSet, *,
                 neg_a=(), neg_b=(), verify: bool = True,
-                intersection: bool = False) -> InterpolationResult:
+                intersection: bool = False, reserved=()) -> InterpolationResult:
     """Compute a shared term t with a <= t and t <= b, given a <= b holds.
 
     Forward chaining with side attribution and mixed-instance splitting,
     then the intermediate-term construction over all shared candidates:
     shared input constants, shared purification names, and separation
-    names. The result is unfolded to the input signature, its signature
-    checked against the sharing map, and (unless verify is off) both
-    certificate entailments re-proved from scratch.
+    names. The result is unfolded to the input signature and its
+    signature checked against the sharing map. Unless verify is off, the
+    proofs of both certificates are read off the chaining run itself
+    (locality.ProofBuilder: every atom the run added is a fired instance
+    or a split piece, and a split piece is a plain mon or comp instance,
+    since its name u stands for f(t)); check_certificates() has the
+    kernel check them against the premises. Fresh names avoid the
+    reserved symbols too.
 
     Raises NotEntailed when the goal does not follow, NoSharedWitness
     when no shared candidate lies above the goal's left side or a mixed
@@ -294,6 +305,7 @@ def interpolate(a_atoms, b_atoms, goal: Leq, axioms: AxiomSet, *,
     try:
         problem = locality.prepare_problem(
             a_in, b_in, goal, axioms, neg_a=neg_a, neg_b=neg_b, fn_colors=fn_colors,
+            reserved=reserved,
         )
     except ColorClash as e:
         raise NoSharedWitness(
@@ -313,9 +325,7 @@ def interpolate(a_atoms, b_atoms, goal: Leq, axioms: AxiomSet, *,
         problem=problem,
         fn_colors=fn_colors,
         atoms={Color.A: [*problem.a0], Color.B: [*problem.b0]},
-        candidates=sorted(
-            c for c in consts if problem.colors[c] is Color.SHARED
-        ),
+        candidates={Const(c) for c in consts if problem.colors[c] is Color.SHARED},
     )
 
     def fire(clause: GroundHornClause, ent: slat.Entailer) -> tuple[Leq, ...]:
@@ -337,8 +347,7 @@ def interpolate(a_atoms, b_atoms, goal: Leq, axioms: AxiomSet, *,
 
     own = Color.B if Color.B in _strict_colors(problem.goal.lhs, problem.colors) else Color.A
     t = slat.intermediate_term(
-        state.entailer(own), trace.entailer, problem.goal.lhs, problem.goal.rhs,
-        state.candidate_terms(),
+        state.entailer(own), trace.entailer, problem.goal.lhs, problem.goal.rhs, state.candidates,
     )
     names, memo = problem.unfold_map(), {}
     term = unfold(t, names, memo)
@@ -351,19 +360,13 @@ def interpolate(a_atoms, b_atoms, goal: Leq, axioms: AxiomSet, *,
 
     certificates = None
     if verify:
-        left = Leq(goal.lhs, term)
-        right = Leq(term, goal.rhs)
-        ok_l, tr_l = locality.decide(locality.prepare_problem(
-            a_in, b_in, left, axioms, neg_a=neg_a, neg_b=neg_b))
-        ok_r, tr_r = locality.decide(locality.prepare_problem(
-            a_in, b_in, right, axioms, neg_a=neg_a, neg_b=neg_b))
-        if not (ok_l and ok_r):
-            raise VerificationFailed(
-                f"interpolant {format_term(term)} failed "
-                f"{'left' if not ok_l else 'right'} certificate"
-            )
-        certificates = ((left, tr_l), (right, tr_r))
-    return InterpolationResult(
+        proofs = locality.ProofBuilder(problem, trace.entailer, state.fired,
+                                       locality.input_owners(problem, a_in, b_in))
+        certificates = (
+            (Leq(goal.lhs, term), proofs.proof(proofs.derive(Leq(problem.goal.lhs, t)))),
+            (Leq(term, goal.rhs), proofs.proof(proofs.derive(Leq(t, problem.goal.rhs)))),
+        )
+    res = InterpolationResult(
         term=term,
         purified_term=t,
         goal=goal,
@@ -372,7 +375,24 @@ def interpolate(a_atoms, b_atoms, goal: Leq, axioms: AxiomSet, *,
         splits=tuple(state.splits),
         fired=tuple(state.fired),
         certificates=certificates,
+        definitions=tuple(names.items()),
     )
+    if verify:
+        check_certificates(res, a_in, b_in, axioms, neg_a=neg_a, neg_b=neg_b)
+    return res
+
+
+def check_certificates(res: InterpolationResult, a_atoms, b_atoms, axioms: AxiomSet, *,
+                       neg_a=(), neg_b=()) -> None:
+    """Raise VerificationFailed unless the proof kernel accepts both
+    certificate proofs of res against these premises."""
+    side = "left"
+    try:
+        kernel = locality.proof_kernel((*a_atoms, *b_atoms), (*neg_a, *neg_b), axioms, res.definitions)
+        for side, (statement, steps) in zip(("left", "right"), res.certificates):
+            kernel.check(steps, statement)
+    except Rejected as e:
+        raise VerificationFailed(f"interpolant {format_term(res.term)} failed {side} certificate: {e}") from e
 
 
 def _fire_split(clause: GroundHornClause, state: SeparationState, ent: slat.Entailer) -> tuple[Leq, Leq]:
@@ -394,9 +414,7 @@ def _fire_split(clause: GroundHornClause, state: SeparationState, ent: slat.Enta
         raise NoSharedWitness(f"cannot separate instance with {len(clause.premises)} premises")
     p = clause.premises[0]
     owner = _owner_side(clause, p, problem.colors)
-    t = slat.intermediate_term(
-        state.entailer(owner), ent, p.lhs, p.rhs, state.candidate_terms(),
-    )
+    t = slat.intermediate_term(state.entailer(owner), ent, p.lhs, p.rhs, state.candidates)
     bad = {c for c in term_constants(t) if problem.colors[c] is not Color.SHARED}
     if bad:
         raise RuntimeError(f"separating term uses non-shared constant {sorted(bad)[0]}")
@@ -409,8 +427,7 @@ def _fire_split(clause: GroundHornClause, state: SeparationState, ent: slat.Enta
     u = problem.purifier.name_for(f, t)
     if problem.colors[u] is not Color.SHARED:
         raise RuntimeError(f"separation name {u} is not shared")
-    if u not in state.candidates:
-        state.candidates.append(u)
+    state.candidates.add(Const(u))
     c_a = GroundHornClause(
         (Leq(p.lhs, t),),
         Leq(clause.conclusion.lhs, Const(u)),

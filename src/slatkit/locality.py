@@ -12,6 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field, replace
 
 from . import slat
+from .kernel import Kernel, Rejected
 from .terms import (
     App,
     Atom,
@@ -20,6 +21,7 @@ from .terms import (
     Const,
     GroundHornClause,
     Leq,
+    Meet,
     Term,
     color_problem,
     combine_colors,
@@ -105,10 +107,10 @@ class PurifiedProblem:
     purifier: "_Purifier | None" = field(default=None, repr=False)
 
     def unfold_map(self) -> dict[str, Term]:
-        """Every fresh name mapped to the term it stands for."""
-        out = {name: App(fn, arg) for name, (fn, arg) in self.names.items()}
-        out.update(self.binders)
-        return out
+        """Every fresh name mapped to the term it stands for, in the order
+        the names were made: a term uses only names made before it."""
+        return {name: App(*self.names[name]) if name in self.names else self.binders[name]
+                for name in self.purifier.made}
 
 
 class _Purifier:
@@ -123,6 +125,7 @@ class _Purifier:
         self.names: dict[str, FlatTerm] = {}
         self.binders: dict[str, Term] = {}
         self._binder_keys: dict[tuple[str, Term], str] = {}
+        self.made: list[str] = []
         self.pending: list[Leq] = []
         self.side = "a"
 
@@ -153,6 +156,7 @@ class _Purifier:
             name = self.fresh(base)
             self.defs[key] = name
             self.names[name] = key
+            self.made.append(name)
             fn_colors = self.fn_colors if self.fn_colors is not None else self.colors
             self.colors[name] = self._combined(
                 fn_colors.get(fn, Color.SHARED), term_constants(arg)
@@ -167,6 +171,7 @@ class _Purifier:
             name = self.fresh(f"m{len(self.binders) + 1}")
             self._binder_keys[key] = name
             self.binders[name] = t
+            self.made.append(name)
             self.colors[name] = self._combined(Color.SHARED, term_constants(t))
             self.pending.append(Leq(Const(name), t))
             self.pending.append(Leq(t, Const(name)))
@@ -191,13 +196,15 @@ class _Purifier:
 
 
 def flatten_purify(a_atoms, b_atoms, goal: Leq, *, neg_a=(), neg_b=(), fn_colors=None,
-                   axioms: AxiomSet | None = None) -> tuple[PurifiedProblem, tuple[FlatTerm, ...]]:
+                   axioms: AxiomSet | None = None,
+                   reserved=()) -> tuple[PurifiedProblem, tuple[FlatTerm, ...]]:
     """Replace applications by fresh constants, bottom up.
 
     Nested applications are named inside out, so f(g(a)) contributes the
     flat terms (g, a) and (f, g_a). Fresh names inherit a color from the
     named term: the function's sharing color combined with the colors of
-    the argument constants. Returns the purified problem (its flat term
+    the argument constants. Fresh names avoid every symbol of the input
+    and the reserved ones. Returns the purified problem (its flat term
     set not yet closed) and the set of flat terms that occurred.
     """
     a_atoms = expand_eqs(normalize_atom(x) for x in a_atoms)
@@ -219,7 +226,7 @@ def flatten_purify(a_atoms, b_atoms, goal: Leq, *, neg_a=(), neg_b=(), fn_colors
         if overlap:
             raise ValueError(f"used as both constant and function: {sorted(overlap)[0]}")
         symbols |= set(axioms.functions)
-    purifier = _Purifier(symbols, colors, fn_colors)
+    purifier = _Purifier(symbols | set(reserved), colors, fn_colors)
 
     def do_side(side: str, atoms, out_pos: list):
         purifier.side = side
@@ -386,7 +393,7 @@ def instantiate(axioms: AxiomSet, flat_terms, defs: dict[FlatTerm, str]) -> tupl
 
 
 def prepare_problem(a_atoms, b_atoms, goal: Leq, axioms: AxiomSet, *,
-                    neg_a=(), neg_b=(), fn_colors=None) -> PurifiedProblem:
+                    neg_a=(), neg_b=(), fn_colors=None, reserved=()) -> PurifiedProblem:
     """Purify, close the term set and name the new terms.
 
     No instance is built here: saturate() generates them from the closed
@@ -394,7 +401,7 @@ def prepare_problem(a_atoms, b_atoms, goal: Leq, axioms: AxiomSet, *,
     """
     problem, est = flatten_purify(
         a_atoms, b_atoms, goal, neg_a=neg_a, neg_b=neg_b,
-        fn_colors=fn_colors, axioms=axioms,
+        fn_colors=fn_colors, axioms=axioms, reserved=reserved,
     )
     problem.flat = psi_closure(est, axioms)
     for fn, arg in problem.flat:
@@ -509,20 +516,16 @@ def entails(a_atoms, b_atoms, goal: Leq, axioms: AxiomSet, *, neg_a=(), neg_b=()
 def proof_support(problem: PurifiedProblem, trace: Trace, a_atoms, b_atoms) -> dict[str, set[int]]:
     """Input positions one proof found by a successful saturate() uses.
 
-    Back-chains from the goal, or from the negative literal found
-    contradicted, through the reasons the run's Entailer recorded over
-    a0, b0 and the fired conclusions in order. A purified input atom
-    stands for its input position (an = input for two atoms); binder
-    atoms are definitions. A fired incl or comp instance adds every
-    axiom with its schema and functions (mon needs none), and its
-    premises join the search. The proof is well founded by construction:
-    a premise's left side (a seed) had its closure cached before the
-    instance fired, and a cached closure grows only through add(), so
-    its reasons name atoms added before the premise became derivable,
-    hence before the instance's conclusion. The trace must come from
-    decide(), whose fire adds just each conclusion; else ValueError.
+    The positions, per argument ("a", "b", "na", "nb", "ax"), are the
+    leaves of the trace's proof (ProofBuilder): the inputs its input
+    steps stand for (an = input for two atoms), the negative literal
+    found contradicted, and for each incl or comp step every axiom with
+    its schema and functions. Binder atoms are definitions and mon needs
+    no axiom. The trace must come from decide(), whose fire adds just
+    each conclusion; else ValueError.
     """
-    return _proof_support(problem, trace, input_owners(problem, a_atoms, b_atoms))
+    proofs = ProofBuilder(problem, trace.entailer, trace.fired, input_owners(problem, a_atoms, b_atoms))
+    return proofs.support(proofs.conclude(trace))
 
 
 def input_owners(problem: PurifiedProblem, a_atoms, b_atoms) -> list[tuple[str, int] | None]:
@@ -538,42 +541,153 @@ def input_owners(problem: PurifiedProblem, a_atoms, b_atoms) -> list[tuple[str, 
     return owner
 
 
-def _proof_support(problem: PurifiedProblem, trace: Trace, owner) -> dict[str, set[int]]:
-    """proof_support, with the owner of each atom of a0, then b0, given."""
-    axioms_of: dict[tuple, set[int]] = {}
-    for i, ax in enumerate(problem.axioms.axioms):
-        key = ("incl", ax.f, ax.g) if isinstance(ax, Inclusion) else ("comp", ax.f, ax.g, ax.h)
-        axioms_of.setdefault(key, set()).add(i)
-    support: dict[str, set[int]] = {"a": set(), "b": set(), "na": set(), "nb": set(), "ax": set()}
-    top = problem.goal if trace.inconsistent is None else trace.inconsistent
-    if trace.inconsistent is not None:
-        k = (*problem.neg_a, *problem.neg_b).index(top)
-        if k < len(problem.neg_a):
-            support["na"].add(k)
-        else:
-            support["nb"].add(k - len(problem.neg_a))
-    ent = trace.entailer
-    if len(ent.atoms) != len(owner) + len(trace.fired):
-        raise ValueError("proof_support needs a trace that fired one conclusion per clause")
-    todo: list[Atom] = [top]
-    searched: set[int] = set()
-    while todo:
-        for leq in expand_eqs([todo.pop()]):
-            used = ent.proof(ent.var(leq.lhs), ent.var(leq.rhs))
-            if used is None:
-                raise RuntimeError(f"saturation reported {format_atom(leq)} without a proof")
-            for j in used:
-                if j < len(owner):
-                    if owner[j] is not None:
-                        support[owner[j][0]].add(owner[j][1])
-                elif j not in searched:
-                    searched.add(j)
-                    clause = trace.fired[j - len(owner)]
-                    prov = clause.provenance
-                    if prov[0] != "mon":
-                        support["ax"] |= axioms_of[prov[:3] if prov[0] == "incl" else prov[:4]]
-                    todo.extend(clause.premises)
-    return support
+def axiom_key(ax) -> tuple:
+    """The schema and functions of an axiom, as instance provenance names them."""
+    return ("incl", ax.f, ax.g) if isinstance(ax, Inclusion) else ("comp", ax.f, ax.g, ax.h)
+
+
+def proof_kernel(atoms, negatives, axioms: AxiomSet, definitions) -> Kernel:
+    """A proof kernel over these premises and (name, term) definitions."""
+    return Kernel(atoms, negatives, axioms.functions, {axiom_key(ax) for ax in axioms.axioms}, definitions)
+
+
+class ProofBuilder:
+    """Kernel proofs (kernel.py) read off the reasons of one saturate() run.
+
+    ent is the run's Entailer. Its atoms are a0 then b0, whose owners
+    (input_owners) are given, then one atom per clause of clauses: the
+    conclusion of a fired instance or of a split piece, in order. A pair
+    (s, v) of the closure of s is the step its recorded reason gives: refl
+    for s itself, trans through the atoms of a chain of atom clauses (the
+    atom's own step for a chain of one from s), a meet rule for a meet
+    clause. An atom is an input step, a refl step when it is a binder atom
+    (its name expands to its term), or its clause's instance over the
+    steps of its premises.
+    A cached closure grows only through add(), so a reason names only
+    atoms added before its pair became derivable, and the walk, an
+    iterative depth-first search, ends; every pair and atom becomes one
+    step, however many proofs use it.
+    """
+
+    def __init__(self, problem: PurifiedProblem, ent: slat.Entailer, clauses, owner):
+        if len(ent.atoms) != len(owner) + len(clauses):
+            raise ValueError("a proof needs a run that added one atom per clause")
+        self.problem, self.ent, self.clauses, self.owner = problem, ent, clauses, owner
+        self.steps: list[tuple] = []
+        self.leaf: dict[int, tuple] = {}
+        self.made: dict[tuple[int, int], int] = {}
+
+    def derive(self, atom: Leq) -> int:
+        """Position of a step concluding the atom, over the run's terms."""
+        index = self.ent.problem.index
+        return self._make((index[atom.lhs], index[atom.rhs]))
+
+    def conclude(self, trace: Trace) -> int:
+        """Position of the step concluding a successful run's goal."""
+        problem = self.problem
+        if trace.inconsistent is None:
+            return self.derive(problem.goal)
+        premises = tuple(self.derive(x) for x in expand_eqs([trace.inconsistent]))
+        k = (*problem.neg_a, *problem.neg_b).index(trace.inconsistent)
+        return self._add(("contra", problem.goal, premises, ()),
+                         ("na", k) if k < len(problem.neg_a) else ("nb", k - len(problem.neg_a)))
+
+    def _used(self, root: int) -> list[int]:
+        keep = {root}
+        for k in range(root, -1, -1):
+            if k in keep:
+                keep.update(self.steps[k][2])
+        return sorted(keep)
+
+    def proof(self, root: int) -> list[tuple]:
+        """The steps root rests on, renumbered in order, root last.
+
+        Steps are kept in a short form until here: a pair step's atom as
+        the pair, an input step's detail as its atom's position, which
+        becomes the kernel's premise number, counting owned atoms only.
+        """
+        used, terms = self._used(root), self.ent.problem.terms
+        new = {k: i for i, k in enumerate(used)}
+        premise = {v: k for k, v in enumerate(v for v, o in enumerate(self.owner) if o is not None)}
+        return [(rule, atom if isinstance(atom, Leq) else Leq(terms[atom[0]], terms[atom[1]]),
+                 tuple(new[p] for p in premises), (premise[detail[0]],) if rule == "input" else detail)
+                for rule, atom, premises, detail in map(self.steps.__getitem__, used)]
+
+    def support(self, root: int) -> dict[str, set[int]]:
+        """The input positions, per argument, the proof of root rests on."""
+        support: dict[str, set[int]] = {"a": set(), "b": set(), "na": set(), "nb": set(), "ax": set()}
+        for k in self._used(root):
+            kind, what = self.leaf.get(k, (None, None))
+            if kind == "ax":
+                support["ax"] |= {i for i, ax in enumerate(self.problem.axioms.axioms) if axiom_key(ax) == what}
+            elif kind is not None:
+                support[kind].add(what)
+        return support
+
+    def _add(self, step: tuple, leaf: tuple | None = None) -> int:
+        if leaf is not None:
+            self.leaf[len(self.steps)] = leaf
+        self.steps.append(step)
+        return len(self.steps) - 1
+
+    def _make(self, root: tuple[int, int]) -> int:
+        made, plans, stack = self.made, {}, [root]
+        while stack:
+            node = stack.pop()
+            if node in made:
+                continue
+            if node in plans:
+                rule, atom, deps, detail, leaf = plans[node]
+                premises = tuple(map(made.__getitem__, deps))
+                made[node] = premises[0] if rule is None else self._add((rule, atom, premises, detail), leaf)
+                continue
+            plans[node] = plan = self._plan(node)
+            stack.append(node)
+            for d in plan[2]:
+                if d not in made:
+                    if d in plans:
+                        raise RuntimeError("cyclic derivation")
+                    stack.append(d)
+        return made[root]
+
+    def _plan(self, node: tuple[int, int]) -> tuple:
+        """(rule, atom, nodes, detail, leaf) of the step of node, (-1, i) for
+        atom i and (s, v) for v in the closure of s; rule None when the
+        step is that of its one node."""
+        s, v = node
+        problem, n0 = self.ent.problem, len(self.owner)
+        if s < 0 and v < n0:
+            atom, owner = self.ent.atoms[v], self.owner[v]
+            return ("refl", atom, (), (), None) if owner is None else ("input", atom, (), (v,), owner)
+        if s < 0:
+            clause = self.clauses[v - n0]
+            prov, index = clause.provenance, problem.index
+            leaf = None if prov[0] == "mon" else ("ax", prov[:3] if prov[0] == "incl" else prov[:4])
+            deps = tuple((index[p.lhs], index[p.rhs]) for p in clause.premises)
+            return prov[0], clause.conclusion, deps, prov[1:], leaf
+        reasons, terms = self.ent.reasons(s), problem.terms
+        cid = reasons.get(v, -1)
+        if cid is None:
+            return "refl", node, (), (), None
+        if cid < 0:
+            raise RuntimeError(f"saturation reported {format_atom(Leq(terms[s], terms[v]))} without a proof")
+        premises, origin = problem.clauses[cid][0], problem.origin[cid]
+        x = premises[0]
+        if origin >= 0:
+            # follow the chain of atom clauses back to s or to a meet clause
+            chain = [(-1, origin)]
+            while reasons[x] is not None and problem.origin[reasons[x]] >= 0:
+                chain.append((-1, problem.origin[reasons[x]]))
+                x = problem.clauses[reasons[x]][0][0]
+            if x != s:
+                chain.append((s, x))
+            return (None if len(chain) == 1 else "trans"), node, tuple(reversed(chain)), (), None
+        if len(premises) == 1:
+            m = terms[x]
+            return "meet_r" if terms[v] == m.args[-1] else "meet_l", node, ((s, x),), (m,), None
+        m = terms[v]
+        left = m.args[0] if len(m.args) == 2 else Meet(m.args[:-1])
+        return "meet_i", node, ((s, problem.index[left]), (s, problem.index[m.args[-1]])), (), None
 
 
 # ---------------------------------------------------------------------------
@@ -608,7 +722,8 @@ def minimize_axioms(a_atoms, b_atoms, goal: Leq, axioms: AxiomSet, *,
     successful drop refreshes the support from that decision's proof.
     The result is the one deciding every candidate gives. When the final
     kept set is not the last one a decision accepted, it is decided once
-    more, so the answer always rests on a real decision.
+    more, so the answer always rests on a real decision. The proof of
+    that decision is checked by the kernel against the kept inputs.
 
     All inputs are purified, psi-closed and named once, and their terms
     registered once in one meet-clause-only encoding. A decision
@@ -633,8 +748,13 @@ def minimize_axioms(a_atoms, b_atoms, goal: Leq, axioms: AxiomSet, *,
     base = slat.encode((), terms)
     clause_of = [((base.index[normalize(x.lhs)],), base.index[normalize(x.rhs)]) for x in atoms]
 
+    accepted: list = []
+
     def proved() -> set[tuple[str, int]] | None:
-        """Support of a proof from the kept set, or None when not entailed."""
+        """Support of a proof from the kept set, or None when not entailed.
+
+        The proof and the kept axioms of the last success are in accepted.
+        """
         live = [p for p, o in enumerate(owner) if o is None or o[1] in keep[o[0]]]
         kept = {kind: sorted(keep[kind]) for kind in ("na", "nb", "ax")}
         masked = replace(
@@ -651,7 +771,10 @@ def minimize_axioms(a_atoms, b_atoms, goal: Leq, axioms: AxiomSet, *,
         trace = saturate(masked, encoding=encoding)
         if not trace.result:
             return None
-        found = _proof_support(masked, trace, [owner[p] for p in live])
+        proofs = ProofBuilder(masked, trace.entailer, trace.fired, [owner[p] for p in live])
+        root = proofs.conclude(trace)
+        accepted[:] = [proofs, root, masked.axioms]
+        found = proofs.support(root)
         return {(kind, i) for kind in ("a", "b") for i in found[kind]} | {
             (kind, ids[j]) for kind, ids in kept.items() for j in found[kind]}
 
@@ -676,8 +799,19 @@ def minimize_axioms(a_atoms, b_atoms, goal: Leq, axioms: AxiomSet, *,
             keep[kind].add(i)
         else:
             support, unchecked = found, False
-    if unchecked and proved() is None:
+    if unchecked and (support := proved()) is None:
         raise RuntimeError(f"minimized premises do not entail {format_atom(goal)}")
+    # the kernel checks the final proof against the kept inputs alone
+    proofs, root, kept_axioms = accepted
+    try:
+        kernel = proof_kernel([inputs[kind][i] for kind in ("a", "b") for i in sorted(keep[kind])],
+                              [inputs[kind][i] for kind in ("na", "nb") for i in sorted(keep[kind])],
+                              kept_axioms, tuple(problem.unfold_map().items()))
+        kernel.check(proofs.proof(root), goal)
+    except Rejected as e:
+        raise RuntimeError(f"proof of {format_atom(goal)} rejected: {e}") from e
+    if any(i not in keep[kind] for kind, i in support):
+        raise RuntimeError(f"proof of {format_atom(goal)} uses a dropped input")
     return Justification(
         kept_a=tuple(sorted(keep["a"])),
         kept_b=tuple(sorted(keep["b"])),

@@ -48,21 +48,23 @@ class NoSharedWitness(Exception):
 class PropHornProblem:
     """Propositional Horn encoding of a ground atom set.
 
-    index maps each registered term to its variable. Every clause is a
-    (premises, conclusion) pair of variable ids with definite conclusion,
-    origin the position of the atom that added it (-1 for meet clauses);
-    watch lists, per variable, the clauses it is a premise of.
+    index maps each registered term to its variable, terms each variable
+    to its term. Every clause is a (premises, conclusion) pair of
+    variable ids with definite conclusion, origin the position of the
+    atom that added it (-1 for meet clauses); watch lists, per variable,
+    the clauses it is a premise of.
     """
 
     index: dict[Term, int] = field(default_factory=dict)
     clauses: list[tuple[tuple[int, ...], int]] = field(default_factory=list)
     origin: list[int] = field(default_factory=list)
     watch: list[list[int]] = field(default_factory=list)
+    terms: list[Term] = field(default_factory=list)
 
     def copy(self) -> PropHornProblem:
         """An independent copy, to be grown apart from this encoding."""
         return PropHornProblem(dict(self.index), self.clauses[:], self.origin[:],
-                               [w[:] for w in self.watch])
+                               [w[:] for w in self.watch], self.terms[:])
 
     def add_clause(self, premises: tuple[int, ...], conclusion: int, origin: int = -1) -> None:
         for v in premises:
@@ -84,6 +86,7 @@ class PropHornProblem:
         new_sorted = sorted(new, key=term_key)
         for t in new_sorted:
             self.index[t] = len(self.index)
+            self.terms.append(t)
             self.watch.append([])
         for t in new_sorted:
             if isinstance(t, Meet):
@@ -182,6 +185,11 @@ class Entailer:
             self._seeds.append(lhs)
         return closure
 
+    def reasons(self, lhs: int) -> dict[int, int | None]:
+        """The cached closure of lhs: each variable it holds, with the
+        clause that made it true (None for lhs itself)."""
+        return self._closure(lhs)
+
     def derives(self, lhs: int, rhs: int) -> bool:
         """True iff the atoms entail the term of lhs below that of rhs."""
         return rhs in self._closure(lhs)
@@ -278,20 +286,24 @@ def intermediate_term(a_atoms, ab_atoms, a: Term, b: Term, candidates) -> Term:
     Given ab_atoms entails a <= b, the returned t satisfies a <= t from
     a_atoms alone and t <= b from ab_atoms; both claims are re-checked.
     Each atom set is the atoms or an Entailer over them, used as it is;
-    one Entailer per atom set decides all four entailments.
+    one Entailer per atom set decides all four entailments. candidates
+    is a set (any container) of normalized terms; the chosen ones are
+    read off the closure of a, so a call costs the size of that closure,
+    not the number of candidates.
     Raises NoSharedWitness when no candidate is entailed, since then no
     meet over the candidates can lie above a, and when the meet fails
     t <= b: it is the least meet of candidates above a, so no other one
     lies below b either.
     """
     a, b = normalize(a), normalize(b)
-    cand = sorted({normalize(c) for c in candidates}, key=term_key)
     ab = ab_atoms if isinstance(ab_atoms, Entailer) else Entailer(ab_atoms, [a, b])
     if not ab.derives(ab.var(a), ab.var(b)):
         raise ValueError(f"premise atoms do not entail {format_term(a)} <= {format_term(b)}")
-    ent = a_atoms if isinstance(a_atoms, Entailer) else Entailer(a_atoms, [a, *cand])
-    chosen = [e for e in cand if ent.derives(ent.var(a), ent.var(e))]
+    ent = a_atoms if isinstance(a_atoms, Entailer) else Entailer(a_atoms, [a])
+    terms = ent.problem.terms
+    chosen = sorted((e for v in ent.above(ent.var(a)) if (e := terms[v]) in candidates), key=term_key)
     if not chosen:
+        cand = sorted(candidates, key=term_key)
         raise NoSharedWitness(
             f"no shared candidate above {format_term(a)} "
             f"(candidates: {', '.join(format_term(c) for c in cand) or 'none'})"

@@ -117,20 +117,30 @@ def _subterms(t: Term, out: set[Term]) -> None:
             _subterms(a, out)
 
 
+def _symbols(t: Term, functions: bool) -> set[str]:
+    """Constant (or function) names of t, walked from a stack."""
+    out: set[str] = set()
+    stack = [t]
+    while stack:
+        x = stack.pop()
+        if isinstance(x, Const):
+            if not functions:
+                out.add(x.name)
+        elif isinstance(x, App):
+            if functions:
+                out.add(x.fn)
+            stack.append(x.arg)
+        else:
+            stack += x.args
+    return out
+
+
 def term_constants(t: Term) -> set[str]:
-    if isinstance(t, Const):
-        return {t.name}
-    if isinstance(t, App):
-        return term_constants(t.arg)
-    return set().union(*(term_constants(a) for a in t.args))
+    return {t.name} if isinstance(t, Const) else _symbols(t, False)
 
 
 def term_functions(t: Term) -> set[str]:
-    if isinstance(t, Const):
-        return set()
-    if isinstance(t, App):
-        return {t.fn} | term_functions(t.arg)
-    return set().union(*(term_functions(a) for a in t.args))
+    return set() if isinstance(t, Const) else _symbols(t, True)
 
 
 # ---------------------------------------------------------------------------
@@ -255,7 +265,7 @@ _TOKEN_RE = re.compile(r"<=|[&().=!,<]|[^\s&().=!,<]+|\s+")
 _PUNCT = {"&", "(", ")", ".", "<=", "=", "!", ",", "<"}
 
 # deepest bracket (or EL 'ex') nesting the parsers accept; the recursive
-# term functions need a few interpreter frames per level
+# term functions (normalize, term_key, hashing) need a few frames per level
 MAX_NESTING = 100
 
 
@@ -376,12 +386,32 @@ def parse_atom_tokens(toks: list[tuple[str, int]], line: int, start: int = 0) ->
     return a
 
 
+def write_term(t: Term, app) -> str:
+    """Concrete syntax of t, written from a stack of pending pieces.
+
+    app(fn, arg) gives the text before and after the argument of an
+    application.
+    """
+    out: list[str] = []
+    stack: list = [t]
+    while stack:
+        x = stack.pop()
+        if isinstance(x, str):
+            out.append(x)
+        elif isinstance(x, Const):
+            out.append(x.name)
+        elif isinstance(x, App):
+            before, after = app(x.fn, x.arg)
+            out.append(before)
+            stack += [after, x.arg]
+        else:
+            for k in range(len(x.args) - 1, -1, -1):
+                stack += [x.args[k], " & "] if k else [x.args[k]]
+    return "".join(out)
+
+
 def format_term(t: Term) -> str:
-    if isinstance(t, Const):
-        return t.name
-    if isinstance(t, App):
-        return f"{t.fn}({format_term(t.arg)})"
-    return " & ".join(format_term(a) for a in t.args)
+    return write_term(t, lambda fn, arg: (f"{fn}(", ")"))
 
 
 def format_atom(a: Atom) -> str:

@@ -181,7 +181,11 @@ def test_criterion_6_property_suite():
             continue
         entailed_seen += 1
         res = interp.interpolate(a, b, goal, axioms, verify=True)
-        assert res.certificates is not None
+        # the kernel accepts both certificate proofs, and a fresh decision
+        # of each certificate agrees with it
+        interp.check_certificates(res, a, b, axioms)
+        for statement, _ in res.certificates:
+            assert locality.entails(a, b, statement, axioms)
         assert term_functions(res.term) <= res.sharing.shared_functions
         assert term_constants(res.term) <= res.sharing.shared_constants
 

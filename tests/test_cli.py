@@ -249,16 +249,32 @@ def test_byte_order_mark_is_ignored(tmp_path, capsys):
     assert out.encode("utf-8") == (DATA / "golden" / "check_slo.txt").read_bytes()
 
 
-def test_interpolant_through_a_600_rung_ladder(tmp_path, capsys):
-    # every term has depth <= 1, but each split names f of the previous
-    # split's term, so the interpolant unfolds through 600 names
-    n = 600
+def _ladder_slp(tmp_path, n: int) -> Path:
     f = tmp_path / "ladder.slp"
     f.write_text("\n".join([
         "functions f", "side A", "c0 <= d0", *(f"c{i + 1} <= f(c{i})" for i in range(n)),
         "side B", *(f"f(d{i}) <= d{i + 1}" for i in range(n)), f"goal c{n} <= d{n}",
     ]) + "\n", encoding="utf-8")
-    code, out, err = in_process(["interpolate", f], capsys)
+    return f
+
+
+def test_interpolant_through_a_600_rung_ladder(tmp_path, capsys):
+    # every term has depth <= 1, but each split names f of the previous
+    # split's term, so the interpolant unfolds through 600 names
+    n = 600
+    code, out, err = in_process(["interpolate", _ladder_slp(tmp_path, n)], capsys)
+    assert code == 0, err
+    lines = out.splitlines()
+    assert lines[0] == "interpolant: " + "f(" * n + "d0" + ")" * n
+    assert lines[-1] == "verified"
+
+
+def test_interpolant_through_a_1000_rung_ladder_verifies(tmp_path, capsys):
+    # 1,000 levels: past the recursion limit for any walk that recurses
+    # per level; the signature check, the output and the proof kernel
+    # all work from stacks
+    n = 1000
+    code, out, err = in_process(["interpolate", _ladder_slp(tmp_path, n)], capsys)
     assert code == 0, err
     lines = out.splitlines()
     assert lines[0] == "interpolant: " + "f(" * n + "d0" + ")" * n

@@ -25,7 +25,7 @@ from slatkit.el import (
     translate,
     untranslate,
 )
-from slatkit.interp import VerificationFailed
+from slatkit.interp import VerificationFailed, check_certificates
 from slatkit.locality import AxiomSet, Composition
 from slatkit.terms import App, Const, Leq, ParseError, parse_term
 
@@ -85,6 +85,14 @@ def test_format_concept():
     c = mk_and([Exists("r", mk_and([Name("A"), Name("B")])), Name("C")])
     assert format_concept(c) == "C & ex r . (A & B)"
     assert format_concept(Exists("r", Exists("s", Name("A")))) == "ex r . ex s . A"
+
+
+def test_format_concept_of_a_1000_deep_concept():
+    # past the recursion limit for a formatter that recurses per level
+    c = Name("D0")
+    for _ in range(1000):
+        c = Exists("r", c)
+    assert format_concept(c) == "ex r . " * 1000 + "D0"
 
 
 def test_cbox_validates_roles():
@@ -256,8 +264,12 @@ def test_med_interpolation_evidence():
     split, = r.result.splits
     assert split.t == Const("Ventricle")
     assert split.owner.value == "A"
-    # verification happened at the concept level, not the term level
-    assert r.result.certificates is None
+    # verification checked the run's own proofs, and they hold against
+    # the full, unminimized translated premises
+    tr = translate(med())
+    (left, _), (right, _) = r.result.certificates
+    assert left == Leq(tr.goal.lhs, r.concept) and right == Leq(r.concept, tr.goal.rhs)
+    check_certificates(r.result, tr.a_atoms, tr.b_atoms, tr.axioms)
 
 
 def test_med_psi_closure_shape():

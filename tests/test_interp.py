@@ -10,6 +10,7 @@ from slatkit import el, interp
 from slatkit.interp import (
     NoSharedWitness,
     VerificationFailed,
+    check_certificates,
     intersection_sharing,
     interpolate,
     theta_sharing,
@@ -146,8 +147,9 @@ def test_interpolate_pure_semilattice_chain():
     assert res.term == Const("c1")
     assert res.splits == ()
     (left, tl), (right, tr) = res.certificates
-    assert left == parse_atom("a1 <= c1") and tl.result is True
-    assert right == parse_atom("c1 <= b2") and tr.result is True
+    assert left == parse_atom("a1 <= c1") and tl[-1][1] == left
+    assert right == parse_atom("c1 <= b2") and tr[-1][1] == right
+    check_certificates(res, a, b, AxiomSet(()))     # the kernel accepts both
 
 
 def test_interpolate_slo_example():
@@ -232,10 +234,14 @@ def entailed_problems(seed, count):
 
 
 def test_random_interpolants_verify_and_stay_shared():
+    from slatkit import locality
+
     cases = entailed_problems(20250817, 120)
     for a, b, goal, axioms, res in cases:
-        (_, tl), (_, tr) = res.certificates
-        assert tl.result is True and tr.result is True
+        (left, tl), (right, tr) = res.certificates
+        check_certificates(res, a, b, axioms)      # the kernel accepts both
+        # cross-check: a fresh decision agrees with the kernel
+        assert locality.entails(a, b, left, axioms) and locality.entails(a, b, right, axioms)
         assert term_functions(res.term) <= res.sharing.shared_functions
         assert term_constants(res.term) <= res.sharing.shared_constants
 
@@ -268,9 +274,10 @@ def test_interpolate_builds_as_many_entailers_at_any_ladder_length(monkeypatch):
         res = interpolate(*ladder(n))
         assert len(res.splits) == n - 1
         counts.append(len(builds))
-    # the saturation, one growing Entailer per side the split steps and
-    # the interpolant need, and one per certificate, decided from scratch
-    assert counts[0] == counts[1] == counts[2] <= 5
+    # the saturation and one growing Entailer per side the split steps
+    # and the interpolant need (here B's alone); the certificates are
+    # proofs read off the saturation, checked by the kernel, not decided
+    assert counts[0] == counts[1] == counts[2] == 2
 
 
 def _outcome(a, b, goal, axioms):
