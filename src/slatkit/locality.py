@@ -425,7 +425,7 @@ class Trace:
 
 
 def saturate(problem: PurifiedProblem, fire=lambda clause, ent: (clause.conclusion,),
-             encoding: slat.PropHornProblem | None = None) -> Trace:
+             encoding: slat.PropHornProblem | None = None, *, to_fixpoint: bool = False) -> Trace:
     """Forward chaining over the instances, in breadth-first passes.
 
     Each pass checks the goal and then the negative literals, and fires,
@@ -444,7 +444,10 @@ def saturate(problem: PurifiedProblem, fire=lambda clause, ent: (clause.conclusi
     true when the goal is entailed or a negative literal is
     contradicted, false at the fixpoint.
     encoding, when given, is the Entailer's encoding of a0 then b0
-    (slat.Entailer), used instead of encoding them again.
+    (slat.Entailer), used instead of encoding them again. With
+    to_fixpoint nothing is checked: the run fires every instance whose
+    premise becomes derivable, its result is False, and the caller asks
+    its Entailer.
     """
     checked = (problem.goal, *problem.neg_a, *problem.neg_b)
     ent = slat.Entailer([*problem.a0, *problem.b0], [t for a in checked for t in (a.lhs, a.rhs)],
@@ -465,7 +468,7 @@ def saturate(problem: PurifiedProblem, fire=lambda clause, ent: (clause.conclusi
         return out
 
     while True:
-        for k, atom in enumerate(checked):
+        for k, atom in enumerate(() if to_fixpoint else checked):
             if ent.holds(atom):
                 trace.inconsistent = atom if k else None
                 trace.result = True
@@ -544,6 +547,11 @@ def input_owners(problem: PurifiedProblem, a_atoms, b_atoms) -> list[tuple[str, 
 def axiom_key(ax) -> tuple:
     """The schema and functions of an axiom, as instance provenance names them."""
     return ("incl", ax.f, ax.g) if isinstance(ax, Inclusion) else ("comp", ax.f, ax.g, ax.h)
+
+
+def instance_axiom(clause: GroundHornClause) -> tuple:
+    """The axiom_key of the axiom an incl or comp instance comes from."""
+    return clause.provenance[:3 if clause.provenance[0] == "incl" else 4]
 
 
 def proof_kernel(atoms, negatives, axioms: AxiomSet, definitions) -> Kernel:
@@ -662,7 +670,7 @@ class ProofBuilder:
         if s < 0:
             clause = self.clauses[v - n0]
             prov, index = clause.provenance, problem.index
-            leaf = None if prov[0] == "mon" else ("ax", prov[:3] if prov[0] == "incl" else prov[:4])
+            leaf = None if prov[0] == "mon" else ("ax", instance_axiom(clause))
             deps = tuple((index[p.lhs], index[p.rhs]) for p in clause.premises)
             return prov[0], clause.conclusion, deps, prov[1:], leaf
         reasons, terms = self.ent.reasons(s), problem.terms
@@ -715,27 +723,33 @@ def minimize_axioms(a_atoms, b_atoms, goal: Leq, axioms: AxiomSet, *,
     minimal: dropping any kept member breaks the entailment. Pinned
     literal positions are never offered for deletion.
 
-    Each successful decision also gives the support of one proof
-    (proof_support). Entailment is monotone, so a candidate outside the
-    current support is dropped without a decision: what is left still
-    holds the support. A candidate inside it is decided, and a
-    successful drop refreshes the support from that decision's proof.
-    The result is the one deciding every candidate gives. When the final
-    kept set is not the last one a decision accepted, it is decided once
-    more, so the answer always rests on a real decision. The proof of
-    that decision is checked by the kernel against the kept inputs.
-
     All inputs are purified, psi-closed and named once, and their terms
-    registered once in one meet-clause-only encoding. A decision
-    saturates that problem with the removed inputs masked out: their
-    purified atoms (input_owners), negative literals and axioms are
-    left out, while every binder atom and the whole flat term set stay.
-    Its Entailer starts from a copy of the shared encoding and adds the
-    kept atoms' clauses. The verdict is the one a fresh preparation of
-    the kept inputs gives: a larger psi-closed term set keeps decide's
-    verdict, a set closed under all the axioms is closed under any
-    subset of them, and binder atoms are conservative definitions of
-    fresh names.
+    registered once in one meet-clause-only encoding. saturate() runs
+    once over all inputs, to the fixpoint, and its Entailer becomes a
+    slat.SelectorProgram: a selector node per input gates the atoms the
+    input owns, and a node per fired instance, reached from its premise
+    pair and for incl and comp its axiom's selector, gates the
+    instance's conclusion. A decision is one propagation over that
+    program from the kept selectors. Its verdict is the one saturating
+    the kept inputs gives: a derivation from them only uses pairs and
+    instances true in the full fixpoint (entailment is monotone), so
+    each of its steps is an edge of the program, and each edge is a
+    sound step once its gate is true. That saturation in turn gives the
+    verdict of a fresh preparation of the kept inputs: a larger
+    psi-closed term set keeps decide's verdict, a set closed under all
+    the axioms is closed under any subset of them, and binder atoms are
+    conservative definitions of fresh names.
+
+    A successful decision also gives the support of one derivation: the
+    selectors its reasons reach. A candidate outside the current support
+    is dropped without a decision, since what is left still holds that
+    derivation; a candidate inside it is decided, and a successful drop
+    refreshes the support. Whichever derivation a decision finds, each
+    drop is one that deciding it would make, so the result is the one
+    deciding every candidate gives. The final kept set is saturated once
+    more, with the removed inputs masked out of the prepared problem;
+    the kernel checks that run's proof against the kept inputs, and the
+    proof must use no dropped input.
     """
     inputs = {"a": tuple(a_atoms), "b": tuple(b_atoms), "na": tuple(neg_a),
               "nb": tuple(neg_b), "ax": axioms.axioms}
@@ -748,39 +762,39 @@ def minimize_axioms(a_atoms, b_atoms, goal: Leq, axioms: AxiomSet, *,
     base = slat.encode((), terms)
     clause_of = [((base.index[normalize(x.lhs)],), base.index[normalize(x.rhs)]) for x in atoms]
 
-    accepted: list = []
-
-    def proved() -> set[tuple[str, int]] | None:
-        """Support of a proof from the kept set, or None when not entailed.
-
-        The proof and the kept axioms of the last success are in accepted.
-        """
-        live = [p for p, o in enumerate(owner) if o is None or o[1] in keep[o[0]]]
-        kept = {kind: sorted(keep[kind]) for kind in ("na", "nb", "ax")}
-        masked = replace(
-            problem,
-            a0=tuple(atoms[p] for p in live if p < len(problem.a0)),
-            b0=tuple(atoms[p] for p in live if p >= len(problem.a0)),
-            neg_a=tuple(problem.neg_a[i] for i in kept["na"]),
-            neg_b=tuple(problem.neg_b[i] for i in kept["nb"]),
-            axioms=AxiomSet(axioms.functions, tuple(axioms.axioms[i] for i in kept["ax"])),
-        )
-        encoding = base.copy()
+    def encoding(live) -> slat.PropHornProblem:
+        """A copy of the shared encoding with the clauses of the live atoms."""
+        out = base.copy()
         for k, p in enumerate(live):
-            encoding.add_clause(*clause_of[p], k)
-        trace = saturate(masked, encoding=encoding)
-        if not trace.result:
-            return None
-        proofs = ProofBuilder(masked, trace.entailer, trace.fired, [owner[p] for p in live])
-        root = proofs.conclude(trace)
-        accepted[:] = [proofs, root, masked.axioms]
-        found = proofs.support(root)
-        return {(kind, i) for kind in ("a", "b") for i in found[kind]} | {
-            (kind, ids[j]) for kind, ids in kept.items() for j in found[kind]}
+            out.add_clause(*clause_of[p], k)
+        return out
 
-    support = proved()
-    if support is None:
+    full = saturate(problem, encoding=encoding(range(len(atoms))), to_fixpoint=True)
+    ent, fired = full.entailer, full.fired
+    if not any(map(ent.holds, (problem.goal, *problem.neg_a, *problem.neg_b))):
         raise NotEntailed(f"goal not entailed: {format_atom(goal)}")
+    # one selector node per input, then one node per fired instance
+    selectors = [(kind, i) for kind, xs in inputs.items() for i in range(len(xs))]
+    node = {key: k for k, key in enumerate(selectors)}
+    by_axiom: dict[tuple, list[tuple[int]]] = {}
+    for i, ax in enumerate(axioms.axioms):
+        by_axiom.setdefault(axiom_key(ax), []).append((node["ax", i],))
+    index, n = ent.problem.index, len(selectors)
+    rules = [([(index[p.lhs], index[p.rhs]) for p in clause.premises], extra, k)
+             for k, clause in enumerate(fired, n)
+             for extra in ([()] if clause.provenance[0] == "mon" else by_axiom[instance_axiom(clause)])]
+    goals = [([(index[x.lhs], index[x.rhs]) for x in expand_eqs([atom])], extra) for atom, extra in (
+        (problem.goal, ()), *((x, (node["na", i],)) for i, x in enumerate(problem.neg_a)),
+        *((x, (node["nb", i],)) for i, x in enumerate(problem.neg_b)))]
+    gate = [None if o is None else node[o] for o in owner] + list(range(n, n + len(fired)))
+    program = slat.SelectorProgram(ent, n + len(fired), gate, rules, goals)
+
+    def decide() -> set[tuple[str, int]] | None:
+        """The inputs one derivation from the kept ones uses, or None."""
+        used = program.decide([node[kind, i] for kind, ids in keep.items() for i in ids])
+        return None if used is None else {selectors[k] for k in used if k < n}
+
+    support = decide()
     candidates = [
         *(("a", i) for i in range(len(a_atoms)) if i not in set(pinned_a)),
         *(("na", i) for i in range(len(neg_a))),
@@ -788,29 +802,42 @@ def minimize_axioms(a_atoms, b_atoms, goal: Leq, axioms: AxiomSet, *,
         *(("nb", i) for i in range(len(neg_b))),
         *(("ax", i) for i in range(len(axioms.axioms))),
     ]
-    unchecked = False
     for kind, i in reversed(candidates):
         keep[kind].discard(i)
-        if (kind, i) not in support:
-            unchecked = True
-            continue
-        found = proved()
-        if found is None:
-            keep[kind].add(i)
-        else:
-            support, unchecked = found, False
-    if unchecked and (support := proved()) is None:
+        if (kind, i) in support:
+            found = decide()
+            if found is None:
+                keep[kind].add(i)
+            else:
+                support = found
+    # the final kept set is saturated with the removed inputs masked out
+    live = [p for p, o in enumerate(owner) if o is None or o[1] in keep[o[0]]]
+    kept = {kind: sorted(keep[kind]) for kind in ("na", "nb", "ax")}
+    masked = replace(
+        problem,
+        a0=tuple(atoms[p] for p in live if p < len(problem.a0)),
+        b0=tuple(atoms[p] for p in live if p >= len(problem.a0)),
+        neg_a=tuple(problem.neg_a[i] for i in kept["na"]),
+        neg_b=tuple(problem.neg_b[i] for i in kept["nb"]),
+        axioms=AxiomSet(axioms.functions, tuple(axioms.axioms[i] for i in kept["ax"])),
+    )
+    trace = saturate(masked, encoding=encoding(live))
+    if not trace.result:
         raise RuntimeError(f"minimized premises do not entail {format_atom(goal)}")
     # the kernel checks the final proof against the kept inputs alone
-    proofs, root, kept_axioms = accepted
+    proofs = ProofBuilder(masked, trace.entailer, trace.fired, [owner[p] for p in live])
+    root = proofs.conclude(trace)
     try:
         kernel = proof_kernel([inputs[kind][i] for kind in ("a", "b") for i in sorted(keep[kind])],
                               [inputs[kind][i] for kind in ("na", "nb") for i in sorted(keep[kind])],
-                              kept_axioms, tuple(problem.unfold_map().items()))
+                              masked.axioms, tuple(problem.unfold_map().items()))
         kernel.check(proofs.proof(root), goal)
     except Rejected as e:
         raise RuntimeError(f"proof of {format_atom(goal)} rejected: {e}") from e
-    if any(i not in keep[kind] for kind, i in support):
+    found = proofs.support(root)
+    used = {(kind, i) for kind in ("a", "b") for i in found[kind]} | {
+        (kind, ids[j]) for kind, ids in kept.items() for j in found[kind]}
+    if any(i not in keep[kind] for kind, i in used):
         raise RuntimeError(f"proof of {format_atom(goal)} uses a dropped input")
     return Justification(
         kept_a=tuple(sorted(keep["a"])),

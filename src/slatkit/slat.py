@@ -204,7 +204,12 @@ class Entailer:
         Only cached closures report pairs, so a caller learns of a new
         consequence of every left hand side it has already queried.
         """
-        self.problem.add_atoms([atom], len(self.atoms))
+        index = self.problem.index
+        if isinstance(atom, Leq) and atom.lhs in index and atom.rhs in index:
+            # registered terms are normalized, so the atom is one clause
+            self.problem.add_clause((index[atom.lhs],), index[atom.rhs], len(self.atoms))
+        else:
+            self.problem.add_atoms([atom], len(self.atoms))
         self.atoms.append(atom)
         return self._sync()
 
@@ -233,34 +238,6 @@ class Entailer:
                 made.append((seed, v))
         return made
 
-    def proof(self, lhs: int, rhs: int) -> list[int] | None:
-        """Positions of the atoms one derivation of lhs <= rhs uses, or None.
-
-        Follows the reasons in the cached closure of lhs back from rhs;
-        meet clauses need no atom. A reason's premises entered the closure
-        before its conclusion, so the walk ends. A cached closure grows
-        only through add() (and var() registering a meet), so the proof
-        uses only atoms present when the pair became derivable; atoms
-        added later never change it.
-        """
-        reason = self._closure(lhs)
-        if rhs not in reason:
-            return None
-        clauses, origin = self.problem.clauses, self.problem.origin
-        used: set[int] = set()
-        todo, seen = [rhs], {rhs}
-        while todo:
-            cid = reason[todo.pop()]
-            if cid is None:
-                continue
-            if origin[cid] >= 0:
-                used.add(origin[cid])
-            for p in clauses[cid][0]:
-                if p not in seen:
-                    seen.add(p)
-                    todo.append(p)
-        return sorted(used)
-
     def holds(self, atom: Atom) -> bool:
         lhs, rhs = normalize(atom.lhs), normalize(atom.rhs)
         if isinstance(atom, Eq):
@@ -274,6 +251,95 @@ def entails_atom(atoms, goal: Atom) -> bool:
     """True iff the atoms entail the goal in every semilattice."""
     goal = normalize_atom(goal)
     return Entailer(atoms, (goal.lhs, goal.rhs)).holds(goal)
+
+
+# ---------------------------------------------------------------------------
+# selector programs
+
+
+class SelectorProgram:
+    """A ground Horn program over the cached closures of an Entailer.
+
+    It decides entailment from subsets of the Entailer's atoms without
+    propagating over the encoding again: axiom pinpointing on a Horn
+    encoding (Sebastiani and Vescovi, CADE 2009). The caller numbers its
+    own nodes 0 .. nodes - 1, a selector per atom owner among them, and
+    gate[i] is the node enabling the clause of atom i (None: always
+    present). The other nodes are one per pair (s, v) of each cached
+    closure, and done. Edges:
+    - per closure and per clause whose premises all lie in it, from the
+      premise pairs and the clause's gate (none for meet clauses) to
+      the conclusion pair;
+    - per rule (pairs, extra, head), from those variable pairs and the
+      caller's nodes extra to the caller's node head;
+    - per goal (pairs, extra) whose pairs all hold, from them and extra
+      to done.
+    The closures must be closed under every clause, as they are once
+    every atom has been added; a goal's closure is cached here.
+    """
+
+    def __init__(self, ent: Entailer, nodes: int, gate, rules, goals):
+        goals = [(pairs, extra) for pairs, extra in goals if all(ent.derives(*p) for p in pairs)]
+        pair, n = {}, nodes
+        for s, closure in ent._closures.items():
+            pair[s] = dict(zip(closure, range(n, n + len(closure))))
+            n += len(closure)
+        self.nodes, self.start, self.done = nodes, [ids[s] for s, ids in pair.items()], n
+        tails = [(*(pair[s][v] for s, v in pairs), *extra) for pairs, extra in goals]
+        heads = [n] * len(tails)
+        for pairs, extra, head in rules:
+            tails.append((*(pair[s][v] for s, v in pairs), *extra))
+            heads.append(head)
+        enable = [() if o < 0 or gate[o] is None else (gate[o],) for o in ent.problem.origin]
+        clauses, watch = ent.problem.clauses, ent.problem.watch
+        for ids in pair.values():
+            for v, node in ids.items():
+                for cid in watch[v]:
+                    premises, conclusion = clauses[cid]
+                    if len(premises) == 1:
+                        tails.append((node, *enable[cid]))
+                    elif premises[0] == v and all(p in ids for p in premises[1:]):
+                        tails.append((*(ids[p] for p in premises), *enable[cid]))
+                    else:
+                        continue
+                    heads.append(ids[conclusion])
+        self.uses: list[list[int]] = [[] for _ in range(n + 1)]
+        for e, tail in enumerate(tails):
+            for p in tail:
+                self.uses[p].append(e)
+        self.tails, self.heads, self.need = tails, heads, [len(t) for t in tails]
+
+    def decide(self, true) -> set[int] | None:
+        """The caller's nodes one derivation of done from the true ones
+        uses, or None when done is not derivable from them.
+
+        Unit propagation with a premise counter per edge, from the seed
+        pairs (s, s) and the true nodes; it stops once done is true, and
+        the reasons, each node's first edge, are walked back from it.
+        """
+        need, heads, uses, done = self.need[:], self.heads, self.uses, self.done
+        queue = [*self.start, *true]
+        reason: list[int | None] = [-1] * len(uses)
+        for node in queue:
+            reason[node] = None
+        for node in queue:
+            for e in uses[node]:
+                need[e] -= 1
+                if not need[e] and reason[heads[e]] == -1:
+                    reason[heads[e]] = e
+                    if heads[e] == done:
+                        return self._used(reason)
+                    queue.append(heads[e])
+        return None
+
+    def _used(self, reason: list[int | None]) -> set[int]:
+        seen, todo = {self.done}, [self.done]
+        while todo:
+            e = reason[todo.pop()]
+            if e is not None:
+                todo += [p for p in self.tails[e] if p not in seen]
+                seen.update(self.tails[e])
+        return {k for k in seen if k < self.nodes}
 
 
 # ---------------------------------------------------------------------------

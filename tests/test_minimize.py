@@ -2,10 +2,12 @@
 
 `_minimize_by_deletion` is the original loop: it prepares and decides
 the kept set again for every candidate. `locality.minimize_axioms`
-prepares all inputs once, decides each kept set by masking the removed
-ones out of that problem, and skips the decision for candidates outside
-the current proof's support; it must return an equal Justification on
-every input.
+prepares all inputs once, saturates them once to the fixpoint, decides
+each kept set by one propagation over the selector program compiled
+from that fixpoint, skips the decision for candidates outside the
+current derivation's support, and saturates the final kept set once
+more with the removed inputs masked out; it must return an equal
+Justification on every input.
 """
 
 import random
@@ -163,7 +165,7 @@ def test_medical_ontology_matches_the_deletion_loop(name):
 
 
 # ---------------------------------------------------------------------------
-# the mask: one prepared problem, removed inputs left out per decision
+# one prepared problem: what a decision leaves out of it
 
 
 def atoms(*texts):
@@ -259,6 +261,18 @@ def test_axiom_drop_that_shrinks_the_psi_closure():
     assert assert_same_justification(*args)
 
 
+def test_pass_0_route_dropped_first_leaves_a_ladder_route():
+    # the goal holds in pass 0 through the last input, the first one
+    # dropped; a ladder needing four passes entails it as well. The
+    # decisions see the ladder only if the program comes from the run's
+    # fixpoint, not from a run stopped at the goal, and takes every clause
+    # of a closure, not only the reasons the run recorded.
+    a, b, goal, axioms = ladder(4)
+    args = (a, (*b, goal), goal, axioms)
+    assert minimize_axioms(*args) == Justification(tuple(range(5)), tuple(range(4)), (), (), ())
+    assert assert_same_justification(*args)
+
+
 # ---------------------------------------------------------------------------
 # the support itself
 
@@ -343,22 +357,27 @@ def _count_calls(monkeypatch, module, name) -> list:
 
 
 def test_justify_decides_once_per_kept_premise(monkeypatch):
-    # every decision saturates the one prepared problem once
-    calls = _count_calls(monkeypatch, locality, "saturate")
+    # every decision is one propagation over the one selector program
+    calls = _count_calls(monkeypatch, slat.SelectorProgram, "decide")
+    saturated = _count_calls(monkeypatch, locality, "saturate")
     labels = el.justify(el.parse_cbox(onto_text(random.Random(11), 6, 12, dup=0)))
     assert len(labels) == 7
     # the deletion loop makes one decision per candidate plus the first: 21 here
     assert len(calls) in (len(labels) + 1, len(labels) + 2)
+    # the full run to the fixpoint, and the final check of the kept set
+    assert len(saturated) == 2
 
 
 def test_minimize_prepares_and_encodes_once(monkeypatch):
     purified = _count_calls(monkeypatch, locality, "flatten_purify")
     encoded = _count_calls(monkeypatch, slat, "encode")
-    decided = _count_calls(monkeypatch, locality, "saturate")
+    decided = _count_calls(monkeypatch, slat.SelectorProgram, "decide")
+    saturated = _count_calls(monkeypatch, locality, "saturate")
     a, b, goal, axioms = ladder(20)
     assert minimize_axioms(a, b, goal, axioms) == Justification(
         tuple(range(21)), tuple(range(20)), (), (), ())
     # every premise of a ladder is in its proof: 41 candidates, all decided
     assert len(decided) == 42
+    assert len(saturated) == 2
     assert len(purified) == 1
     assert len(encoded) == 1

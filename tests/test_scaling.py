@@ -7,6 +7,7 @@ Each gate counts calls of a unit of work over inputs of size n, 2n and
 
 from slatkit import slat
 from slatkit.interp import interpolate
+from slatkit.locality import minimize_axioms
 from test_saturate import ladder
 
 
@@ -35,3 +36,23 @@ def test_interpolate_queries_grow_linearly_on_ladders(monkeypatch):
     for name in ("derives", "var"):
         for small, large in zip(counts, counts[1:]):
             assert large[name] <= 2.3 * small[name], (name, [c[name] for c in counts])
+
+
+def test_justify_closure_builds_grow_linearly_on_ladders(monkeypatch):
+    # every premise of a ladder is decided, and a decision propagates over
+    # the one selector program: seed closures are built by the full run
+    # and the final check alone, not once per decision
+    counts = []
+    for n in (20, 40, 80):
+        counts.append(0)
+        real = slat.propagate
+
+        def counted(*args):
+            counts[-1] += 1
+            return real(*args)
+
+        monkeypatch.setattr(slat, "propagate", counted)
+        minimize_axioms(*ladder(n))
+        monkeypatch.undo()
+    for small, large in zip(counts, counts[1:]):
+        assert large <= 2.3 * small, counts

@@ -85,26 +85,50 @@ def test_entailer_reuse_across_queries():
     assert not ent.holds(parse_atom("c <= a"))
 
 
+def proof(ent, lhs, rhs):
+    """Positions of the atoms one derivation of lhs <= rhs uses, or None.
+
+    Follows the reasons in the cached closure of lhs back from rhs; meet
+    clauses need no atom.
+    """
+    reason = ent.reasons(lhs)
+    if rhs not in reason:
+        return None
+    clauses, origin = ent.problem.clauses, ent.problem.origin
+    used, todo, seen = set(), [rhs], {rhs}
+    while todo:
+        cid = reason[todo.pop()]
+        if cid is None:
+            continue
+        if origin[cid] >= 0:
+            used.add(origin[cid])
+        for p in clauses[cid][0]:
+            if p not in seen:
+                seen.add(p)
+                todo.append(p)
+    return sorted(used)
+
+
 def test_proof_names_the_atoms_of_one_derivation():
     atoms = atoms_of("a <= b", "x <= y", "b <= c & d", "c <= e", "a <= e")
     ent = Entailer(atoms, [Const("a"), Const("c")])
     a, c = ent.var(Const("a")), ent.var(Const("c"))
-    assert ent.proof(a, c) == [0, 2]
-    assert ent.proof(a, a) == []
-    assert ent.proof(c, a) is None
+    assert proof(ent, a, c) == [0, 2]
+    assert proof(ent, a, a) == []
+    assert proof(ent, c, a) is None
 
 
 def test_proof_uses_the_first_of_equal_atoms():
     atoms = atoms_of("a = b", "b <= c", "a <= b", "b = a")
     ent = Entailer(atoms, [Const("a"), Const("c")])
-    assert ent.proof(ent.var(Const("a")), ent.var(Const("c"))) == [0, 1]
-    assert ent.proof(ent.var(Const("b")), ent.var(Const("a"))) == [0]
+    assert proof(ent, ent.var(Const("a")), ent.var(Const("c"))) == [0, 1]
+    assert proof(ent, ent.var(Const("b")), ent.var(Const("a"))) == [0]
 
 
 def test_proof_after_growth_uses_added_atoms():
     ent = Entailer(atoms_of("a <= b"), [Const("a"), Const("c")])
     ent.add(parse_atom("b <= c & d"))
-    assert ent.proof(ent.var(Const("a")), ent.var(Const("c"))) == [0, 1]
+    assert proof(ent, ent.var(Const("a")), ent.var(Const("c"))) == [0, 1]
 
 
 def test_proof_keeps_the_reason_from_before_growth():
@@ -112,7 +136,7 @@ def test_proof_keeps_the_reason_from_before_growth():
     ent = Entailer(atoms_of("a <= b", "b <= c"))
     assert ent.holds(parse_atom("a <= c"))
     assert ent.add(parse_atom("a <= c")) == []
-    assert ent.proof(ent.var(Const("a")), ent.var(Const("c"))) == [0, 1]
+    assert proof(ent, ent.var(Const("a")), ent.var(Const("c"))) == [0, 1]
 
 
 @given(st.randoms(use_true_random=False))
@@ -120,7 +144,7 @@ def test_proof_atoms_alone_entail_the_pair(rng):
     atoms, goal = rand_flat_problem(rng)
     goal = Leq(goal.lhs, goal.rhs)
     ent = Entailer(atoms, [goal.lhs, goal.rhs])
-    used = ent.proof(ent.var(goal.lhs), ent.var(goal.rhs))
+    used = proof(ent, ent.var(goal.lhs), ent.var(goal.rhs))
     assert (used is not None) == ent.holds(goal)
     if used is not None:
         assert entails_atom([atoms[i] for i in used], goal)
