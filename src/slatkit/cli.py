@@ -337,8 +337,13 @@ def _parser() -> argparse.ArgumentParser:
     return ap
 
 
+# built once per process: building it costs over ten times what parsing
+# one command line does, and in-process callers run main many times
+_PARSER = _parser()
+
+
 def main(argv=None) -> int:
-    args = _parser().parse_args(argv)
+    args = _PARSER.parse_args(argv)
     try:
         fmt = _infer_format(args.input, args.format)
         run, allowed = _COMMANDS[args.command]

@@ -10,7 +10,7 @@ their normal forms are equal.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
+from dataclasses import FrozenInstanceError, dataclass
 from enum import Enum
 
 
@@ -28,36 +28,85 @@ class ParseError(ValueError):
 # terms
 
 
-@dataclass(frozen=True)
+_TABLE: dict = {}   # structure key -> the one term with that structure
+_set = object.__setattr__
+_NO_NAMES = frozenset()
+
+
 class Term:
-    pass
+    """A ground term, hash-consed: one object per structure, so equality
+    is identity.
+
+    Each term caches at construction its hash (the frozen-dataclass
+    formula hash((field, ...)), so sets and dicts of terms iterate as they
+    would over dataclass terms), its term_key and its constant and
+    function names, each built from its children's; normalize caches its
+    normal form. Nothing is hashed or keyed recursively. The table is a
+    plain dict: it grows with the distinct structures a process builds.
+    """
+
+    __slots__ = ("_hash", "_key", "_consts", "_fns", "_norm")
+
+    @classmethod
+    def _make(cls, key, tkey, consts, fns, normal):
+        t = _TABLE[key] = object.__new__(cls)
+        for name, value in zip(cls.__slots__, key):
+            _set(t, name, value)
+        for name, value in zip(Term.__slots__, (hash(key), tkey, consts, fns, t if normal else None)):
+            _set(t, name, value)
+        return t
+
+    def __hash__(self):
+        return self._hash
+
+    def __setattr__(self, name, value):
+        raise FrozenInstanceError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise FrozenInstanceError(f"cannot delete field {name!r}")
+
+    def __reduce__(self):
+        return type(self), tuple(getattr(self, f) for f in type(self).__slots__)
+
+    def __repr__(self):
+        fields = ", ".join(f"{f}={getattr(self, f)!r}" for f in type(self).__slots__)
+        return f"{type(self).__name__}({fields})"
 
 
-@dataclass(frozen=True)
 class Const(Term):
-    name: str
+    __slots__ = ("name",)
+
+    def __new__(cls, name: str):
+        key = (name,)
+        return _TABLE.get(key) or cls._make(key, (0, name, ()), frozenset(key), _NO_NAMES, True)
 
 
-@dataclass(frozen=True)
 class App(Term):
-    fn: str
-    arg: Term
+    __slots__ = ("fn", "arg")
+
+    def __new__(cls, fn: str, arg: Term):
+        key = (fn, arg)
+        return _TABLE.get(key) or cls._make(
+            key, (1, fn, (arg._key,)), arg._consts, arg._fns | {fn}, arg._norm is arg
+        )
 
 
-@dataclass(frozen=True)
 class Meet(Term):
-    args: tuple[Term, ...]
+    __slots__ = ("args",)
+
+    def __new__(cls, args: tuple[Term, ...]):
+        args = tuple(args)
+        key = (args,)
+        return _TABLE.get(key) or cls._make(
+            key, (2, "", tuple(a._key for a in args)),
+            _NO_NAMES.union(*(a._consts for a in args)),
+            _NO_NAMES.union(*(a._fns for a in args)), False,
+        )
 
 
 def term_key(t: Term):
     """Total order key: constants, then applications, then meets."""
-    if isinstance(t, Const):
-        return (0, t.name, ())
-    if isinstance(t, App):
-        return (1, t.fn, (term_key(t.arg),))
-    if isinstance(t, Meet):
-        return (2, "", tuple(term_key(a) for a in t.args))
-    raise TypeError(f"not a term: {t!r}")
+    return t._key
 
 
 def mk_meet(args) -> Term:
@@ -82,14 +131,16 @@ def mk_meet(args) -> Term:
 
 
 def normalize(t: Term) -> Term:
-    """Rebuild a term bottom-up into meet normal form."""
-    if isinstance(t, Const):
-        return t
-    if isinstance(t, App):
-        return App(t.fn, normalize(t.arg))
-    if isinstance(t, Meet):
-        return mk_meet(normalize(a) for a in t.args)
-    raise TypeError(f"not a term: {t!r}")
+    """Rebuild a term bottom-up into meet normal form, once per term."""
+    n = t._norm
+    if n is None:
+        if isinstance(t, App):
+            n = App(t.fn, normalize(t.arg))
+        else:
+            n = mk_meet(normalize(a) for a in t.args)
+        _set(t, "_norm", n)
+        _set(n, "_norm", n)
+    return n
 
 
 def subterms(t: Term) -> set[Term]:
@@ -117,30 +168,12 @@ def _subterms(t: Term, out: set[Term]) -> None:
             _subterms(a, out)
 
 
-def _symbols(t: Term, functions: bool) -> set[str]:
-    """Constant (or function) names of t, walked from a stack."""
-    out: set[str] = set()
-    stack = [t]
-    while stack:
-        x = stack.pop()
-        if isinstance(x, Const):
-            if not functions:
-                out.add(x.name)
-        elif isinstance(x, App):
-            if functions:
-                out.add(x.fn)
-            stack.append(x.arg)
-        else:
-            stack += x.args
-    return out
+def term_constants(t: Term) -> frozenset[str]:
+    return t._consts
 
 
-def term_constants(t: Term) -> set[str]:
-    return {t.name} if isinstance(t, Const) else _symbols(t, False)
-
-
-def term_functions(t: Term) -> set[str]:
-    return set() if isinstance(t, Const) else _symbols(t, True)
+def term_functions(t: Term) -> frozenset[str]:
+    return t._fns
 
 
 # ---------------------------------------------------------------------------
@@ -264,8 +297,9 @@ _TOKEN_RE = re.compile(r"<=|[&().=!,<]|[^\s&().=!,<]+|\s+")
 
 _PUNCT = {"&", "(", ")", ".", "<=", "=", "!", ",", "<"}
 
-# deepest bracket (or EL 'ex') nesting the parsers accept; the recursive
-# term functions (normalize, term_key, hashing) need a few frames per level
+# deepest bracket (or EL 'ex') nesting the parsers accept; hashes and keys
+# are cached, but normalize, locality's _Purifier.pure, _subterms and the
+# comparison of deep term_key tuples in sorted (in C) recurse per level
 MAX_NESTING = 100
 
 

@@ -8,7 +8,7 @@ import pytest
 
 from conftest import DATA, read_data
 from golden_cases import CASES, run_cli
-from slatkit import cli
+from slatkit import cli, terms
 from slatkit.terms import MAX_NESTING
 
 SCHEMA = json.loads(
@@ -50,6 +50,36 @@ def test_negative_answers_also_validate():
     jsonschema.validate(doc, SCHEMA)
     assert doc["implicitly_defined"] is True
     assert doc["definition"] is None
+
+
+def run_goldens_in_process(cases, capsys):
+    for name, argv, code in cases:
+        assert cli.main(list(argv)) == code, name
+        out = capsys.readouterr()
+        assert out.out.encode("utf-8") == (DATA / "golden" / name).read_bytes(), name
+        assert out.err == "", name
+
+
+def test_goldens_twice_in_one_process(monkeypatch, capsys):
+    # the parser and the term table outlive each call: a second pass in
+    # the reverse order, after a usage error, prints the same bytes and
+    # builds no new term
+    monkeypatch.chdir(DATA)
+    run_goldens_in_process(CASES, capsys)
+    with pytest.raises(SystemExit) as exit_info:
+        cli.main(["beth", "beth_fe.slp", "--depth", "-1"])
+    assert exit_info.value.code == 2
+    capsys.readouterr()
+    size = len(terms._TABLE)
+    run_goldens_in_process(CASES[::-1], capsys)
+    assert len(terms._TABLE) == size
+
+
+def test_flags_do_not_carry_over_to_the_next_call(monkeypatch, capsys):
+    monkeypatch.chdir(DATA)
+    assert cli.main(["beth", "beth_fe.slp", "--json", "--sharing", "intersection"]) == 1
+    capsys.readouterr()
+    run_goldens_in_process([c for c in CASES if c[0] == "beth_fe.txt"], capsys)
 
 
 # ---------------------------------------------------------------------------
@@ -278,4 +308,22 @@ def test_interpolant_through_a_1000_rung_ladder_verifies(tmp_path, capsys):
     assert code == 0, err
     lines = out.splitlines()
     assert lines[0] == "interpolant: " + "f(" * n + "d0" + ")" * n
+    assert lines[-1] == "verified"
+
+
+def test_interpolant_through_a_400_rung_meet_ladder_verifies(tmp_path, capsys):
+    # the interpolant nests a meet in every one of its 400 levels; meets
+    # are built, hashed and sorted by cached keys, without recursion
+    n = 400
+    f = tmp_path / "meet_ladder.slp"
+    f.write_text("\n".join([
+        "functions f", "side A", "c0 <= d0", "c0 <= s0",
+        *(f"c{i + 1} <= f(c{i})" for i in range(n)), *(f"c{i} <= s{i}" for i in range(1, n + 1)),
+        "side B", "s0 <= x", *(f"s{i} <= y" for i in range(1, n + 1)),
+        *(f"f(d{i} & s{i}) <= d{i + 1}" for i in range(n)), f"goal c{n} <= d{n}",
+    ]) + "\n", encoding="utf-8")
+    code, out, err = in_process(["interpolate", f], capsys)
+    assert code == 0, err
+    lines = out.splitlines()
+    assert lines[0].startswith(f"interpolant: s{n} & f(s{n - 1} & f(")
     assert lines[-1] == "verified"

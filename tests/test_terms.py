@@ -1,4 +1,8 @@
-"""Term algebra: normal forms, ordering, parsing, coloring."""
+"""Term algebra: interning, normal forms, ordering, parsing, coloring."""
+
+import copy
+import pickle
+from dataclasses import dataclass
 
 import pytest
 from hypothesis import given, strategies as st
@@ -39,6 +43,123 @@ terms = st.recursive(
     ),
     max_leaves=8,
 )
+# also meets that are not in normal form: unsorted, nested, repeated
+raw_terms = st.recursive(
+    consts,
+    lambda sub: st.one_of(
+        st.builds(App, st.sampled_from("fg"), sub),
+        st.lists(sub, min_size=1, max_size=3).map(tuple).map(Meet),
+    ),
+    max_leaves=8,
+)
+
+
+# ---------------------------------------------------------------------------
+# interning: one object per structure
+
+
+@dataclass(frozen=True)
+class DConst:
+    name: str
+
+
+@dataclass(frozen=True)
+class DApp:
+    fn: str
+    arg: object
+
+
+@dataclass(frozen=True)
+class DMeet:
+    args: tuple
+
+
+def as_dataclass(t):
+    """The term as the frozen dataclasses terms were before interning."""
+    if isinstance(t, Const):
+        return DConst(t.name)
+    if isinstance(t, App):
+        return DApp(t.fn, as_dataclass(t.arg))
+    return DMeet(tuple(as_dataclass(a) for a in t.args))
+
+
+def rebuilt(t):
+    """The same structure, built again bottom-up through the constructors."""
+    if isinstance(t, Const):
+        return Const(t.name)
+    if isinstance(t, App):
+        return App(t.fn, rebuilt(t.arg))
+    return Meet(tuple(rebuilt(a) for a in t.args))
+
+
+def ref_key(t):
+    if isinstance(t, Const):
+        return (0, t.name, ())
+    if isinstance(t, App):
+        return (1, t.fn, (ref_key(t.arg),))
+    return (2, "", tuple(ref_key(a) for a in t.args))
+
+
+def ref_symbols(t, functions):
+    if isinstance(t, Const):
+        return set() if functions else {t.name}
+    if isinstance(t, App):
+        return ref_symbols(t.arg, functions) | ({t.fn} if functions else set())
+    return set().union(*(ref_symbols(a, functions) for a in t.args))
+
+
+@given(raw_terms)
+def test_same_structure_same_object(t):
+    assert rebuilt(t) is t
+
+
+@given(terms, st.randoms())
+def test_parsed_and_permuted_terms_are_the_built_object(t, rng):
+    assert parse_term(format_term(t)) is t
+    if isinstance(t, Meet):
+        args = list(t.args)
+        rng.shuffle(args)
+        assert mk_meet(args) is t
+
+
+@given(raw_terms)
+def test_cached_key_hash_and_symbols_match_the_walks(t):
+    assert term_key(t) == ref_key(t)
+    assert hash(t) == hash(as_dataclass(t))
+    assert term_constants(t) == ref_symbols(t, False)
+    assert term_functions(t) == ref_symbols(t, True)
+
+
+@given(raw_terms)
+def test_terms_are_immutable(t):
+    for name in type(t).__slots__:
+        with pytest.raises(AttributeError):
+            setattr(t, name, Const("z"))
+
+
+@given(raw_terms)
+def test_copies_and_pickles_are_the_same_object(t):
+    assert copy.copy(t) is t
+    assert copy.deepcopy(t) is t
+    assert pickle.loads(pickle.dumps(t)) is t
+
+
+def test_raw_meet_is_not_its_normal_form():
+    a, b = Const("a"), Const("b")
+    raw = Meet((b, a))
+    assert raw is not mk_meet([a, b])
+    assert normalize(raw) is mk_meet([a, b])
+    assert repr(raw) == "Meet(args=(Const(name='b'), Const(name='a')))"
+
+
+def test_deep_terms_hash_and_key_without_recursion():
+    t = Const("a")
+    for _ in range(10_000):
+        t = App("f", t)
+    assert hash(t) == hash(("f", t.arg))
+    assert term_key(t)[:2] == (1, "f")
+    assert term_functions(t) == {"f"} and term_constants(t) == {"a"}
+    assert {t: 1}[t] == 1
 
 
 # ---------------------------------------------------------------------------
