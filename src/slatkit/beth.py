@@ -21,13 +21,11 @@ from .terms import (
     Atom,
     Const,
     Leq,
-    Meet,
     Term,
     atom_constants,
     atom_functions,
     format_term,
     mk_meet,
-    normalize_atom,
     term_key,
 )
 
@@ -71,8 +69,7 @@ def _rename_atom(a: Atom, rename: dict[str, str]) -> Atom:
 
 def double(a_atoms, axioms: AxiomSet, sigma, target: str, *, neg=()) -> DoubledProblem:
     """Build the doubled problem; symbols in sigma keep their names."""
-    atoms = tuple(normalize_atom(x) for x in a_atoms)
-    neg = tuple(normalize_atom(x) for x in neg)
+    atoms, neg = tuple(a_atoms), tuple(neg)
     sigma = frozenset(sigma)
     occurring: set[str] = set(axioms.functions)
     consts: set[str] = set()
@@ -194,15 +191,14 @@ def enumerate_terms(functions, constants, depth: int, *, limit: int = 200000) ->
     for k in range(depth + 1):
         if 2 ** len(pool) - 1 > limit:
             raise ValueError(f"term enumeration exceeds limit of {limit}")
-        # pool items are never meets, so a combination of the sorted pool
-        # is already a normal form, and term_key orders the meets like
-        # their index tuples, after the single terms
+        # pool items are never meets, so term_key orders the meets of the
+        # sorted pool like their index tuples, after the single terms
         pool.sort(key=term_key)
         combos = sorted(
             (c for r in range(1, len(pool) + 1) for c in combinations(range(len(pool)), r)),
             key=lambda c: (len(c) > 1, c),
         )
-        level = [pool[c[0]] if len(c) == 1 else Meet(tuple(pool[i] for i in c)) for c in combos]
+        level = [mk_meet(pool[i] for i in c) for c in combos]
         if k < depth:
             pool = consts + [App(f, t) for f in functions for t in level]
     return level

@@ -38,8 +38,6 @@ from .terms import (
     format_atom,
     format_term,
     mk_meet,
-    normalize,
-    normalize_atom,
     term_constants,
     term_functions,
 )
@@ -251,7 +249,7 @@ def unfold(term: Term, names: dict[str, Term], memo: dict[str, Term] | None = No
             return App(t.fn, subst(t.arg))
         return mk_meet(subst(x) for x in t.args)
 
-    term, path = normalize(term), []
+    path = []
     todo = [(n, False) for n in reversed(refs(term))]
     while todo:
         n, done = todo.pop()
@@ -287,13 +285,10 @@ def interpolate(a_atoms, b_atoms, goal: Leq, axioms: AxiomSet, *,
     instance cannot be separated, and ValueError on inconsistent
     premises, which entail everything but admit no intermediate term.
     """
-    a_in = expand_eqs(normalize_atom(x) for x in a_atoms)
-    b_in = expand_eqs(normalize_atom(x) for x in b_atoms)
-    neg_a = tuple(normalize_atom(x) for x in neg_a)
-    neg_b = tuple(normalize_atom(x) for x in neg_b)
+    a_in, b_in = expand_eqs(a_atoms), expand_eqs(b_atoms)
+    neg_a, neg_b = tuple(neg_a), tuple(neg_b)
     if not isinstance(goal, Leq):
         raise ValueError("interpolation goal must be a <= atom")
-    goal = normalize_atom(goal)
 
     sigma_a = {f for x in (*a_in, *neg_a) for f in atom_functions(x)}
     sigma_b = {f for x in (*b_in, *neg_b) for f in atom_functions(x)}

@@ -28,8 +28,6 @@ from .terms import (
     expand_eqs,
     format_atom,
     mk_meet,
-    normalize,
-    normalize_atom,
     term_constants,
     term_functions,
     term_key,
@@ -207,13 +205,10 @@ def flatten_purify(a_atoms, b_atoms, goal: Leq, *, neg_a=(), neg_b=(), fn_colors
     and the reserved ones. Returns the purified problem (its flat term
     set not yet closed) and the set of flat terms that occurred.
     """
-    a_atoms = expand_eqs(normalize_atom(x) for x in a_atoms)
-    b_atoms = expand_eqs(normalize_atom(x) for x in b_atoms)
-    neg_a = tuple(normalize_atom(x) for x in neg_a)
-    neg_b = tuple(normalize_atom(x) for x in neg_b)
+    a_atoms, b_atoms = expand_eqs(a_atoms), expand_eqs(b_atoms)
+    neg_a, neg_b = tuple(neg_a), tuple(neg_b)
     if not isinstance(goal, Leq):
         raise ValueError("goal must be a <= atom")
-    goal = normalize_atom(goal)
     colors = color_problem((*a_atoms, *neg_a), (*b_atoms, *neg_b), goal)
     symbols = set(colors)
     if axioms is not None:
@@ -760,7 +755,7 @@ def minimize_axioms(a_atoms, b_atoms, goal: Leq, axioms: AxiomSet, *,
     terms = [t for x in (*atoms, problem.goal, *problem.neg_a, *problem.neg_b) for t in (x.lhs, x.rhs)]
     terms += [t for fn, arg in problem.flat for t in (arg, Const(problem.defs[(fn, arg)]))]
     base = slat.encode((), terms)
-    clause_of = [((base.index[normalize(x.lhs)],), base.index[normalize(x.rhs)]) for x in atoms]
+    clause_of = [((base.index[x.lhs],), base.index[x.rhs]) for x in atoms]
 
     def encoding(live) -> slat.PropHornProblem:
         """A copy of the shared encoding with the clauses of the live atoms."""

@@ -28,8 +28,6 @@ from .terms import (
     format_atom,
     format_term,
     mk_meet,
-    normalize,
-    normalize_atom,
     subterms,
     term_constants,
     term_key,
@@ -73,7 +71,7 @@ class PropHornProblem:
         self.origin.append(origin)
 
     def register(self, terms) -> None:
-        """Give the new normalized terms and their subterms variables.
+        """Give the new terms and their subterms variables.
 
         New variables are numbered in term order, and every new meet gets
         the three clauses tying it to its binary left-fold decomposition,
@@ -101,7 +99,7 @@ class PropHornProblem:
 
         Each atom clause records its atom's position, counted from start.
         """
-        leqs = [(i, a) for i, x in enumerate(atoms, start) for a in expand_eqs([normalize_atom(x)])]
+        leqs = [(i, a) for i, x in enumerate(atoms, start) for a in expand_eqs([x])]
         self.register([t for _, a in leqs for t in (a.lhs, a.rhs)])
         for i, a in leqs:
             self.add_clause((self.index[a.lhs],), self.index[a.rhs], i)
@@ -111,7 +109,7 @@ def encode(atoms, extra_terms=()) -> PropHornProblem:
     """Encode atoms (Eq expanded to two Leq) plus registered extra terms."""
     problem = PropHornProblem()
     problem.add_atoms(atoms)
-    problem.register([normalize(t) for t in extra_terms])
+    problem.register(extra_terms)
     return problem
 
 
@@ -170,7 +168,6 @@ class Entailer:
         The pairs registering a meet makes derivable, each with a new
         meet on the right, grow the cached closures but are not reported.
         """
-        t = normalize(t)
         if t not in self.problem.index:
             self.problem.register([t])
             self._sync()
@@ -206,7 +203,7 @@ class Entailer:
         """
         index = self.problem.index
         if isinstance(atom, Leq) and atom.lhs in index and atom.rhs in index:
-            # registered terms are normalized, so the atom is one clause
+            # both sides have variables, so the atom is one clause
             self.problem.add_clause((index[atom.lhs],), index[atom.rhs], len(self.atoms))
         else:
             self.problem.add_atoms([atom], len(self.atoms))
@@ -239,17 +236,16 @@ class Entailer:
         return made
 
     def holds(self, atom: Atom) -> bool:
-        lhs, rhs = normalize(atom.lhs), normalize(atom.rhs)
+        lhs, rhs, index = atom.lhs, atom.rhs, self.problem.index
         if isinstance(atom, Eq):
             return self.holds(Leq(lhs, rhs)) and self.holds(Leq(rhs, lhs))
-        if lhs not in self.problem.index or rhs not in self.problem.index:
+        if lhs not in index or rhs not in index:
             raise ValueError(f"unregistered goal term in {format_atom(atom)}")
-        return self.derives(self.problem.index[lhs], self.problem.index[rhs])
+        return self.derives(index[lhs], index[rhs])
 
 
 def entails_atom(atoms, goal: Atom) -> bool:
     """True iff the atoms entail the goal in every semilattice."""
-    goal = normalize_atom(goal)
     return Entailer(atoms, (goal.lhs, goal.rhs)).holds(goal)
 
 
@@ -346,26 +342,21 @@ class SelectorProgram:
 # intermediate terms
 
 
-def intermediate_term(a_atoms, ab_atoms, a: Term, b: Term, candidates) -> Term:
+def intermediate_term(ent: Entailer, ab: Entailer, a: Term, b: Term, candidates) -> Term:
     """Meet of all candidates e with a <= e on the a-side atoms.
 
-    Given ab_atoms entails a <= b, the returned t satisfies a <= t from
-    a_atoms alone and t <= b from ab_atoms; both claims are re-checked.
-    Each atom set is the atoms or an Entailer over them, used as it is;
-    one Entailer per atom set decides all four entailments. candidates
-    is a set (any container) of normalized terms; the chosen ones are
-    read off the closure of a, so a call costs the size of that closure,
-    not the number of candidates.
+    Given the atoms of ab entail a <= b, the returned t satisfies a <= t
+    from the atoms of ent alone and t <= b from those of ab; both claims
+    are re-checked. candidates is a set (any container) of terms; the
+    chosen ones are read off the closure of a, so a call costs the size
+    of that closure, not the number of candidates.
     Raises NoSharedWitness when no candidate is entailed, since then no
     meet over the candidates can lie above a, and when the meet fails
     t <= b: it is the least meet of candidates above a, so no other one
     lies below b either.
     """
-    a, b = normalize(a), normalize(b)
-    ab = ab_atoms if isinstance(ab_atoms, Entailer) else Entailer(ab_atoms, [a, b])
     if not ab.derives(ab.var(a), ab.var(b)):
         raise ValueError(f"premise atoms do not entail {format_term(a)} <= {format_term(b)}")
-    ent = a_atoms if isinstance(a_atoms, Entailer) else Entailer(a_atoms, [a])
     terms = ent.problem.terms
     chosen = sorted((e for v in ent.above(ent.var(a)) if (e := terms[v]) in candidates), key=term_key)
     if not chosen:
@@ -396,8 +387,7 @@ def brute_force_entails(atoms, goal: Atom) -> bool:
     Only constants and meets are allowed; function applications must have
     been purified away. Limited to 20 constants.
     """
-    leqs = expand_eqs(normalize_atom(a) for a in atoms)
-    goal = normalize_atom(goal)
+    leqs = expand_eqs(atoms)
     names: set[str] = set()
     for a in (*leqs, goal):
         for side in (a.lhs, a.rhs):
@@ -537,7 +527,6 @@ def check_finite_model(model: FiniteModel, inclusions=(), compositions=(), atoms
             ),
         ))
     for a in atoms:
-        a = normalize_atom(a)
         lv, rv = eval_term(model, a.lhs), eval_term(model, a.rhs)
         if isinstance(a, Eq):
             ok = lv == rv

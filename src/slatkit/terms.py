@@ -1,10 +1,10 @@
 """Ground terms, atoms and clauses for meet semilattices with unary operators.
 
 Terms are constants, applications of unary function symbols, and meets.
-Meets are kept in a normal form: flattened, duplicate free, argument list
-sorted by a fixed total order on terms. Two terms are equal modulo
-associativity, commutativity and idempotence of the meet exactly when
-their normal forms are equal.
+Every term is built in normal form: the Meet constructor flattens its
+arguments, drops duplicates and sorts them by a fixed total order on
+terms. Two terms are equal modulo associativity, commutativity and
+idempotence of the meet exactly when they are the same object.
 """
 
 from __future__ import annotations
@@ -34,25 +34,25 @@ _NO_NAMES = frozenset()
 
 
 class Term:
-    """A ground term, hash-consed: one object per structure, so equality
-    is identity.
+    """A ground term, hash-consed and in normal form: one object per
+    element modulo ACI of the meet, so equality is identity.
 
     Each term caches at construction its hash (the frozen-dataclass
     formula hash((field, ...)), so sets and dicts of terms iterate as they
     would over dataclass terms), its term_key and its constant and
-    function names, each built from its children's; normalize caches its
-    normal form. Nothing is hashed or keyed recursively. The table is a
-    plain dict: it grows with the distinct structures a process builds.
+    function names, each built from its children's. Nothing is hashed or
+    keyed recursively. The table is a plain dict: it grows with the
+    distinct terms a process builds.
     """
 
-    __slots__ = ("_hash", "_key", "_consts", "_fns", "_norm")
+    __slots__ = ("_hash", "_key", "_consts", "_fns")
 
     @classmethod
-    def _make(cls, key, tkey, consts, fns, normal):
+    def _make(cls, key, tkey, consts, fns):
         t = _TABLE[key] = object.__new__(cls)
         for name, value in zip(cls.__slots__, key):
             _set(t, name, value)
-        for name, value in zip(Term.__slots__, (hash(key), tkey, consts, fns, t if normal else None)):
+        for name, value in zip(Term.__slots__, (hash(key), tkey, consts, fns)):
             _set(t, name, value)
         return t
 
@@ -78,7 +78,7 @@ class Const(Term):
 
     def __new__(cls, name: str):
         key = (name,)
-        return _TABLE.get(key) or cls._make(key, (0, name, ()), frozenset(key), _NO_NAMES, True)
+        return _TABLE.get(key) or cls._make(key, (0, name, ()), frozenset(key), _NO_NAMES)
 
 
 class App(Term):
@@ -86,22 +86,16 @@ class App(Term):
 
     def __new__(cls, fn: str, arg: Term):
         key = (fn, arg)
-        return _TABLE.get(key) or cls._make(
-            key, (1, fn, (arg._key,)), arg._consts, arg._fns | {fn}, arg._norm is arg
-        )
+        return _TABLE.get(key) or cls._make(key, (1, fn, (arg._key,)), arg._consts, arg._fns | {fn})
 
 
 class Meet(Term):
+    """Meet of the given terms, built as mk_meet builds it."""
+
     __slots__ = ("args",)
 
     def __new__(cls, args: tuple[Term, ...]):
-        args = tuple(args)
-        key = (args,)
-        return _TABLE.get(key) or cls._make(
-            key, (2, "", tuple(a._key for a in args)),
-            _NO_NAMES.union(*(a._consts for a in args)),
-            _NO_NAMES.union(*(a._fns for a in args)), False,
-        )
+        return mk_meet(args)
 
 
 def term_key(t: Term):
@@ -114,8 +108,13 @@ def mk_meet(args) -> Term:
 
     Nested meets are flattened, duplicates dropped, arguments sorted.
     A singleton collapses to its only element. Empty input is an error:
-    the language has no top element.
+    the language has no top element. Only normal argument tuples are
+    table keys, so a meet built before is found without sorting.
     """
+    args = tuple(args)
+    t = _TABLE.get((args,))
+    if t is not None:
+        return t
     flat: list[Term] = []
     for a in args:
         if isinstance(a, Meet):
@@ -124,27 +123,19 @@ def mk_meet(args) -> Term:
             flat.append(a)
     if not flat:
         raise ValueError("meet of no terms")
-    uniq = sorted(set(flat), key=term_key)
+    uniq = tuple(sorted(set(flat), key=term_key))
     if len(uniq) == 1:
         return uniq[0]
-    return Meet(tuple(uniq))
-
-
-def normalize(t: Term) -> Term:
-    """Rebuild a term bottom-up into meet normal form, once per term."""
-    n = t._norm
-    if n is None:
-        if isinstance(t, App):
-            n = App(t.fn, normalize(t.arg))
-        else:
-            n = mk_meet(normalize(a) for a in t.args)
-        _set(t, "_norm", n)
-        _set(n, "_norm", n)
-    return n
+    key = (uniq,)
+    return _TABLE.get(key) or Meet._make(
+        key, (2, "", tuple(a._key for a in uniq)),
+        _NO_NAMES.union(*(a._consts for a in uniq)),
+        _NO_NAMES.union(*(a._fns for a in uniq)),
+    )
 
 
 def subterms(t: Term) -> set[Term]:
-    """All subterms of a normalized term, the term itself included.
+    """All subterms of a term, the term itself included.
 
     An n-ary meet contributes its left-fold chain: the meet of the first
     k arguments for every k >= 2. subterms of a & b & c is
@@ -206,10 +197,6 @@ def expand_eqs(atoms) -> tuple[Leq, ...]:
         else:
             out.append(a)
     return tuple(out)
-
-
-def normalize_atom(a: Atom) -> Atom:
-    return type(a)(normalize(a.lhs), normalize(a.rhs))
 
 
 def atom_constants(a: Atom) -> set[str]:
@@ -298,8 +285,8 @@ _TOKEN_RE = re.compile(r"<=|[&().=!,<]|[^\s&().=!,<]+|\s+")
 _PUNCT = {"&", "(", ")", ".", "<=", "=", "!", ",", "<"}
 
 # deepest bracket (or EL 'ex') nesting the parsers accept; hashes and keys
-# are cached, but normalize, locality's _Purifier.pure, _subterms and the
-# comparison of deep term_key tuples in sorted (in C) recurse per level
+# are cached, but locality's _Purifier.pure, _subterms and the comparison
+# of deep term_key tuples in sorted (in C) recurse per level
 MAX_NESTING = 100
 
 
@@ -362,7 +349,8 @@ class _TermParser:
         while self.peek() == "&":
             self.take()
             args.append(self.factor())
-        return mk_meet(args)
+        # a lone factor is already in normal form
+        return args[0] if len(args) == 1 else mk_meet(args)
 
     def factor(self) -> Term:
         tok = self.peek()

@@ -42,7 +42,8 @@ def test_criterion_1_intermediate_term_on_the_chain_example():
 
     def run():
         return slat.intermediate_term(
-            a_atoms, a_atoms + b_atoms, Const("a1"), Const("b2"), candidates
+            slat.Entailer(a_atoms), slat.Entailer(a_atoms + b_atoms),
+            Const("a1"), Const("b2"), candidates,
         )
 
     run()  # warm caches before timing

@@ -6,7 +6,7 @@ import random
 import pytest
 
 from conftest import onto_text, rand_slo_problem, read_data
-from slatkit import el, interp
+from slatkit import el, interp, locality
 from slatkit.interp import (
     NoSharedWitness,
     VerificationFailed,
@@ -22,6 +22,8 @@ from slatkit.terms import (
     Color,
     Const,
     Leq,
+    Meet,
+    format_atom,
     parse_atom,
     parse_term,
     term_constants,
@@ -308,9 +310,42 @@ def test_split_steps_match_fresh_entailers(monkeypatch):
     want = [_outcome(*p) for p in problems]
     orig = slat.intermediate_term
 
-    def fresh(a_atoms, ab_atoms, *args):
-        return orig(*(x.atoms if isinstance(x, slat.Entailer) else x
-                      for x in (a_atoms, ab_atoms)), *args)
+    def fresh(ent, ab, *args):
+        return orig(slat.Entailer(ent.atoms), slat.Entailer(ab.atoms), *args)
 
     monkeypatch.setattr(slat, "intermediate_term", fresh)
     assert [_outcome(*p) for p in problems] == want
+
+
+def _raw(t):
+    """t rebuilt with every meet written unsorted, nested and repeated."""
+    if isinstance(t, Const):
+        return Const(t.name)
+    if isinstance(t, App):
+        return App(t.fn, _raw(t.arg))
+    args = tuple(_raw(a) for a in reversed(t.args))
+    return Meet((Meet(args), args[0]))
+
+
+def _rebuilt(problem, atom_of):
+    a, b, goal, axioms = problem
+    return tuple(map(atom_of, a)), tuple(map(atom_of, b)), atom_of(goal), axioms
+
+
+def _engine_outcomes(a, b, goal, axioms):
+    try:
+        justification = locality.minimize_axioms(a, b, goal, axioms)
+    except NotEntailed as e:
+        justification = str(e)
+    return locality.entails(a, b, goal, axioms), _outcome(a, b, goal, axioms), justification
+
+
+def test_raw_meet_inputs_give_the_results_of_parsed_ones():
+    rng = random.Random(4242)
+    problems = [(atoms_of("a & a1 <= s & t", "a1 <= f(a & t)"), atoms_of("t & s <= b", "g(t) <= b"),
+                 parse_atom("a1 & a <= b & t"), slo_axioms())]
+    problems += [rand_slo_problem(rng) for _ in range(40)]
+    for problem in problems:
+        parsed = _rebuilt(problem, lambda x: parse_atom(format_atom(x)))
+        raw = _rebuilt(problem, lambda x: type(x)(_raw(x.lhs), _raw(x.rhs)))
+        assert _engine_outcomes(*raw) == _engine_outcomes(*parsed)

@@ -15,7 +15,7 @@ from slatkit.interp import interpolate, unfold
 from slatkit.kernel import Rejected
 from slatkit.locality import AxiomSet, Inclusion, NotEntailed
 from slatkit.slat import NoSharedWitness
-from slatkit.terms import Leq, Meet, expand_eqs, normalize, parse_atom, term_constants
+from slatkit.terms import Leq, Meet, expand_eqs, parse_atom, term_constants
 from test_saturate import ladder
 
 
@@ -89,9 +89,9 @@ CORPUS = corpus()
 
 
 def meaning(case: Case):
-    """A term as its normal form with names unfolded: independent of the kernel."""
+    """A term with names unfolded: independent of the kernel."""
     names, memo = dict(case.definitions), {}
-    return lambda t: normalize(unfold(t, names, memo))
+    return lambda t: unfold(t, names, memo)
 
 
 def renumbered(steps, drop):

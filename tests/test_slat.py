@@ -193,7 +193,7 @@ def test_brute_force_rejects_applications():
 def test_intermediate_term_two_sided_chain():
     a_side = atoms_of("a1 <= c1", "c2 <= a2", "a2 <= c3")
     b_side = atoms_of("c1 <= b1", "b1 <= c2", "c3 <= b2")
-    t = intermediate_term(a_side, a_side + b_side,
+    t = intermediate_term(Entailer(a_side), Entailer(a_side + b_side),
                           Const("a1"), Const("b2"),
                           [Const("c1"), Const("c2"), Const("c3")])
     assert t == Const("c1")
@@ -202,20 +202,20 @@ def test_intermediate_term_two_sided_chain():
 def test_intermediate_term_meets_all_entailed_candidates():
     a_side = atoms_of("a <= c1", "a <= c2")
     ab = a_side + atoms_of("c1 <= b", "c2 <= b")
-    t = intermediate_term(a_side, ab, Const("a"), Const("b"),
+    t = intermediate_term(Entailer(a_side), Entailer(ab), Const("a"), Const("b"),
                           [Const("c1"), Const("c2")])
     assert t == mk_meet([Const("c1"), Const("c2")])
 
 
 def test_intermediate_term_requires_entailed_premise():
     with pytest.raises(ValueError):
-        intermediate_term((), (), Const("a"), Const("b"), [Const("c")])
+        intermediate_term(Entailer(()), Entailer(()), Const("a"), Const("b"), [Const("c")])
 
 
 def test_intermediate_term_no_shared_witness():
     a_side = atoms_of("a <= b")
     with pytest.raises(NoSharedWitness):
-        intermediate_term(a_side, a_side, Const("a"), Const("b"), [Const("c")])
+        intermediate_term(Entailer(a_side), Entailer(a_side), Const("a"), Const("b"), [Const("c")])
 
 
 def test_intermediate_term_with_no_shared_term_below_the_rhs():
@@ -223,7 +223,7 @@ def test_intermediate_term_with_no_shared_term_below_the_rhs():
     a_side = atoms_of("a <= b")
     ab = a_side + atoms_of("b <= c")
     with pytest.raises(NoSharedWitness, match="no shared term lies between a and a"):
-        intermediate_term(a_side, ab, Const("a"), Const("a"), [Const("b")])
+        intermediate_term(Entailer(a_side), Entailer(ab), Const("a"), Const("a"), [Const("b")])
 
 
 def test_intermediate_term_claims_hold():
@@ -234,7 +234,7 @@ def test_intermediate_term_claims_hold():
         atoms, _ = rand_flat_problem(rng)
         a_side = atoms + atoms_of("a <= s")
         ab = a_side + atoms_of("s <= b")
-        t = intermediate_term(a_side, ab, Const("a"), Const("b"),
+        t = intermediate_term(Entailer(a_side), Entailer(ab), Const("a"), Const("b"),
                               [Const("s"), Const("c0"), Const("c1")])
         assert entails_atom(a_side, Leq(Const("a"), t))
         assert entails_atom(ab, Leq(t, Const("b")))

@@ -24,7 +24,6 @@ from slatkit.terms import (
     format_atom,
     format_term,
     mk_meet,
-    normalize,
     parse_atom,
     parse_term,
     subterms,
@@ -43,7 +42,8 @@ terms = st.recursive(
     ),
     max_leaves=8,
 )
-# also meets that are not in normal form: unsorted, nested, repeated
+# also meets built from arguments not in normal form: unsorted, nested,
+# repeated
 raw_terms = st.recursive(
     consts,
     lambda sub: st.one_of(
@@ -144,12 +144,36 @@ def test_copies_and_pickles_are_the_same_object(t):
     assert pickle.loads(pickle.dumps(t)) is t
 
 
-def test_raw_meet_is_not_its_normal_form():
+def test_meet_is_born_in_normal_form():
     a, b = Const("a"), Const("b")
-    raw = Meet((b, a))
-    assert raw is not mk_meet([a, b])
-    assert normalize(raw) is mk_meet([a, b])
-    assert repr(raw) == "Meet(args=(Const(name='b'), Const(name='a')))"
+    raw = Meet((b, a, b))
+    assert Meet((b, a)) is raw is mk_meet([a, b])
+    assert repr(Meet((b, a))) == "Meet(args=(Const(name='a'), Const(name='b')))"
+    for x in (copy.copy(raw), copy.deepcopy(raw), pickle.loads(pickle.dumps(raw))):
+        assert x is mk_meet([a, b])
+
+
+@given(raw_terms)
+def test_every_built_meet_is_normal(t):
+    todo = [t]
+    while todo:
+        x = todo.pop()
+        if isinstance(x, App):
+            todo.append(x.arg)
+        elif isinstance(x, Meet):
+            assert len(x.args) >= 2
+            assert not any(isinstance(a, Meet) for a in x.args)
+            assert list(x.args) == sorted(set(x.args), key=term_key)
+            assert mk_meet(x.args) is x
+            todo += x.args
+
+
+def test_singleton_and_empty_meets():
+    a = Const("a")
+    assert Meet((a,)) is a
+    assert Meet((a, a)) is a
+    with pytest.raises(ValueError):
+        Meet(())
 
 
 def test_deep_terms_hash_and_key_without_recursion():
@@ -193,15 +217,16 @@ def test_mk_meet_idempotent(args):
     assert mk_meet(args + args) == mk_meet(args)
 
 
-@given(terms)
+@given(raw_terms)
 def test_normalize_fixpoint(t):
-    n = normalize(t)
-    assert normalize(n) == n
+    # rebuilding a term through the constructors gives it back
+    n = rebuilt(t)
+    assert rebuilt(n) == n
 
 
 def test_normalize_reaches_inside_applications():
     raw = App("f", Meet((Const("b"), Meet((Const("a"), Const("b"))))))
-    assert normalize(raw) == App("f", Meet((Const("a"), Const("b"))))
+    assert raw == App("f", Meet((Const("a"), Const("b"))))
 
 
 def test_term_key_orders_kinds():
