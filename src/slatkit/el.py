@@ -130,10 +130,10 @@ class _ConceptParser(_TermParser):
         self.roles = roles
 
     def ident(self, what: str) -> str:
-        col = self.col()
-        if self.peek() is None:
-            raise ParseError("unexpected end of line", self.line, col)
-        tok = self.take()
+        if self.i == len(self.toks):
+            raise ParseError("unexpected end of line", self.line, self.col())
+        tok, col = self.toks[self.i]
+        self.i += 1
         if tok in _PUNCT:
             raise ParseError(f"expected {what}, got {tok!r}", self.line, col)
         if tok in _RESERVED:
@@ -141,23 +141,22 @@ class _ConceptParser(_TermParser):
         return tok
 
     def factor(self) -> Concept:
-        tok = self.peek()
+        i = self.i
+        tok = self.toks[i][0] if i < len(self.toks) else None
         if tok == "(":
             return super().factor()
         if tok == "ex":
             self.enter()
-            col = self.col()
             role = self.ident("a role")
             if role not in self.roles:
-                raise ParseError(f"undeclared role {role}", self.line, col)
+                raise ParseError(f"undeclared role {role}", self.line, self.toks[i + 1][1])
             self.expect(".")
             c = App(role, self.factor())
             self.depth -= 1
             return c
-        col = self.col()
         name = self.ident("a concept name")
         if name in self.roles:
-            raise ParseError(f"{name} used as both role and concept name", self.line, col)
+            raise ParseError(f"{name} used as both role and concept name", self.line, self.toks[i][1])
         return Const(name)
 
 
@@ -188,9 +187,10 @@ def parse_cbox(text: str) -> ELProblem:
             p.expect("<=")
             names.append(p.ident("a role"))
             p.done()
-            for r in names:
+            for k, r in enumerate(names):
                 if r not in roles:
-                    raise ParseError(f"undeclared role {r}", lineno, col0)
+                    # the roles are tokens 1, 3 and 5 of `ri r [o s] <= t`
+                    raise ParseError(f"undeclared role {r}", lineno, toks[2 * k + 1][1])
             label = f"R{len(ris) + 1}"
             if len(names) == 2:
                 ris.append(RoleIncl(names[0], names[1], label))

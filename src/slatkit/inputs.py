@@ -109,6 +109,14 @@ def _idents(toks, lineno: int, what: str) -> list[str]:
     return out
 
 
+def _first(toks, offends, message: str, lineno: int) -> ParseError:
+    """The error at the first name token for which offends(token, next token)."""
+    for (tok, col), (nxt, _) in zip(toks, [*toks[1:], (None, 0)]):
+        if tok not in _PUNCT and offends(tok, nxt):
+            return ParseError(message.format(tok), lineno, col)
+    raise AssertionError("no offending token")
+
+
 def _axiom_line(toks, lineno: int):
     """Parse the tail of an `axiom` line into an Inclusion or Composition."""
     names = _idents(toks, lineno, "a function name")
@@ -133,24 +141,26 @@ def parse_slp(text: str) -> SlpProblem:
     pos = {"A": [], "B": []}
     neg = {"A": [], "B": []}
     goal: Leq | None = None
-    sigma: list[str] | None = None
+    sigma: list[tuple[str, int]] | None = None
     target: str | None = None
+    declared: set[str] = set()
     used_consts: set[str] = set()
     sigma_line = target_line = 0
 
-    def check_atom(atom: Atom, lineno: int, toks) -> None:
-        for f in atom_functions(atom):
-            if f not in functions:
-                raise ParseError(f"undeclared function {f}", lineno, 1)
-        for c in atom_constants(atom):
-            if c in _SLP_RESERVED:
-                raise ParseError(f"reserved word {c!r} used as a constant", lineno, 1)
-            used_consts.add(c)
+    def check_atom(atom: Atom, lineno: int, toks, start: int) -> None:
+        """Name the first offending token in line order, at its column."""
+        consts = atom_constants(atom)
+        if not atom_functions(atom) <= declared:
+            raise _first(toks[start:], lambda tok, nxt: nxt == "(" and tok not in declared,
+                         "undeclared function {}", lineno)
+        if consts & _SLP_RESERVED:
+            raise _first(toks[start:], lambda tok, nxt: nxt != "(" and tok in _SLP_RESERVED,
+                         "reserved word {!r} used as a constant", lineno)
+        used_consts.update(consts)
         # a declared function with no argument after it is used as a constant
-        after = [tok for tok, _ in toks[1:]] + [None]
-        for (tok, col), nxt in zip(toks, after):
-            if tok in functions and nxt != "(":
-                raise ParseError(f"used as both constant and function: {tok}", lineno, col)
+        if consts & declared:
+            raise _first(toks[start:], lambda tok, nxt: nxt != "(" and tok in declared,
+                         "used as both constant and function: {}", lineno)
 
     for side, lineno, toks in _problem_lines(
         text, _SLP_DECLARATIONS, "literals", ("sigma", "target")
@@ -163,6 +173,7 @@ def parse_slp(text: str) -> SlpProblem:
                 if name in functions:
                     raise ParseError(f"function {name} declared twice", lineno, col0)
                 functions.append(name)
+                declared.add(name)
             if len(toks) == 1:
                 raise ParseError("empty functions declaration", lineno, col0)
         elif head == "axiom":
@@ -171,8 +182,8 @@ def parse_slp(text: str) -> SlpProblem:
         elif head == "sigma":
             if sigma is not None:
                 raise ParseError("sigma given twice", lineno, col0)
-            sigma, sigma_line = _idents(toks[1:], lineno, "a symbol"), lineno
-            if not sigma:
+            sigma, sigma_line = toks[1:], lineno
+            if not _idents(sigma, lineno, "a symbol"):
                 raise ParseError("empty sigma declaration", lineno, col0)
         elif head == "target":
             if target is not None:
@@ -185,15 +196,15 @@ def parse_slp(text: str) -> SlpProblem:
             atom = parse_atom_tokens(toks, lineno, 1)
             if not isinstance(atom, Leq):
                 raise ParseError("goal must be a <= atom", lineno, col0)
-            check_atom(atom, lineno, toks)
+            check_atom(atom, lineno, toks, 1)
             goal = atom
         else:
-            positive = head != "!"
-            atom = parse_atom_tokens(toks, lineno, 0 if positive else 1)
-            if not positive and isinstance(atom, Eq):
+            start = int(head == "!")
+            atom = parse_atom_tokens(toks, lineno, start)
+            if start and isinstance(atom, Eq):
                 raise ParseError("negated equality is not supported", lineno, col0)
-            check_atom(atom, lineno, toks)
-            (pos if positive else neg)[side].append(atom)
+            check_atom(atom, lineno, toks, start)
+            (neg if start else pos)[side].append(atom)
     if goal is None and target is None:
         nl = len(text.splitlines()) + 1
         raise ParseError("missing goal line (or target for definability)", nl, 1)
@@ -204,9 +215,9 @@ def parse_slp(text: str) -> SlpProblem:
                 raise ParseError(f"axiom uses undeclared function {f}", lineno, col)
     axiom_set = AxiomSet(tuple(functions), tuple(axioms))
     if sigma is not None:
-        for s in sigma:
-            if s not in functions and s not in used_consts:
-                raise ParseError(f"sigma symbol {s} occurs nowhere", sigma_line, 1)
+        for s, col in sigma:
+            if s not in declared and s not in used_consts:
+                raise ParseError(f"sigma symbol {s} occurs nowhere", sigma_line, col)
     if target is not None and target not in used_consts:
         raise ParseError(f"target {target} occurs in no atom", target_line, 1)
     return SlpProblem(
@@ -217,7 +228,7 @@ def parse_slp(text: str) -> SlpProblem:
         b_pos=tuple(pos["B"]),
         b_neg=tuple(neg["B"]),
         goal=goal,
-        sigma=tuple(sigma) if sigma is not None else None,
+        sigma=tuple(s for s, _ in sigma) if sigma is not None else None,
         target=target,
     )
 
@@ -305,12 +316,12 @@ def parse_model(text: str) -> ModelSpec:
                 compositions.append((ax.f, ax.g, ax.h))
         elif head == "atom":
             atom = parse_atom_tokens(toks, lineno, 1)
-            for f in atom_functions(atom):
-                if f not in funcs:
-                    raise ParseError(f"uninterpreted function {f}", lineno, col0)
-            for c in atom_constants(atom):
-                if c not in consts:
-                    raise ParseError(f"unbound constant {c}", lineno, col0)
+            if not atom_functions(atom) <= funcs.keys():
+                raise _first(toks[1:], lambda tok, nxt: nxt == "(" and tok not in funcs,
+                             "uninterpreted function {}", lineno)
+            if not atom_constants(atom) <= consts.keys():
+                raise _first(toks[1:], lambda tok, nxt: nxt != "(" and tok not in consts,
+                             "unbound constant {}", lineno)
             atoms.append(atom)
         else:
             raise ParseError(f"unknown directive {head!r}", lineno, col0)

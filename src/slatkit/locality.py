@@ -496,34 +496,10 @@ def decide(problem: PurifiedProblem) -> tuple[bool, Trace]:
     return trace.result, trace
 
 
-def entails(a_atoms, b_atoms, goal: Leq, axioms: AxiomSet, *, neg_a=(), neg_b=(),
-            support: dict[str, set[int]] | None = None) -> bool:
-    """Ground entailment in the extended theory.
-
-    When the goal is entailed and support is a dict, it is filled with
-    the positions, per argument ("a", "b", "na", "nb", "ax"), of the
-    inputs one proof uses: those alone entail the goal.
-    """
+def entails(a_atoms, b_atoms, goal: Leq, axioms: AxiomSet, *, neg_a=(), neg_b=()) -> bool:
+    """Ground entailment in the extended theory."""
     problem = prepare_problem(a_atoms, b_atoms, goal, axioms, neg_a=neg_a, neg_b=neg_b)
-    result, trace = decide(problem)
-    if result and support is not None:
-        support.update(proof_support(problem, trace, a_atoms, b_atoms))
-    return result
-
-
-def proof_support(problem: PurifiedProblem, trace: Trace, a_atoms, b_atoms) -> dict[str, set[int]]:
-    """Input positions one proof found by a successful saturate() uses.
-
-    The positions, per argument ("a", "b", "na", "nb", "ax"), are the
-    leaves of the trace's proof (ProofBuilder): the inputs its input
-    steps stand for (an = input for two atoms), the negative literal
-    found contradicted, and for each incl or comp step every axiom with
-    its schema and functions. Binder atoms are definitions and mon needs
-    no axiom. The trace must come from decide(), whose fire adds just
-    each conclusion; else ValueError.
-    """
-    proofs = ProofBuilder(problem, trace.entailer, trace.fired, input_owners(problem, a_atoms, b_atoms))
-    return proofs.support(proofs.conclude(trace))
+    return decide(problem)[0]
 
 
 def input_owners(problem: PurifiedProblem, a_atoms, b_atoms) -> list[tuple[str, int] | None]:

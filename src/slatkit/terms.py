@@ -279,37 +279,39 @@ def color_problem(a_atoms, b_atoms, goal: Atom | None = None) -> dict[str, Color
 # ---------------------------------------------------------------------------
 # concrete syntax
 
-# reserved: whitespace and  & ( ) . <= = ! ,   ('<' only occurs inside '<=')
-_TOKEN_RE = re.compile(r"<=|[&().=!,<]|[^\s&().=!,<]+|\s+")
+# reserved: whitespace and  & ( ) . <= = ! ,   ('<' only occurs inside '<=');
+# each match is the whitespace before a token and the token
+_TOKEN_RE = re.compile(r"(\s*)(<=|[&().=!,<]|[^\s&().=!,<]+)")
 
 _PUNCT = {"&", "(", ")", ".", "<=", "=", "!", ",", "<"}
 
-# deepest bracket (or EL 'ex') nesting the parsers accept; hashes and keys
-# are cached, but locality's _Purifier.pure, _subterms and the comparison
-# of deep term_key tuples in sorted (in C) recurse per level
+# deepest bracket (or EL 'ex') nesting the parsers accept: they recurse
+# only up to this bound, and so do locality's _Purifier.pure, _subterms
+# and the comparison of deep term_key tuples in sorted (in C)
 MAX_NESTING = 100
 
 
 def tokenize(text: str, line: int = 1) -> list[tuple[str, int]]:
-    """Split into (token, column) pairs. '<' outside '<=' is rejected."""
+    """Split into (token, column) pairs. '<' outside '<=' is rejected.
+
+    Every character is whitespace, punctuation or part of a name, so the
+    matches cover the text up to trailing whitespace.
+    """
     toks: list[tuple[str, int]] = []
-    pos = 0
-    for m in _TOKEN_RE.finditer(text):
-        if m.start() != pos:
-            raise ParseError(f"bad character {text[pos]!r}", line, pos + 1)
-        pos = m.end()
-        tok = m.group()
-        if tok.isspace():
-            continue
+    col = 1
+    for space, tok in _TOKEN_RE.findall(text):
+        col += len(space)
         if tok == "<":
-            raise ParseError("stray '<' (did you mean '<=')", line, m.start() + 1)
-        toks.append((tok, m.start() + 1))
-    if pos != len(text):
-        raise ParseError(f"bad character {text[pos]!r}", line, pos + 1)
+            raise ParseError("stray '<' (did you mean '<=')", line, col)
+        toks.append((tok, col))
+        col += len(tok)
     return toks
 
 
 class _TermParser:
+    """Recursive descent over (token, column) pairs; the per-token paths
+    index self.toks directly."""
+
     def __init__(self, toks: list[tuple[str, int]], line: int):
         self.toks = toks
         self.line = line
@@ -338,40 +340,42 @@ class _TermParser:
         self.i += 1
 
     def enter(self) -> None:
-        """Take the token opening one more nesting level."""
+        """Step over the token opening one more nesting level."""
         if self.depth == MAX_NESTING:
             raise ParseError(f"nesting deeper than {MAX_NESTING} levels", self.line, self.col())
         self.depth += 1
-        self.take()
+        self.i += 1
 
     def term(self) -> Term:
         args = [self.factor()]
-        while self.peek() == "&":
-            self.take()
+        toks = self.toks
+        while self.i < len(toks) and toks[self.i][0] == "&":
+            self.i += 1
             args.append(self.factor())
         # a lone factor is already in normal form
         return args[0] if len(args) == 1 else mk_meet(args)
 
     def factor(self) -> Term:
-        tok = self.peek()
+        toks, i = self.toks, self.i
+        if i == len(toks):
+            raise ParseError("expected a term, got end of line", self.line, self.col())
+        tok = toks[i][0]
         if tok == "(":
             self.enter()
             t = self.term()
             self.expect(")")
             self.depth -= 1
             return t
-        if tok is None:
-            raise ParseError("expected a term, got end of line", self.line, self.col())
         if tok in _PUNCT:
-            raise ParseError(f"expected a term, got {tok!r}", self.line, self.col())
-        name = self.take()
-        if self.peek() == "(":
+            raise ParseError(f"expected a term, got {tok!r}", self.line, toks[i][1])
+        self.i = i = i + 1
+        if i < len(toks) and toks[i][0] == "(":
             self.enter()
             arg = self.term()
             self.expect(")")
             self.depth -= 1
-            return App(name, arg)
-        return Const(name)
+            return App(tok, arg)
+        return Const(tok)
 
     def atom(self) -> Atom:
         lhs = self.term()
@@ -379,7 +383,7 @@ class _TermParser:
         if op not in ("<=", "="):
             got = "end of line" if op is None else repr(op)
             raise ParseError(f"expected '<=' or '=', got {got}", self.line, self.col())
-        self.take()
+        self.i += 1
         rhs = self.term()
         return Leq(lhs, rhs) if op == "<=" else Eq(lhs, rhs)
 

@@ -3,6 +3,7 @@
 import random
 from pathlib import Path
 
+from slatkit import locality
 from slatkit.locality import AxiomSet, Composition, Inclusion
 from slatkit.terms import App, Const, Eq, Leq, mk_meet
 
@@ -29,6 +30,30 @@ def pytest_terminal_summary(terminalreporter):
 
 def read_data(name: str) -> str:
     return (DATA / name).read_text(encoding="utf-8")
+
+
+def proof_support(problem, trace, a_atoms, b_atoms) -> dict[str, set[int]]:
+    """Input positions one proof found by a successful saturate() uses.
+
+    The positions, per argument ("a", "b", "na", "nb", "ax"), are the
+    leaves of the trace's proof (locality.ProofBuilder): the inputs its
+    input steps stand for (an = input for two atoms), the negative
+    literal found contradicted, and for each incl or comp step every
+    axiom with its schema and functions. Binder atoms are definitions and
+    mon needs no axiom. The trace must come from decide(), whose fire
+    adds just each conclusion; else ValueError.
+    """
+    owners = locality.input_owners(problem, a_atoms, b_atoms)
+    proofs = locality.ProofBuilder(problem, trace.entailer, trace.fired, owners)
+    return proofs.support(proofs.conclude(trace))
+
+
+def entails_with_support(a_atoms, b_atoms, goal, axioms, *, neg_a=(), neg_b=()):
+    """The verdict of locality.entails, and the proof_support of the
+    decision when it is entailed ({} when not)."""
+    problem = locality.prepare_problem(a_atoms, b_atoms, goal, axioms, neg_a=neg_a, neg_b=neg_b)
+    result, trace = locality.decide(problem)
+    return result, proof_support(problem, trace, a_atoms, b_atoms) if result else {}
 
 
 def rand_flat_term(rng: random.Random, consts, max_width: int = 3):

@@ -148,6 +148,18 @@ def test_parse_error_position():
     assert (e.value.line, e.value.column) == (3, 9)
 
 
+@pytest.mark.parametrize("text,role,column", [
+    ("roles r\nri r o s <= r\ngoal X <= X", "s", 8),
+    ("roles r\nri r o r <= t\ngoal X <= X", "t", 13),
+    ("roles r s\nri q o u <= s\ngoal X <= X", "q", 4),
+])
+def test_ri_undeclared_role_position(text, role, column):
+    # the first undeclared role in line order, at its own column
+    with pytest.raises(ParseError) as e:
+        parse_cbox(text)
+    assert (e.value.message, e.value.line, e.value.column) == (f"undeclared role {role}", 2, column)
+
+
 def test_role_concept_namespace_collision():
     with pytest.raises(ValueError):
         parse_cbox("roles r\nside A\nr <= X\ngoal X <= X")

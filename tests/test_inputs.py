@@ -1,5 +1,9 @@
 """The .slp and .model file formats."""
 
+import os
+import subprocess
+import sys
+
 import pytest
 
 from conftest import read_data
@@ -88,6 +92,59 @@ def test_parse_slp_signature_error_positions(text, message, line, column):
     with pytest.raises(ParseError) as e:
         parse_slp(text)
     assert (e.value.message, e.value.line, e.value.column) == (message, line, column)
+
+
+# semantic errors name the first offending token in line order, at its
+# own column, whatever the hash seed (the symbol sets of an atom are
+# frozensets, whose order follows PYTHONHASHSEED)
+SEMANTIC_ERRORS = [
+    (parse_slp, "functions f\nside A\na <= g(b) & h(c) & k(d)\ngoal a <= b",
+     "undeclared function g", 3, 6),
+    (parse_slp, "functions f\ngoal a <= k(b) & h(c) & g(d)", "undeclared function k", 2, 11),
+    (parse_slp, "side A\na <= goal & sigma & target\ngoal a <= b",
+     "reserved word 'goal' used as a constant", 2, 6),
+    (parse_slp, "side A\n! target <= side\ngoal a <= b",
+     "reserved word 'target' used as a constant", 2, 3),
+    (parse_slp, "functions f g\nside B\ng(a) & f <= g\ngoal a <= b",
+     "used as both constant and function: f", 3, 8),
+    (parse_slp, "functions f\nsigma b q r\nside A\na <= b\ngoal a <= b",
+     "sigma symbol q occurs nowhere", 2, 9),
+    (parse_model, "carrier x\nmeet x x\nconst c = x\natom p <= q & r & s",
+     "unbound constant p", 4, 6),
+    (parse_model, "carrier x\nmeet x x\nfun f x\nconst c = x\natom f(c) <= k(h(c)) & g(c)",
+     "uninterpreted function k", 5, 14),
+    (parse_cbox, "roles r\nri r o s <= r\ngoal X <= X", "undeclared role s", 2, 8),
+    (parse_cbox, "roles r\nri t <= s\ngoal X <= X", "undeclared role t", 2, 4),
+]
+
+
+@pytest.mark.parametrize("parse,text,message,line,column", SEMANTIC_ERRORS)
+def test_semantic_errors_name_the_first_offending_token(parse, text, message, line, column):
+    with pytest.raises(ParseError) as e:
+        parse(text)
+    assert (e.value.message, e.value.line, e.value.column) == (message, line, column)
+
+
+def test_semantic_errors_do_not_depend_on_the_hash_seed():
+    script = (
+        "import sys\n"
+        "from slatkit.el import parse_cbox\n"
+        "from slatkit.inputs import parse_model, parse_slp\n"
+        "from slatkit.terms import ParseError\n"
+        "for name, text in zip(sys.argv[1::2], sys.argv[2::2]):\n"
+        "    try:\n"
+        "        {'parse_slp': parse_slp, 'parse_model': parse_model, 'parse_cbox': parse_cbox}[name](text)\n"
+        "    except ParseError as e:\n"
+        "        print(e)\n"
+    )
+    args = [x for parse, text, *_ in SEMANTIC_ERRORS for x in (parse.__name__, text)]
+    want = "".join(f"{line}:{column}: {message}\n" for _, _, message, line, column in SEMANTIC_ERRORS)
+    src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+    for seed in range(5):
+        env = {**os.environ, "PYTHONHASHSEED": str(seed), "PYTHONPATH": src}
+        out = subprocess.run([sys.executable, "-c", script, *args], env=env,
+                             capture_output=True, text=True, check=True).stdout
+        assert out == want, f"PYTHONHASHSEED={seed}"
 
 
 def test_parse_slp_axiom_may_precede_its_functions():

@@ -14,7 +14,7 @@ import random
 
 import pytest
 
-from conftest import onto_text, rand_slo_problem, rand_term, read_data
+from conftest import entails_with_support, onto_text, rand_slo_problem, rand_term, read_data
 from slatkit import el, locality, slat
 from slatkit.locality import (
     AxiomSet,
@@ -296,8 +296,8 @@ def test_support_alone_entails_the_goal():
             a, b, goal, axioms = with_equations(rng)
         else:
             a, b, goal, axioms, neg_a, neg_b = with_negatives(rng)
-        support = {}
-        if not entails(a, b, goal, axioms, neg_a=neg_a, neg_b=neg_b, support=support):
+        ok, support = entails_with_support(a, b, goal, axioms, neg_a=neg_a, neg_b=neg_b)
+        if not ok:
             assert support == {}
             continue
         sa, sb, sax, sna, snb = _subset(support, a, b, axioms, neg_a, neg_b)
@@ -314,16 +314,16 @@ def test_support_of_a_fired_premise_is_well_founded():
     a = (parse_atom("c <= e"), parse_atom("c <= f(c)"))
     b = (parse_atom("e <= d"), parse_atom("f(d) <= d"))
     goal, axioms = parse_atom("f(c) <= d"), AxiomSet(("f",))
-    support = {}
-    assert entails(a, b, goal, axioms, support=support)
+    ok, support = entails_with_support(a, b, goal, axioms)
+    assert ok
     assert support == {"a": {0}, "b": {0, 1}, "na": set(), "nb": set(), "ax": set()}
     assert minimize_axioms(a, b, goal, axioms) == Justification((0,), (0, 1), (), (), ())
 
 
 def test_support_of_a_ladder_is_every_premise():
     a, b, goal, axioms = ladder(6)
-    support = {}
-    assert entails(a, b, goal, axioms, support=support)
+    ok, support = entails_with_support(a, b, goal, axioms)
+    assert ok
     assert support == {"a": set(range(len(a))), "b": set(range(len(b))),
                        "na": set(), "nb": set(), "ax": set()}
 
@@ -331,8 +331,8 @@ def test_support_of_a_ladder_is_every_premise():
 def test_support_skips_distractors():
     text = onto_text(random.Random(5), 6, 12, dup=0)
     t = el.translate(el.parse_cbox(text))
-    support = {}
-    assert entails(t.a_atoms, t.b_atoms, t.goal, t.axioms, support=support)
+    ok, support = entails_with_support(t.a_atoms, t.b_atoms, t.goal, t.axioms)
+    assert ok
     used = [*(t.a_atoms[i] for i in support["a"] - set(t.pinned_a)),
             *(t.b_atoms[i] for i in support["b"] - set(t.pinned_b))]
     assert len(used) == 6

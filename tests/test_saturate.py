@@ -13,7 +13,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import onto_text, rand_flat_atom, rand_slo_problem, rand_term, read_data
+from conftest import (
+    entails_with_support,
+    onto_text,
+    proof_support,
+    rand_flat_atom,
+    rand_slo_problem,
+    rand_term,
+    read_data,
+)
 from slatkit import el, locality, slat
 from slatkit.locality import AxiomSet, Composition, Trace, decide, instantiate, prepare_problem
 from slatkit.terms import App, Const, Leq, parse_atom
@@ -131,8 +139,8 @@ def test_entails_with_support_encodes_once(monkeypatch):
         return encode(*args, **kwargs)
 
     monkeypatch.setattr(slat, "encode", counted)
-    support = {}
-    assert locality.entails(*ladder(20), support=support)
+    ok, support = entails_with_support(*ladder(20))
+    assert ok
     assert support["a"] and support["b"]
     assert len(calls) == 1
 
@@ -144,9 +152,9 @@ def test_proof_support_rejects_a_trace_of_another_fire():
     trace = locality.saturate(problem, lambda clause, ent: (clause.conclusion, clause.conclusion))
     assert trace.result
     with pytest.raises(ValueError):
-        locality.proof_support(problem, trace, a_atoms, b_atoms)
+        proof_support(problem, trace, a_atoms, b_atoms)
     trace = locality.saturate(problem)
-    assert locality.proof_support(problem, trace, a_atoms, b_atoms)["a"]
+    assert proof_support(problem, trace, a_atoms, b_atoms)["a"]
 
 
 def test_role_chains_with_distractors_match_the_pass_loop():
