@@ -38,7 +38,6 @@ from .locality import (
 from .slat import (
     FiniteModel,
     NoSharedWitness,
-    brute_force_entails,
     check_finite_model,
     entails_atom,
     intermediate_term,
@@ -66,7 +65,7 @@ __all__ = [
     "ELProblem", "Eq", "Exists", "Failure", "FiniteModel", "GCI",
     "Inclusion", "InterpolationResult", "Leq", "Meet", "Name",
     "NoSharedWitness", "NotEntailed", "ParseError", "RoleComp", "RoleIncl",
-    "Term", "VerificationFailed", "brute_force_entails", "check_finite_model",
+    "Term", "VerificationFailed", "check_finite_model",
     "decide", "el_interpolate", "el_subsumes", "entails", "entails_atom",
     "enumerate_terms", "explicit_definition", "format_atom", "format_concept",
     "format_term", "interpolate", "intermediate_term", "is_implicitly_defined",

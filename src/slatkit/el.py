@@ -94,14 +94,26 @@ class CBox:
         if len(self.roles) != len(declared):
             raise ValueError("role declared twice")
         for gci in self.gcis:
-            for r in term_functions(gci.lhs) | term_functions(gci.rhs):
-                if r not in declared:
-                    raise ValueError(f"undeclared role {r}")
+            if not term_functions(gci.lhs) | term_functions(gci.rhs) <= declared:
+                # the first in term order: a frozenset's order follows the hash seed
+                raise ValueError(f"undeclared role {next(r for r in _roles(gci) if r not in declared)}")
         for ri in self.ris:
             names = (ri.sub, ri.sup) if isinstance(ri, RoleIncl) else (ri.first, ri.second, ri.sup)
             for r in names:
                 if r not in declared:
                     raise ValueError(f"undeclared role {r}")
+
+
+def _roles(gci: GCI):
+    """The roles of a GCI in term order: lhs then rhs, depth first, left to right."""
+    stack = [gci.rhs, gci.lhs]
+    while stack:
+        t = stack.pop()
+        if isinstance(t, App):
+            yield t.fn
+            stack.append(t.arg)
+        elif isinstance(t, Meet):
+            stack += reversed(t.args)
 
 
 @dataclass(frozen=True)

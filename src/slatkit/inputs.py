@@ -145,7 +145,7 @@ def parse_slp(text: str) -> SlpProblem:
     target: str | None = None
     declared: set[str] = set()
     used_consts: set[str] = set()
-    sigma_line = target_line = 0
+    sigma_line = target_line = target_col = 0
 
     def check_atom(atom: Atom, lineno: int, toks, start: int) -> None:
         """Name the first offending token in line order, at its column."""
@@ -191,7 +191,7 @@ def parse_slp(text: str) -> SlpProblem:
             names = _idents(toks[1:], lineno, "a constant")
             if len(names) != 1:
                 raise ParseError("target takes one constant", lineno, col0)
-            target, target_line = names[0], lineno
+            target, target_line, target_col = names[0], lineno, toks[1][1]
         elif head == "goal":
             atom = parse_atom_tokens(toks, lineno, 1)
             if not isinstance(atom, Leq):
@@ -219,7 +219,7 @@ def parse_slp(text: str) -> SlpProblem:
             if s not in declared and s not in used_consts:
                 raise ParseError(f"sigma symbol {s} occurs nowhere", sigma_line, col)
     if target is not None and target not in used_consts:
-        raise ParseError(f"target {target} occurs in no atom", target_line, 1)
+        raise ParseError(f"target {target} occurs in no atom", target_line, target_col)
     return SlpProblem(
         functions=tuple(functions),
         axioms=axiom_set,
@@ -274,8 +274,8 @@ def parse_model(text: str) -> ModelSpec:
             if row in meet_rows:
                 raise ParseError(f"meet row for {row} given twice", lineno, col0)
             meet_rows.add(row)
-            for y, v in zip(carrier, names[1:]):
-                meet[(row, y)] = element(v, lineno, col0)
+            for y, (v, col) in zip(carrier, toks[2:]):
+                meet[(row, y)] = element(v, lineno, col)
         elif head == "fun":
             names = _idents(toks[1:], lineno, "an element")
             if len(names) != len(carrier) + 1:
@@ -287,9 +287,7 @@ def parse_model(text: str) -> ModelSpec:
                 raise ParseError(f"reserved word {f!r}", lineno, col0)
             if f in funcs:
                 raise ParseError(f"function {f} given twice", lineno, col0)
-            funcs[f] = {
-                x: element(v, lineno, col0) for x, v in zip(carrier, names[1:])
-            }
+            funcs[f] = {x: element(v, lineno, col) for x, (v, col) in zip(carrier, toks[2:])}
         elif head == "const":
             if (
                 len(toks) != 4
@@ -306,10 +304,9 @@ def parse_model(text: str) -> ModelSpec:
             consts[c] = element(toks[3][0], lineno, toks[3][1])
         elif head == "axiom":
             ax = _axiom_line(toks[1:], lineno)
-            names = (ax.f, ax.g) if isinstance(ax, Inclusion) else (ax.f, ax.g, ax.h)
-            for f in names:
+            for f, col in toks[2:]:
                 if f not in funcs:
-                    raise ParseError(f"uninterpreted function {f}", lineno, col0)
+                    raise ParseError(f"uninterpreted function {f}", lineno, col)
             if isinstance(ax, Inclusion):
                 inclusions.append((ax.f, ax.g))
             else:

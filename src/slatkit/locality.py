@@ -9,7 +9,7 @@ forward chaining loop that decides entailment live here.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 from . import slat
 from .kernel import Kernel, Rejected
@@ -419,8 +419,8 @@ class Trace:
     entailer: slat.Entailer | None = field(default=None, compare=False, repr=False)
 
 
-def saturate(problem: PurifiedProblem, fire=lambda clause, ent: (clause.conclusion,),
-             encoding: slat.PropHornProblem | None = None, *, to_fixpoint: bool = False) -> Trace:
+def saturate(problem: PurifiedProblem, fire=lambda clause, ent: (clause.conclusion,), *,
+             to_fixpoint: bool = False) -> Trace:
     """Forward chaining over the instances, in breadth-first passes.
 
     Each pass checks the goal and then the negative literals, and fires,
@@ -437,16 +437,12 @@ def saturate(problem: PurifiedProblem, fire=lambda clause, ent: (clause.conclusi
     premise and fire in pass 1. Names made while chaining (interpolation
     splits) are not in problem.flat and add no instances. The result is
     true when the goal is entailed or a negative literal is
-    contradicted, false at the fixpoint.
-    encoding, when given, is the Entailer's encoding of a0 then b0
-    (slat.Entailer), used instead of encoding them again. With
-    to_fixpoint nothing is checked: the run fires every instance whose
-    premise becomes derivable, its result is False, and the caller asks
-    its Entailer.
+    contradicted, false at the fixpoint. With to_fixpoint nothing is
+    checked: the run fires every instance whose premise becomes
+    derivable, its result is False, and the caller asks its Entailer.
     """
     checked = (problem.goal, *problem.neg_a, *problem.neg_b)
-    ent = slat.Entailer([*problem.a0, *problem.b0], [t for a in checked for t in (a.lhs, a.rhs)],
-                        encoding=encoding)
+    ent = slat.Entailer([*problem.a0, *problem.b0], [t for a in checked for t in (a.lhs, a.rhs)])
     space = InstanceSpace(problem.axioms, problem.flat, problem.defs)
     trace = Trace(entailer=ent)
     seeds: dict[int, dict[tuple, list[int]]] | None = None
@@ -536,22 +532,29 @@ class ProofBuilder:
     ent is the run's Entailer. Its atoms are a0 then b0, whose owners
     (input_owners) are given, then one atom per clause of clauses: the
     conclusion of a fired instance or of a split piece, in order. A pair
-    (s, v) of the closure of s is the step its recorded reason gives: refl
-    for s itself, trans through the atoms of a chain of atom clauses (the
+    (s, v) of the closure of s is the step its reason gives: refl for s
+    itself, trans through the atoms of a chain of atom clauses (the
     atom's own step for a chain of one from s), a meet rule for a meet
     clause. An atom is an input step, a refl step when it is a binder atom
     (its name expands to its term), or its clause's instance over the
     steps of its premises.
-    A cached closure grows only through add(), so a reason names only
-    atoms added before its pair became derivable, and the walk, an
-    iterative depth-first search, ends; every pair and atom becomes one
-    step, however many proofs use it.
+    reason(s, v) is the clause that made v true in the closure of s (None
+    for s itself, -1 for a pair not true): by default the run's cached
+    reasons, else a derivation's over the same atoms
+    (slat.SelectorProgram.reasons). Either names only atoms true before
+    its pair, so the walk, an iterative depth-first search, ends; every
+    pair and atom becomes one step, however many proofs use it.
+    kept(kind, i) says which inputs a proof may rest on: premise numbers
+    count the atoms of kept inputs only, and an incl or comp step rests
+    on the kept axioms of its schema.
     """
 
-    def __init__(self, problem: PurifiedProblem, ent: slat.Entailer, clauses, owner):
+    def __init__(self, problem: PurifiedProblem, ent: slat.Entailer, clauses, owner,
+                 reason=None, kept=lambda kind, i: True):
         if len(ent.atoms) != len(owner) + len(clauses):
             raise ValueError("a proof needs a run that added one atom per clause")
         self.problem, self.ent, self.clauses, self.owner = problem, ent, clauses, owner
+        self.reason, self.kept = reason or (lambda s, v: ent.reasons(s).get(v, -1)), kept
         self.steps: list[tuple] = []
         self.leaf: dict[int, tuple] = {}
         self.made: dict[tuple[int, int], int] = {}
@@ -587,7 +590,7 @@ class ProofBuilder:
         """
         used, terms = self._used(root), self.ent.problem.terms
         new = {k: i for i, k in enumerate(used)}
-        premise = {v: k for k, v in enumerate(v for v, o in enumerate(self.owner) if o is not None)}
+        premise = {v: k for k, v in enumerate(v for v, o in enumerate(self.owner) if o and self.kept(*o))}
         return [(rule, atom if isinstance(atom, Leq) else Leq(terms[atom[0]], terms[atom[1]]),
                  tuple(new[p] for p in premises), (premise[detail[0]],) if rule == "input" else detail)
                 for rule, atom, premises, detail in map(self.steps.__getitem__, used)]
@@ -598,7 +601,8 @@ class ProofBuilder:
         for k in self._used(root):
             kind, what = self.leaf.get(k, (None, None))
             if kind == "ax":
-                support["ax"] |= {i for i, ax in enumerate(self.problem.axioms.axioms) if axiom_key(ax) == what}
+                support["ax"] |= {i for i, ax in enumerate(self.problem.axioms.axioms)
+                                  if axiom_key(ax) == what and self.kept("ax", i)}
             elif kind is not None:
                 support[kind].add(what)
         return support
@@ -644,8 +648,8 @@ class ProofBuilder:
             leaf = None if prov[0] == "mon" else ("ax", instance_axiom(clause))
             deps = tuple((index[p.lhs], index[p.rhs]) for p in clause.premises)
             return prov[0], clause.conclusion, deps, prov[1:], leaf
-        reasons, terms = self.ent.reasons(s), problem.terms
-        cid = reasons.get(v, -1)
+        reason, terms = self.reason, problem.terms
+        cid = reason(s, v)
         if cid is None:
             return "refl", node, (), (), None
         if cid < 0:
@@ -655,9 +659,9 @@ class ProofBuilder:
         if origin >= 0:
             # follow the chain of atom clauses back to s or to a meet clause
             chain = [(-1, origin)]
-            while reasons[x] is not None and problem.origin[reasons[x]] >= 0:
-                chain.append((-1, problem.origin[reasons[x]]))
-                x = problem.clauses[reasons[x]][0][0]
+            while (r := reason(s, x)) is not None and problem.origin[r] >= 0:
+                chain.append((-1, problem.origin[r]))
+                x = problem.clauses[r][0][0]
             if x != s:
                 chain.append((s, x))
             return (None if len(chain) == 1 else "trans"), node, tuple(reversed(chain)), (), None
@@ -694,8 +698,7 @@ def minimize_axioms(a_atoms, b_atoms, goal: Leq, axioms: AxiomSet, *,
     minimal: dropping any kept member breaks the entailment. Pinned
     literal positions are never offered for deletion.
 
-    All inputs are purified, psi-closed and named once, and their terms
-    registered once in one meet-clause-only encoding. saturate() runs
+    All inputs are purified, psi-closed and named once. saturate() runs
     once over all inputs, to the fixpoint, and its Entailer becomes a
     slat.SelectorProgram: a selector node per input gates the atoms the
     input owns, and a node per fired instance, reached from its premise
@@ -711,36 +714,28 @@ def minimize_axioms(a_atoms, b_atoms, goal: Leq, axioms: AxiomSet, *,
     the axioms is closed under any subset of them, and binder atoms are
     conservative definitions of fresh names.
 
-    A successful decision also gives the support of one derivation: the
-    selectors its reasons reach. A candidate outside the current support
-    is dropped without a decision, since what is left still holds that
-    derivation; a candidate inside it is decided, and a successful drop
-    refreshes the support. Whichever derivation a decision finds, each
-    drop is one that deciding it would make, so the result is the one
-    deciding every candidate gives. The final kept set is saturated once
-    more, with the removed inputs masked out of the prepared problem;
-    the kernel checks that run's proof against the kept inputs, and the
-    proof must use no dropped input.
+    One propagation from every input to the program's fixpoint gives a
+    first derivation and the vital inputs, those without any one of
+    which the goal does not follow (SelectorProgram.vital). Dropping a
+    vital input breaks every subset, so a vital candidate is kept
+    without a decision; and when the vital and pinned inputs alone
+    entail the goal, they are the one minimal set holding them, so the
+    result. A successful decision also gives the support of one
+    derivation: the selectors its reasons reach. A candidate outside the
+    current support is dropped without a decision, since what is left
+    still holds that derivation; a candidate inside it is decided, and a
+    successful drop refreshes the support. Whichever derivation a
+    decision finds, each drop is one that deciding it would make, so the
+    result is the one deciding every candidate gives. The kept set holds
+    the support of the last successful derivation; the proof read off
+    its reasons must use no dropped input, and the kernel checks it
+    against the kept inputs alone.
     """
     inputs = {"a": tuple(a_atoms), "b": tuple(b_atoms), "na": tuple(neg_a),
               "nb": tuple(neg_b), "ax": axioms.axioms}
-    keep = {kind: set(range(len(xs))) for kind, xs in inputs.items()}
     problem = prepare_problem(inputs["a"], inputs["b"], goal, axioms, neg_a=neg_a, neg_b=neg_b)
     owner = input_owners(problem, inputs["a"], inputs["b"])
-    atoms = (*problem.a0, *problem.b0)
-    terms = [t for x in (*atoms, problem.goal, *problem.neg_a, *problem.neg_b) for t in (x.lhs, x.rhs)]
-    terms += [t for fn, arg in problem.flat for t in (arg, Const(problem.defs[(fn, arg)]))]
-    base = slat.encode((), terms)
-    clause_of = [((base.index[x.lhs],), base.index[x.rhs]) for x in atoms]
-
-    def encoding(live) -> slat.PropHornProblem:
-        """A copy of the shared encoding with the clauses of the live atoms."""
-        out = base.copy()
-        for k, p in enumerate(live):
-            out.add_clause(*clause_of[p], k)
-        return out
-
-    full = saturate(problem, encoding=encoding(range(len(atoms))), to_fixpoint=True)
+    full = saturate(problem, to_fixpoint=True)
     ent, fired = full.entailer, full.fired
     if not any(map(ent.holds, (problem.goal, *problem.neg_a, *problem.neg_b))):
         raise NotEntailed(f"goal not entailed: {format_atom(goal)}")
@@ -759,13 +754,6 @@ def minimize_axioms(a_atoms, b_atoms, goal: Leq, axioms: AxiomSet, *,
         *((x, (node["nb", i],)) for i, x in enumerate(problem.neg_b)))]
     gate = [None if o is None else node[o] for o in owner] + list(range(n, n + len(fired)))
     program = slat.SelectorProgram(ent, n + len(fired), gate, rules, goals)
-
-    def decide() -> set[tuple[str, int]] | None:
-        """The inputs one derivation from the kept ones uses, or None."""
-        used = program.decide([node[kind, i] for kind, ids in keep.items() for i in ids])
-        return None if used is None else {selectors[k] for k in used if k < n}
-
-    support = decide()
     candidates = [
         *(("a", i) for i in range(len(a_atoms)) if i not in set(pinned_a)),
         *(("na", i) for i in range(len(neg_a))),
@@ -773,47 +761,44 @@ def minimize_axioms(a_atoms, b_atoms, goal: Leq, axioms: AxiomSet, *,
         *(("nb", i) for i in range(len(neg_b))),
         *(("ax", i) for i in range(len(axioms.axioms))),
     ]
-    for kind, i in reversed(candidates):
-        keep[kind].discard(i)
-        if (kind, i) in support:
-            found = decide()
-            if found is None:
-                keep[kind].add(i)
-            else:
-                support = found
-    # the final kept set is saturated with the removed inputs masked out
-    live = [p for p, o in enumerate(owner) if o is None or o[1] in keep[o[0]]]
-    kept = {kind: sorted(keep[kind]) for kind in ("na", "nb", "ax")}
-    masked = replace(
-        problem,
-        a0=tuple(atoms[p] for p in live if p < len(problem.a0)),
-        b0=tuple(atoms[p] for p in live if p >= len(problem.a0)),
-        neg_a=tuple(problem.neg_a[i] for i in kept["na"]),
-        neg_b=tuple(problem.neg_b[i] for i in kept["nb"]),
-        axioms=AxiomSet(axioms.functions, tuple(axioms.axioms[i] for i in kept["ax"])),
-    )
-    trace = saturate(masked, encoding=encoding(live))
-    if not trace.result:
-        raise RuntimeError(f"minimized premises do not entail {format_atom(goal)}")
-    # the kernel checks the final proof against the kept inputs alone
-    proofs = ProofBuilder(masked, trace.entailer, trace.fired, [owner[p] for p in live])
-    root = proofs.conclude(trace)
+    reason, vital = program.vital(range(n))
+    support, vital = {selectors[k] for k in program.used(reason)}, {selectors[k] for k in vital}
+    core = vital.union(set(selectors).difference(candidates))
+
+    def decide() -> set[tuple[str, int]] | None:
+        """The inputs one derivation from the kept ones uses, its reasons kept as reason; or None."""
+        nonlocal reason
+        found = program.decide([node[kind, i] for kind, ids in keep.items() for i in ids])
+        reason = found or reason
+        return found and {selectors[k] for k in program.used(found)}
+
+    # the vital and pinned inputs are the result when they entail the goal
+    keep = {kind: {i for i in range(len(xs)) if (kind, i) in core} for kind, xs in inputs.items()}
+    if not support <= core and decide() is None:
+        keep = {kind: set(range(len(xs))) for kind, xs in inputs.items()}
+        for kind, i in reversed(candidates):
+            if (kind, i) in vital:
+                continue
+            keep[kind].discard(i)
+            if (kind, i) in support:
+                found = decide()
+                if found is None:
+                    keep[kind].add(i)
+                else:
+                    support = found
+    # the proof of the last successful derivation, checked against the kept inputs alone
+    proofs = ProofBuilder(problem, ent, fired, owner, program.reasons(reason), lambda kind, i: i in keep[kind])
+    root = proofs.conclude(Trace(inconsistent=(None, *problem.neg_a, *problem.neg_b)[
+        program.goals[reason[program.done]]]))
+    if any(i not in keep[kind] for kind, ids in proofs.support(root).items() for i in ids):
+        raise RuntimeError(f"proof of {format_atom(goal)} uses a dropped input")
+    kept = {kind: sorted(ids) for kind, ids in keep.items()}
     try:
-        kernel = proof_kernel([inputs[kind][i] for kind in ("a", "b") for i in sorted(keep[kind])],
-                              [inputs[kind][i] for kind in ("na", "nb") for i in sorted(keep[kind])],
-                              masked.axioms, tuple(problem.unfold_map().items()))
+        kernel = proof_kernel([inputs[kind][i] for kind in ("a", "b") for i in kept[kind]],
+                              [inputs[kind][i] for kind in ("na", "nb") for i in kept[kind]],
+                              AxiomSet(axioms.functions, tuple(axioms.axioms[i] for i in kept["ax"])),
+                              tuple(problem.unfold_map().items()))
         kernel.check(proofs.proof(root), goal)
     except Rejected as e:
         raise RuntimeError(f"proof of {format_atom(goal)} rejected: {e}") from e
-    found = proofs.support(root)
-    used = {(kind, i) for kind in ("a", "b") for i in found[kind]} | {
-        (kind, ids[j]) for kind, ids in kept.items() for j in found[kind]}
-    if any(i not in keep[kind] for kind, i in used):
-        raise RuntimeError(f"proof of {format_atom(goal)} uses a dropped input")
-    return Justification(
-        kept_a=tuple(sorted(keep["a"])),
-        kept_b=tuple(sorted(keep["b"])),
-        kept_neg_a=tuple(sorted(keep["na"])),
-        kept_neg_b=tuple(sorted(keep["nb"])),
-        kept_axioms=tuple(sorted(keep["ax"])),
-    )
+    return Justification(*(tuple(kept[kind]) for kind in ("a", "b", "na", "nb", "ax")))

@@ -5,7 +5,7 @@ atom exactly when the corresponding propositional Horn problem derives it:
 one variable P_e per subterm e, three clauses tying every meet variable to
 its two components, one clause P_s -> P_t per atom. Evaluations into the
 two element semilattice {0, 1} with meet = min separate non-entailed atoms,
-which is what the brute force oracle below enumerates.
+which is what the brute force oracle of the tests enumerates.
 
 Entailment of s <= t is decided by unit propagation from P_s, which keeps
 for each variable the clause that made it true: a derivation to read back.
@@ -13,7 +13,6 @@ for each variable the clause that made it true: a derivation to read back.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass, field
 
 from .terms import (
@@ -29,7 +28,6 @@ from .terms import (
     format_term,
     mk_meet,
     subterms,
-    term_constants,
     term_key,
 )
 
@@ -58,11 +56,6 @@ class PropHornProblem:
     origin: list[int] = field(default_factory=list)
     watch: list[list[int]] = field(default_factory=list)
     terms: list[Term] = field(default_factory=list)
-
-    def copy(self) -> PropHornProblem:
-        """An independent copy, to be grown apart from this encoding."""
-        return PropHornProblem(dict(self.index), self.clauses[:], self.origin[:],
-                               [w[:] for w in self.watch], self.terms[:])
 
     def add_clause(self, premises: tuple[int, ...], conclusion: int, origin: int = -1) -> None:
         for v in premises:
@@ -147,16 +140,11 @@ class Entailer:
     set is encoded once however often it grows. holders, the "who has
     this subsumer" index of EL saturation, maps each variable to the
     query positions of the closures holding it; add() visits only those.
-
-    encoding, when given, is used as is instead of encoding the atoms:
-    it must hold the clause of every atom, the i-th with origin i, and
-    register the extra terms. Entailers over subsets of one atom set
-    can so each start from a copy of one encoding of all its terms.
     """
 
-    def __init__(self, atoms, extra_terms=(), *, encoding: PropHornProblem | None = None):
+    def __init__(self, atoms, extra_terms=()):
         self.atoms = list(atoms)
-        self.problem = encode(self.atoms, extra_terms) if encoding is None else encoding
+        self.problem = encode(self.atoms, extra_terms)
         self._closures: dict[int, dict[int, int | None]] = {}
         self._seeds: list[int] = []
         self.holders: dict[int, set[int]] = {}
@@ -263,29 +251,34 @@ class SelectorProgram:
     gate[i] is the node enabling the clause of atom i (None: always
     present). The other nodes are one per pair (s, v) of each cached
     closure, and done. Edges:
-    - per closure and per clause whose premises all lie in it, from the
-      premise pairs and the clause's gate (none for meet clauses) to
-      the conclusion pair;
+    - per goal (pairs, extra) whose pairs all hold, from them and extra
+      to done;
     - per rule (pairs, extra, head), from those variable pairs and the
       caller's nodes extra to the caller's node head;
-    - per goal (pairs, extra) whose pairs all hold, from them and extra
-      to done.
+    - per closure and per clause whose premises all lie in it, from the
+      premise pairs and the clause's gate (none for meet clauses) to
+      the conclusion pair; such an edge carries its clause.
     The closures must be closed under every clause, as they are once
     every atom has been added; a goal's closure is cached here.
+    A derivation is given by its reasons: per node the edge that first
+    made it true, None for a node true from the start, -1 for a node
+    it does not make true. The goal edges come first, goals[e] the
+    position among the given goals of goal edge e.
     """
 
     def __init__(self, ent: Entailer, nodes: int, gate, rules, goals):
-        goals = [(pairs, extra) for pairs, extra in goals if all(ent.derives(*p) for p in pairs)]
+        self.goals = [k for k, (pairs, _) in enumerate(goals) if all(ent.derives(*p) for p in pairs)]
         pair, n = {}, nodes
         for s, closure in ent._closures.items():
             pair[s] = dict(zip(closure, range(n, n + len(closure))))
             n += len(closure)
-        self.nodes, self.start, self.done = nodes, [ids[s] for s, ids in pair.items()], n
-        tails = [(*(pair[s][v] for s, v in pairs), *extra) for pairs, extra in goals]
+        self.nodes, self.start, self.done, self.pair = nodes, [ids[s] for s, ids in pair.items()], n, pair
+        tails = [(*(pair[s][v] for s, v in goals[k][0]), *goals[k][1]) for k in self.goals]
         heads = [n] * len(tails)
         for pairs, extra, head in rules:
             tails.append((*(pair[s][v] for s, v in pairs), *extra))
             heads.append(head)
+        self.clause: list[int | None] = [None] * len(tails)
         enable = [() if o < 0 or gate[o] is None else (gate[o],) for o in ent.problem.origin]
         clauses, watch = ent.problem.clauses, ent.problem.watch
         for ids in pair.values():
@@ -299,19 +292,19 @@ class SelectorProgram:
                     else:
                         continue
                     heads.append(ids[conclusion])
+                    self.clause.append(cid)
         self.uses: list[list[int]] = [[] for _ in range(n + 1)]
         for e, tail in enumerate(tails):
             for p in tail:
                 self.uses[p].append(e)
         self.tails, self.heads, self.need = tails, heads, [len(t) for t in tails]
 
-    def decide(self, true) -> set[int] | None:
-        """The caller's nodes one derivation of done from the true ones
-        uses, or None when done is not derivable from them.
+    def decide(self, true) -> list[int | None] | None:
+        """The reasons of one derivation of done from the true nodes, or
+        None when done is not derivable from them.
 
         Unit propagation with a premise counter per edge, from the seed
-        pairs (s, s) and the true nodes; it stops once done is true, and
-        the reasons, each node's first edge, are walked back from it.
+        pairs (s, s) and the true nodes; it stops once done is true.
         """
         need, heads, uses, done = self.need[:], self.heads, self.uses, self.done
         queue = [*self.start, *true]
@@ -324,18 +317,73 @@ class SelectorProgram:
                 if not need[e] and reason[heads[e]] == -1:
                     reason[heads[e]] = e
                     if heads[e] == done:
-                        return self._used(reason)
+                        return reason
                     queue.append(heads[e])
         return None
 
-    def _used(self, reason: list[int | None]) -> set[int]:
+    def vital(self, true) -> tuple[list[int | None], set[int]]:
+        """The reasons of one derivation of done from the true nodes (a
+        sequence), and the true nodes every such derivation uses; done
+        must be derivable from them.
+
+        N(v), the true nodes without any one of which v is not derivable,
+        is the greatest fixpoint of N(v) = the intersection over the edges
+        into v that fire of the union of N over their tails, with N(x) =
+        {x} for a true node x and N = {} for a seed pair, even one with
+        edges into it: the Horn counterpart of the necessary clauses of
+        MUS extraction (Marques-Silva and Lynce, SAT 2011). One
+        propagation runs to the fixpoint and computes it downward, over
+        int bitsets: a node starts from the union over the edge that
+        first makes it true, and each edge that fires, or that has fired
+        and whose tail's set shrinks, intersects its head's set with its
+        union. Sets only shrink, so that is the intersection over every
+        edge, and every set holds its value in the greatest fixpoint.
+        """
+        need, heads, uses, tails = self.need[:], self.heads, self.uses, self.tails
+        queue = [*self.start, *true]
+        reason: list[int | None] = [-1] * len(uses)
+        bits = [0] * len(uses)
+        for node in queue:
+            reason[node] = None
+        for x in true:
+            bits[x] = 1 << x
+        for node in queue:
+            for e in uses[node]:
+                need[e] -= 1
+                if need[e]:
+                    continue
+                fired = [e]
+                while fired:
+                    f = fired.pop()
+                    union = 0
+                    for t in tails[f]:
+                        union |= bits[t]
+                    h = heads[f]
+                    if reason[h] == -1:
+                        reason[h], bits[h] = f, union
+                        queue.append(h)
+                    elif reason[h] is not None and bits[h] & union != bits[h]:
+                        bits[h] &= union
+                        fired += [g for g in uses[h] if not need[g]]
+        return reason, {x for x in true if bits[self.done] >> x & 1}
+
+    def used(self, reason) -> set[int]:
+        """The true nodes the derivation of done with these reasons uses."""
         seen, todo = {self.done}, [self.done]
         while todo:
             e = reason[todo.pop()]
             if e is not None:
                 todo += [p for p in self.tails[e] if p not in seen]
                 seen.update(self.tails[e])
-        return {k for k in seen if k < self.nodes}
+        return {k for k in seen if k < self.nodes and reason[k] is None}
+
+    def reasons(self, reason):
+        """The pair lookup of a derivation: (s, v) to the clause that made v
+        true in the closure of s, None for v = s, -1 when not made true."""
+        def lookup(s: int, v: int) -> int | None:
+            e = reason[self.pair[s][v]] if v in self.pair.get(s, ()) else -1
+            return e if e is None or e < 0 else self.clause[e]
+        return lookup
 
 
 # ---------------------------------------------------------------------------
@@ -375,48 +423,6 @@ def intermediate_term(ent: Entailer, ab: Entailer, a: Term, b: Term, candidates)
             f"is not below {format_term(b)}"
         )
     return t
-
-
-# ---------------------------------------------------------------------------
-# brute force oracle
-
-
-def brute_force_entails(atoms, goal: Atom) -> bool:
-    """Entailment by enumerating all {0, 1} valuations of the constants.
-
-    Only constants and meets are allowed; function applications must have
-    been purified away. Limited to 20 constants.
-    """
-    leqs = expand_eqs(atoms)
-    names: set[str] = set()
-    for a in (*leqs, goal):
-        for side in (a.lhs, a.rhs):
-            _check_flat(side)
-            names |= term_constants(side)
-    consts = sorted(names)
-    if len(consts) > 20:
-        raise ValueError(f"too many constants for brute force: {len(consts)} > 20")
-    goals = expand_eqs([goal])
-    for values in itertools.product((0, 1), repeat=len(consts)):
-        env = dict(zip(consts, values))
-        if all(_eval01(a.lhs, env) <= _eval01(a.rhs, env) for a in leqs):
-            if not all(_eval01(g.lhs, env) <= _eval01(g.rhs, env) for g in goals):
-                return False
-    return True
-
-
-def _check_flat(t: Term) -> None:
-    if isinstance(t, App):
-        raise ValueError(f"function application in brute force input: {format_term(t)}")
-    if isinstance(t, Meet):
-        for a in t.args:
-            _check_flat(a)
-
-
-def _eval01(t: Term, env: dict[str, int]) -> int:
-    if isinstance(t, Const):
-        return env[t.name]
-    return min(_eval01(a, env) for a in t.args)
 
 
 # ---------------------------------------------------------------------------

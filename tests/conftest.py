@@ -1,11 +1,12 @@
-"""Shared test data paths and random problem generators."""
+"""Shared test data paths, the brute force oracle and random problem generators."""
 
+import itertools
 import random
 from pathlib import Path
 
 from slatkit import locality
 from slatkit.locality import AxiomSet, Composition, Inclusion
-from slatkit.terms import App, Const, Eq, Leq, mk_meet
+from slatkit.terms import App, Const, Eq, Leq, Meet, expand_eqs, format_term, mk_meet, term_constants
 
 DATA = Path(__file__).parent / "data"
 
@@ -54,6 +55,44 @@ def entails_with_support(a_atoms, b_atoms, goal, axioms, *, neg_a=(), neg_b=()):
     problem = locality.prepare_problem(a_atoms, b_atoms, goal, axioms, neg_a=neg_a, neg_b=neg_b)
     result, trace = locality.decide(problem)
     return result, proof_support(problem, trace, a_atoms, b_atoms) if result else {}
+
+
+def brute_force_entails(atoms, goal) -> bool:
+    """Entailment by enumerating all {0, 1} valuations of the constants.
+
+    Only constants and meets are allowed; function applications must have
+    been purified away. Limited to 20 constants.
+    """
+    leqs = expand_eqs(atoms)
+    names: set[str] = set()
+    for a in (*leqs, goal):
+        for side in (a.lhs, a.rhs):
+            _check_flat(side)
+            names |= term_constants(side)
+    consts = sorted(names)
+    if len(consts) > 20:
+        raise ValueError(f"too many constants for brute force: {len(consts)} > 20")
+    goals = expand_eqs([goal])
+    for values in itertools.product((0, 1), repeat=len(consts)):
+        env = dict(zip(consts, values))
+        if all(_eval01(a.lhs, env) <= _eval01(a.rhs, env) for a in leqs):
+            if not all(_eval01(g.lhs, env) <= _eval01(g.rhs, env) for g in goals):
+                return False
+    return True
+
+
+def _check_flat(t) -> None:
+    if isinstance(t, App):
+        raise ValueError(f"function application in brute force input: {format_term(t)}")
+    if isinstance(t, Meet):
+        for a in t.args:
+            _check_flat(a)
+
+
+def _eval01(t, env: dict[str, int]) -> int:
+    if isinstance(t, Const):
+        return env[t.name]
+    return min(_eval01(a, env) for a in t.args)
 
 
 def rand_flat_term(rng: random.Random, consts, max_width: int = 3):

@@ -7,7 +7,7 @@ criterion at the end of the run.
 import random
 import time
 
-from conftest import DATA, rand_flat_problem, rand_slo_problem, read_data
+from conftest import DATA, brute_force_entails, rand_flat_problem, rand_slo_problem, read_data
 from golden_cases import CASES, run_cli
 from slatkit import beth, el, interp, locality, slat
 from slatkit.el import Exists, Name, mk_and
@@ -158,7 +158,7 @@ def test_criterion_5_oracle_equivalence():
         mismatches = 0
         for _ in range(200):
             atoms, goal = rand_flat_problem(rng)
-            if slat.entails_atom(atoms, goal) != slat.brute_force_entails(atoms, goal):
+            if slat.entails_atom(atoms, goal) != brute_force_entails(atoms, goal):
                 mismatches += 1
         return mismatches
 

@@ -1,6 +1,10 @@
 """EL concept layer: parsing, translation, subsumption, justification,
 concept interpolation."""
 
+import os
+import subprocess
+import sys
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -100,6 +104,28 @@ def test_cbox_validates_roles():
         CBox(("r",), (), (RoleIncl("r", "q"),))
     with pytest.raises(ValueError):
         CBox(("r",), (), (RoleComp("r", "r", "q"),))
+
+
+def test_cbox_names_the_first_undeclared_role_whatever_the_hash_seed():
+    # GCI order, then term order: lhs before rhs, depth first, left to
+    # right over the normal form r(A) & t(C) & u(s(B)); a union of the
+    # role frozensets names q, s, t or u as PYTHONHASHSEED has it
+    script = (
+        "from slatkit.el import CBox, GCI\n"
+        "from slatkit.terms import parse_term\n"
+        "gcis = (GCI(parse_term('A'), parse_term('r(B)')),\n"
+        "        GCI(parse_term('r(A) & u(s(B)) & t(C)'), parse_term('q(C)')))\n"
+        "try:\n"
+        "    CBox(('r',), gcis)\n"
+        "except ValueError as e:\n"
+        "    print(e)\n"
+    )
+    src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+    for seed in range(5):
+        env = {**os.environ, "PYTHONHASHSEED": str(seed), "PYTHONPATH": src}
+        out = subprocess.run([sys.executable, "-c", script], env=env,
+                             capture_output=True, text=True, check=True).stdout
+        assert out == "undeclared role t\n", f"PYTHONHASHSEED={seed}"
 
 
 # ---------------------------------------------------------------------------

@@ -113,6 +113,10 @@ SEMANTIC_ERRORS = [
      "unbound constant p", 4, 6),
     (parse_model, "carrier x\nmeet x x\nfun f x\nconst c = x\natom f(c) <= k(h(c)) & g(c)",
      "uninterpreted function k", 5, 14),
+    (parse_slp, "side A\na <= b\ntarget q", "target q occurs in no atom", 3, 8),
+    (parse_model, "carrier x y\nmeet x x y\nmeet y y z", "not a carrier element: z", 3, 10),
+    (parse_model, "carrier x y\nmeet x x y\nmeet y y y\nfun f x q", "not a carrier element: q", 4, 9),
+    (parse_model, "carrier x\nmeet x x\nfun f x\naxiom composition f g f", "uninterpreted function g", 4, 21),
     (parse_cbox, "roles r\nri r o s <= r\ngoal X <= X", "undeclared role s", 2, 8),
     (parse_cbox, "roles r\nri t <= s\ngoal X <= X", "undeclared role t", 2, 4),
 ]

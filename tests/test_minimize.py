@@ -2,12 +2,12 @@
 
 `_minimize_by_deletion` is the original loop: it prepares and decides
 the kept set again for every candidate. `locality.minimize_axioms`
-prepares all inputs once, saturates them once to the fixpoint, decides
-each kept set by one propagation over the selector program compiled
-from that fixpoint, skips the decision for candidates outside the
-current derivation's support, and saturates the final kept set once
-more with the removed inputs masked out; it must return an equal
-Justification on every input.
+prepares all inputs once, saturates them once to the fixpoint, keeps
+the vital inputs (those every derivation uses) without a decision,
+decides each other kept set by one propagation over the selector
+program compiled from that fixpoint, skips the decision for candidates
+outside the current derivation's support, and reads the final proof off
+the program; it must return an equal Justification on every input.
 """
 
 import random
@@ -273,6 +273,20 @@ def test_pass_0_route_dropped_first_leaves_a_ladder_route():
     assert assert_same_justification(*args)
 
 
+def test_a_proof_through_a_dropped_input_is_refused(monkeypatch):
+    # the proof is read off a derivation over every input, which reaches
+    # c <= d through the dropped c <= d itself: the check of the support
+    # refuses it before the kernel's premise numbers are looked up
+    real = slat.SelectorProgram.reasons
+    monkeypatch.setattr(slat.SelectorProgram, "reasons",
+                        lambda self, reason: real(self, self.decide(range(self.nodes))))
+    args = (atoms("c <= e", "e <= d", "c <= d"), (), parse_atom("c <= d"), AxiomSet(()))
+    with pytest.raises(RuntimeError, match="uses a dropped input"):
+        minimize_axioms(*args)
+    monkeypatch.undo()
+    assert minimize_axioms(*args) == Justification((0, 1), (), (), (), ())
+
+
 # ---------------------------------------------------------------------------
 # the support itself
 
@@ -356,16 +370,18 @@ def _count_calls(monkeypatch, module, name) -> list:
     return calls
 
 
-def test_justify_decides_once_per_kept_premise(monkeypatch):
-    # every decision is one propagation over the one selector program
+def test_justify_keeps_vital_inputs_without_deciding(monkeypatch):
+    # every kept label here is vital, and the one propagation from all
+    # inputs finds a derivation through them alone: no decision is left
     calls = _count_calls(monkeypatch, slat.SelectorProgram, "decide")
     saturated = _count_calls(monkeypatch, locality, "saturate")
     labels = el.justify(el.parse_cbox(onto_text(random.Random(11), 6, 12, dup=0)))
     assert len(labels) == 7
-    # the deletion loop makes one decision per candidate plus the first: 21 here
-    assert len(calls) in (len(labels) + 1, len(labels) + 2)
-    # the full run to the fixpoint, and the final check of the kept set
-    assert len(saturated) == 2
+    # the deletion loop makes one decision per candidate plus the first: 21 here;
+    # at most one is left, the check that the vital inputs entail the goal
+    assert len(calls) <= 1
+    # the full run to the fixpoint; the proof is read off the program
+    assert len(saturated) == 1
 
 
 def test_minimize_prepares_and_encodes_once(monkeypatch):
@@ -376,8 +392,31 @@ def test_minimize_prepares_and_encodes_once(monkeypatch):
     a, b, goal, axioms = ladder(20)
     assert minimize_axioms(a, b, goal, axioms) == Justification(
         tuple(range(21)), tuple(range(20)), (), (), ())
-    # every premise of a ladder is in its proof: 41 candidates, all decided
-    assert len(decided) == 42
-    assert len(saturated) == 2
+    # every premise of a ladder is in its proof and vital: 41 candidates,
+    # none decided (the deletion loop decides all 41, and the first check)
+    assert len(decided) <= 1
+    assert len(saturated) == 1
     assert len(purified) == 1
     assert len(encoded) == 1
+
+
+def test_vital_inputs_are_the_ones_every_derivation_uses(monkeypatch):
+    # SelectorProgram.vital against its definition: a true node is vital
+    # exactly when the program does not derive done from the others
+    checked = []
+    real = slat.SelectorProgram.vital
+
+    def vital(self, true):
+        reason, found = real(self, true)
+        checked.append(found == {x for x in true if self.decide([y for y in true if y != x]) is None})
+        return reason, found
+
+    monkeypatch.setattr(slat.SelectorProgram, "vital", vital)
+    rng = random.Random(6174)
+    for k in range(300):
+        a, b, goal, axioms, neg_a, neg_b = with_negatives(rng) if k % 2 else (*with_equations(rng), (), ())
+        _outcome(minimize_axioms, a, b, goal, axioms, neg_a=neg_a, neg_b=neg_b)
+    for n, nd in ((4, 8), (6, 12)):
+        minimize_el(onto_text(rng, n, nd), minimize_axioms)
+    assert len(checked) > 150
+    assert all(checked)

@@ -5,7 +5,10 @@ Each gate counts calls of a unit of work over inputs of size n, 2n and
 4x per doubling, a linear one as about 2x.
 """
 
-from slatkit import slat
+import random
+
+from conftest import onto_text
+from slatkit import el, slat
 from slatkit.interp import interpolate
 from slatkit.locality import minimize_axioms
 from test_saturate import ladder
@@ -39,9 +42,9 @@ def test_interpolate_queries_grow_linearly_on_ladders(monkeypatch):
 
 
 def test_justify_closure_builds_grow_linearly_on_ladders(monkeypatch):
-    # every premise of a ladder is decided, and a decision propagates over
-    # the one selector program: seed closures are built by the full run
-    # and the final check alone, not once per decision
+    # decisions propagate over the one selector program: seed closures
+    # are built by the one saturation to the fixpoint alone, not once per
+    # decision or for the final proof
     counts = []
     for n in (20, 40, 80):
         counts.append(0)
@@ -56,3 +59,26 @@ def test_justify_closure_builds_grow_linearly_on_ladders(monkeypatch):
         monkeypatch.undo()
     for small, large in zip(counts, counts[1:]):
         assert large <= 2.3 * small, counts
+
+
+def test_justify_decisions_do_not_grow(monkeypatch):
+    # a vital input, one without which the goal does not follow, is kept
+    # without a decision: a ladder's premises are all vital, and a role
+    # chain's only other members are its 3 duplicated GCIs, so the
+    # decisions per justification stay bounded as n doubles
+    def decisions(run) -> int:
+        calls = []
+        real = slat.SelectorProgram.decide
+        monkeypatch.setattr(slat.SelectorProgram, "decide",
+                            lambda self, true: calls.append(1) or real(self, true))
+        run()
+        monkeypatch.undo()
+        return len(calls)
+
+    ladders = [decisions(lambda n=n: minimize_axioms(*ladder(n))) for n in (20, 40, 80)]
+    chains = [decisions(lambda n=n: el.justify(el.parse_cbox(onto_text(random.Random(1), n, 0))))
+              for n in (10, 20, 40)]
+    # the vital and pinned inputs are tried once, then one decision per
+    # duplicated pair; deciding every support member would take 2n + 2
+    assert max(ladders) <= 1, ladders
+    assert max(chains) <= 1 + 3, chains

@@ -6,12 +6,11 @@ import random
 import pytest
 from hypothesis import given, strategies as st
 
-from conftest import rand_flat_problem
+from conftest import brute_force_entails, rand_flat_problem
 from slatkit.slat import (
     Entailer,
     FiniteModel,
     NoSharedWitness,
-    brute_force_entails,
     check_finite_model,
     entails_atom,
     eval_term,
