@@ -546,7 +546,8 @@ class ProofBuilder:
     pair and atom becomes one step, however many proofs use it.
     kept(kind, i) says which inputs a proof may rest on: premise numbers
     count the atoms of kept inputs only, and an incl or comp step rests
-    on the kept axioms of its schema.
+    on the kept axioms of its schema, or on its dropped ones when none
+    is kept.
     """
 
     def __init__(self, problem: PurifiedProblem, ent: slat.Entailer, clauses, owner,
@@ -601,8 +602,9 @@ class ProofBuilder:
         for k in self._used(root):
             kind, what = self.leaf.get(k, (None, None))
             if kind == "ax":
-                support["ax"] |= {i for i, ax in enumerate(self.problem.axioms.axioms)
-                                  if axiom_key(ax) == what and self.kept("ax", i)}
+                # the kept axioms of the instance's schema, or all of them when none is kept
+                match = {i for i, ax in enumerate(self.problem.axioms.axioms) if axiom_key(ax) == what}
+                support["ax"] |= {i for i in match if self.kept("ax", i)} or match
             elif kind is not None:
                 support[kind].add(what)
         return support
@@ -718,18 +720,17 @@ def minimize_axioms(a_atoms, b_atoms, goal: Leq, axioms: AxiomSet, *,
     first derivation and the vital inputs, those without any one of
     which the goal does not follow (SelectorProgram.vital). Dropping a
     vital input breaks every subset, so a vital candidate is kept
-    without a decision; and when the vital and pinned inputs alone
-    entail the goal, they are the one minimal set holding them, so the
-    result. A successful decision also gives the support of one
-    derivation: the selectors its reasons reach. A candidate outside the
-    current support is dropped without a decision, since what is left
-    still holds that derivation; a candidate inside it is decided, and a
-    successful drop refreshes the support. Whichever derivation a
-    decision finds, each drop is one that deciding it would make, so the
-    result is the one deciding every candidate gives. The kept set holds
-    the support of the last successful derivation; the proof read off
-    its reasons must use no dropped input, and the kernel checks it
-    against the kept inputs alone.
+    without a decision. The first derivation, and each successful
+    decision, gives the support of one derivation: the selectors its
+    reasons reach. A candidate outside the current support is dropped
+    without a decision, since what is left still holds that derivation;
+    a candidate inside it is decided, and a successful drop refreshes
+    the support. Whichever derivation a decision finds, each drop is
+    one that deciding it would make, so the result is the one deciding
+    every candidate gives. The kept set holds the support of the last
+    successful derivation; the proof read off its reasons must use no
+    dropped input, and the kernel checks it against the kept inputs
+    alone.
     """
     inputs = {"a": tuple(a_atoms), "b": tuple(b_atoms), "na": tuple(neg_a),
               "nb": tuple(neg_b), "ax": axioms.axioms}
@@ -763,29 +764,17 @@ def minimize_axioms(a_atoms, b_atoms, goal: Leq, axioms: AxiomSet, *,
     ]
     reason, vital = program.vital(range(n))
     support, vital = {selectors[k] for k in program.used(reason)}, {selectors[k] for k in vital}
-    core = vital.union(set(selectors).difference(candidates))
-
-    def decide() -> set[tuple[str, int]] | None:
-        """The inputs one derivation from the kept ones uses, its reasons kept as reason; or None."""
-        nonlocal reason
-        found = program.decide([node[kind, i] for kind, ids in keep.items() for i in ids])
-        reason = found or reason
-        return found and {selectors[k] for k in program.used(found)}
-
-    # the vital and pinned inputs are the result when they entail the goal
-    keep = {kind: {i for i in range(len(xs)) if (kind, i) in core} for kind, xs in inputs.items()}
-    if not support <= core and decide() is None:
-        keep = {kind: set(range(len(xs))) for kind, xs in inputs.items()}
-        for kind, i in reversed(candidates):
-            if (kind, i) in vital:
-                continue
-            keep[kind].discard(i)
-            if (kind, i) in support:
-                found = decide()
-                if found is None:
-                    keep[kind].add(i)
-                else:
-                    support = found
+    keep = {kind: set(range(len(xs))) for kind, xs in inputs.items()}
+    for kind, i in reversed(candidates):
+        if (kind, i) in vital:
+            continue
+        keep[kind].discard(i)
+        if (kind, i) in support:
+            found = program.decide([node[k, j] for k, ids in keep.items() for j in ids])
+            if found is None:
+                keep[kind].add(i)
+            else:
+                reason, support = found, {selectors[k] for k in program.used(found)}
     # the proof of the last successful derivation, checked against the kept inputs alone
     proofs = ProofBuilder(problem, ent, fired, owner, program.reasons(reason), lambda kind, i: i in keep[kind])
     root = proofs.conclude(Trace(inconsistent=(None, *problem.neg_a, *problem.neg_b)[

@@ -274,17 +274,25 @@ def test_pass_0_route_dropped_first_leaves_a_ladder_route():
 
 
 def test_a_proof_through_a_dropped_input_is_refused(monkeypatch):
-    # the proof is read off a derivation over every input, which reaches
-    # c <= d through the dropped c <= d itself: the check of the support
-    # refuses it before the kernel's premise numbers are looked up
+    # the proof is read off a derivation over every input but one: the
+    # first reaches c <= d through the dropped c <= d itself, the second
+    # f(a) <= g(a) through an instance of the dropped axiom instead of the
+    # kept atom. The check of the support refuses both before the kernel
+    # sees them, and before the premise numbers are looked up.
     real = slat.SelectorProgram.reasons
-    monkeypatch.setattr(slat.SelectorProgram, "reasons",
-                        lambda self, reason: real(self, self.decide(range(self.nodes))))
-    args = (atoms("c <= e", "e <= d", "c <= d"), (), parse_atom("c <= d"), AxiomSet(()))
-    with pytest.raises(RuntimeError, match="uses a dropped input"):
-        minimize_axioms(*args)
-    monkeypatch.undo()
-    assert minimize_axioms(*args) == Justification((0, 1), (), (), (), ())
+    cases = [
+        (atoms("c <= e", "e <= d", "c <= d"), AxiomSet(()), None, Justification((0, 1), (), (), (), ())),
+        (atoms("c <= f(a)", "g(a) <= d", "f(a) <= g(a)"), AxiomSet(("f", "g"), (Inclusion("f", "g"),)), 2,
+         Justification((0, 1, 2), (), (), (), ())),
+    ]
+    for a, axioms, skip, kept in cases:
+        args = (a, (), parse_atom("c <= d"), axioms)
+        monkeypatch.setattr(slat.SelectorProgram, "reasons", lambda self, reason, skip=skip: real(
+            self, self.decide([k for k in range(self.nodes) if k != skip])))
+        with pytest.raises(RuntimeError, match="uses a dropped input"):
+            minimize_axioms(*args)
+        monkeypatch.undo()
+        assert minimize_axioms(*args) == kept
 
 
 # ---------------------------------------------------------------------------
@@ -377,9 +385,8 @@ def test_justify_keeps_vital_inputs_without_deciding(monkeypatch):
     saturated = _count_calls(monkeypatch, locality, "saturate")
     labels = el.justify(el.parse_cbox(onto_text(random.Random(11), 6, 12, dup=0)))
     assert len(labels) == 7
-    # the deletion loop makes one decision per candidate plus the first: 21 here;
-    # at most one is left, the check that the vital inputs entail the goal
-    assert len(calls) <= 1
+    # the deletion loop makes one decision per candidate plus the first: 21 here
+    assert len(calls) == 0
     # the full run to the fixpoint; the proof is read off the program
     assert len(saturated) == 1
 
@@ -394,7 +401,7 @@ def test_minimize_prepares_and_encodes_once(monkeypatch):
         tuple(range(21)), tuple(range(20)), (), (), ())
     # every premise of a ladder is in its proof and vital: 41 candidates,
     # none decided (the deletion loop decides all 41, and the first check)
-    assert len(decided) <= 1
+    assert len(decided) == 0
     assert len(saturated) == 1
     assert len(purified) == 1
     assert len(encoded) == 1
