@@ -19,6 +19,7 @@ from .terms import (
     Color,
     ColorClash,
     Const,
+    Eq,
     GroundHornClause,
     Leq,
     Meet,
@@ -207,19 +208,10 @@ def flatten_purify(a_atoms, b_atoms, goal: Leq, *, neg_a=(), neg_b=(), fn_colors
     """
     a_atoms, b_atoms = expand_eqs(a_atoms), expand_eqs(b_atoms)
     neg_a, neg_b = tuple(neg_a), tuple(neg_b)
-    if not isinstance(goal, Leq):
-        raise ValueError("goal must be a <= atom")
+    check_input((*a_atoms, *b_atoms, *neg_a, *neg_b), goal, axioms)
     colors = color_problem((*a_atoms, *neg_a), (*b_atoms, *neg_b), goal)
     symbols = set(colors)
     if axioms is not None:
-        for a in (*a_atoms, *b_atoms, *neg_a, *neg_b, goal):
-            for f in term_functions(a.lhs) | term_functions(a.rhs):
-                if f not in axioms.functions:
-                    raise ValueError(f"undeclared function {f}")
-        overlap = {c for a in (*a_atoms, *b_atoms, *neg_a, *neg_b, goal)
-                   for c in term_constants(a.lhs) | term_constants(a.rhs)} & set(axioms.functions)
-        if overlap:
-            raise ValueError(f"used as both constant and function: {sorted(overlap)[0]}")
         symbols |= set(axioms.functions)
     purifier = _Purifier(symbols | set(reserved), colors, fn_colors)
 
@@ -258,6 +250,27 @@ def flatten_purify(a_atoms, b_atoms, goal: Leq, *, neg_a=(), neg_b=(), fn_colors
         purifier=purifier,
     )
     return problem, _sorted_flat(purifier.defs)
+
+
+def check_input(atoms, goal: Leq, axioms: AxiomSet | None) -> None:
+    """Raise ValueError for a goal that is not a <= atom and, given
+    axioms, for the first atom with an undeclared function, then for a
+    function name used as a constant."""
+    if not isinstance(goal, Leq):
+        raise ValueError("goal must be a <= atom")
+    if axioms is None:
+        return
+    atoms, declared, fns, consts = (*atoms, goal), set(axioms.functions), set(), set()
+    for a in atoms:
+        fns.update(a.lhs._fns, a.rhs._fns)
+        consts.update(a.lhs._consts, a.rhs._consts)
+    if not fns <= declared:
+        for a in atoms:
+            for f in term_functions(a.lhs) | term_functions(a.rhs):
+                if f not in declared:
+                    raise ValueError(f"undeclared function {f}")
+    if consts & declared:
+        raise ValueError(f"used as both constant and function: {min(consts & declared)}")
 
 
 def _sorted_flat(terms) -> tuple[FlatTerm, ...]:
@@ -690,6 +703,61 @@ class Justification:
     kept_axioms: tuple[int, ...]
 
 
+def reachability_module(inputs: dict[str, tuple], goal: Leq, pinned: dict[str, set[int]]) -> dict[str, list]:
+    """The positions, per argument of inputs, of the goal's module M.
+
+    Sigma starts as the names (constants and functions alike) of the
+    goal, the negative literals ("na", "nb") and the pinned atoms, which
+    are in M. Another input joins M, adding all its names to Sigma, once
+    every name of one of its triggers is in Sigma: the left side of s <=
+    t, either side of s = t, f of Inclusion(f, g), f and g of
+    Composition(f, g, h). One worklist, a count per trigger of its names
+    not yet in Sigma and a waiting list per name, makes this linear in
+    the names the inputs hold, read off each term's cached name sets (a
+    name that is a constant and a function of one side counts twice and
+    wakes twice).
+    """
+    out: dict[str, list[int]] = {kind: [] for kind in inputs}
+    waiting: dict[str, list[list]] = {}
+    todo: list[str] = [*goal.lhs._consts, *goal.lhs._fns, *goal.rhs._consts, *goal.rhs._fns]
+    for kind, xs in inputs.items():
+        ids, always, pins = out[kind], kind in ("na", "nb"), pinned.get(kind, ())
+        for i, x in enumerate(xs):
+            # an entry holds its input until it joins: an atom, or an axiom's names
+            if kind == "ax":
+                names = (x.f, x.g) if isinstance(x, Inclusion) else (x.f, x.g, x.h)
+                trigger = [len(names) - 1, [ids, i, names]]
+                for name in names[:-1]:
+                    waiting.setdefault(name, []).append(trigger)
+            elif always or i in pins:
+                ids.append(i)
+                todo += (*x.lhs._consts, *x.lhs._fns, *x.rhs._consts, *x.rhs._fns)
+            else:
+                entry = [ids, i, x]
+                for side in ((x.lhs, x.rhs) if isinstance(x, Eq) else (x.lhs,)):
+                    trigger = [len(side._consts) + len(side._fns), entry]
+                    for name in side._consts:
+                        waiting.setdefault(name, []).append(trigger)
+                    for name in side._fns:
+                        waiting.setdefault(name, []).append(trigger)
+    sigma: set[str] = set()
+    while todo:
+        name = todo.pop()
+        if name in sigma:
+            continue
+        sigma.add(name)
+        for trigger in waiting.get(name, ()):
+            trigger[0] -= 1
+            if not trigger[0] and (entry := trigger[1])[2] is not None:
+                ids, i, x = entry
+                ids.append(i)
+                entry[2] = None
+                todo += x if isinstance(x, tuple) else (*x.lhs._consts, *x.lhs._fns, *x.rhs._consts, *x.rhs._fns)
+    for ids in out.values():
+        ids.sort()
+    return out
+
+
 def minimize_axioms(a_atoms, b_atoms, goal: Leq, axioms: AxiomSet, *,
                     neg_a=(), neg_b=(), pinned_a=(), pinned_b=()) -> Justification:
     """Deletion based minimization of literals and axioms, guided by proofs.
@@ -700,8 +768,25 @@ def minimize_axioms(a_atoms, b_atoms, goal: Leq, axioms: AxiomSet, *,
     minimal: dropping any kept member breaks the entailment. Pinned
     literal positions are never offered for deletion.
 
-    All inputs are purified, psi-closed and named once. saturate() runs
-    once over all inputs, to the fixpoint, and its Entailer becomes a
+    Only the goal's module M (reachability_module) is prepared; every
+    input outside it is dropped. For any kept set K, K entails the goal
+    exactly when the members of K in M do (Suntisrivaraporn, "Module
+    Extraction and Incremental Classification: A Pragmatic Approach for
+    EL+ Ontologies", ESWC 2008, for EL+). Take a model of those members
+    in which the goal fails, adjoin a new least element bottom, send the
+    constants outside Sigma to bottom, the functions outside Sigma to
+    the constant-bottom map, and let every function in Sigma send bottom
+    to bottom. This is still a meet-semilattice with monotone operators,
+    and every inclusion and composition still holds (outside M, its f or
+    g is the constant-bottom map). An atom outside M has a trigger side
+    (both sides of an =) holding a name outside Sigma, so that side is
+    worth bottom and the atom holds. Terms over Sigma keep their values,
+    so the goal still fails and the negative literals still hold: the
+    model refutes K. So each deletion decision on M is the one on all
+    inputs, and each input outside M is a drop.
+
+    The inputs of M are purified, psi-closed and named once. saturate()
+    runs once over them, to the fixpoint, and its Entailer becomes a
     slat.SelectorProgram: a selector node per input gates the atoms the
     input owns, and a node per fired instance, reached from its premise
     pair and for incl and comp its axiom's selector, gates the
@@ -734,7 +819,14 @@ def minimize_axioms(a_atoms, b_atoms, goal: Leq, axioms: AxiomSet, *,
     """
     inputs = {"a": tuple(a_atoms), "b": tuple(b_atoms), "na": tuple(neg_a),
               "nb": tuple(neg_b), "ax": axioms.axioms}
-    problem = prepare_problem(inputs["a"], inputs["b"], goal, axioms, neg_a=neg_a, neg_b=neg_b)
+    pinned = {"a": set(pinned_a), "b": set(pinned_b)}
+    module = reachability_module(inputs, goal, pinned)
+    if any(len(ids) < len(inputs[kind]) for kind, ids in module.items()):
+        # the input errors that preparing every input raises
+        check_input((*inputs["a"], *inputs["b"], *inputs["na"], *inputs["nb"]), goal, axioms)
+        inputs = {kind: tuple(map(inputs[kind].__getitem__, ids)) for kind, ids in module.items()}
+        axioms = AxiomSet(axioms.functions, inputs["ax"])
+    problem = prepare_problem(inputs["a"], inputs["b"], goal, axioms, neg_a=inputs["na"], neg_b=inputs["nb"])
     owner = input_owners(problem, inputs["a"], inputs["b"])
     full = saturate(problem, to_fixpoint=True)
     ent, fired = full.entailer, full.fired
@@ -756,11 +848,11 @@ def minimize_axioms(a_atoms, b_atoms, goal: Leq, axioms: AxiomSet, *,
     gate = [None if o is None else node[o] for o in owner] + list(range(n, n + len(fired)))
     program = slat.SelectorProgram(ent, n + len(fired), gate, rules, goals)
     candidates = [
-        *(("a", i) for i in range(len(a_atoms)) if i not in set(pinned_a)),
-        *(("na", i) for i in range(len(neg_a))),
-        *(("b", i) for i in range(len(b_atoms)) if i not in set(pinned_b)),
-        *(("nb", i) for i in range(len(neg_b))),
-        *(("ax", i) for i in range(len(axioms.axioms))),
+        *(("a", i) for i, p in enumerate(module["a"]) if p not in pinned["a"]),
+        *(("na", i) for i in range(len(inputs["na"]))),
+        *(("b", i) for i, p in enumerate(module["b"]) if p not in pinned["b"]),
+        *(("nb", i) for i in range(len(inputs["nb"]))),
+        *(("ax", i) for i in range(len(inputs["ax"]))),
     ]
     reason, vital = program.vital(range(n))
     support, vital = {selectors[k] for k in program.used(reason)}, {selectors[k] for k in vital}
@@ -785,9 +877,10 @@ def minimize_axioms(a_atoms, b_atoms, goal: Leq, axioms: AxiomSet, *,
     try:
         kernel = proof_kernel([inputs[kind][i] for kind in ("a", "b") for i in kept[kind]],
                               [inputs[kind][i] for kind in ("na", "nb") for i in kept[kind]],
-                              AxiomSet(axioms.functions, tuple(axioms.axioms[i] for i in kept["ax"])),
+                              AxiomSet(axioms.functions, tuple(inputs["ax"][i] for i in kept["ax"])),
                               tuple(problem.unfold_map().items()))
         kernel.check(proofs.proof(root), goal)
     except Rejected as e:
         raise RuntimeError(f"proof of {format_atom(goal)} rejected: {e}") from e
-    return Justification(*(tuple(kept[kind]) for kind in ("a", "b", "na", "nb", "ax")))
+    # the kept positions of M, as positions of the inputs
+    return Justification(*(tuple(module[kind][i] for i in kept[kind]) for kind in ("a", "b", "na", "nb", "ax")))

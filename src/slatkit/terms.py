@@ -250,9 +250,9 @@ def color_problem(a_atoms, b_atoms, goal: Atom | None = None) -> dict[str, Color
     in_a: set[str] = set()
     in_b: set[str] = set()
     for a in a_atoms:
-        in_a |= atom_constants(a) | atom_functions(a)
+        in_a.update(a.lhs._consts, a.lhs._fns, a.rhs._consts, a.rhs._fns)
     for b in b_atoms:
-        in_b |= atom_constants(b) | atom_functions(b)
+        in_b.update(b.lhs._consts, b.lhs._fns, b.rhs._consts, b.rhs._fns)
     colors: dict[str, Color] = {}
     for s in in_a | in_b:
         if s in in_a and s in in_b:

@@ -7,7 +7,7 @@ Each gate counts calls of a unit of work over inputs of size n, 2n and
 
 import random
 
-from conftest import onto_text
+from conftest import onto_text, read_data
 from slatkit import el, slat
 from slatkit.interp import interpolate
 from slatkit.locality import minimize_axioms
@@ -82,3 +82,26 @@ def test_justify_decisions_do_not_grow(monkeypatch):
     # would take 2n + 2
     assert max(ladders) == 0, ladders
     assert max(chains) <= 3, chains
+
+
+def test_justify_work_does_not_grow_with_distractors(monkeypatch):
+    # inputs outside the goal's module are dropped before preparing, so
+    # distractor GCIs over a second role add no closure to the one
+    # saturation, however many there are
+    def propagations(text) -> tuple[int, list[str]]:
+        calls = []
+        real = slat.propagate
+        monkeypatch.setattr(slat, "propagate", lambda *args: calls.append(1) or real(*args))
+        labels = el.justify(el.parse_cbox(text))
+        monkeypatch.undo()
+        return len(calls), labels
+
+    counts = [propagations(onto_text(random.Random(1), 10, nd))[0] for nd in (0, 40, 160)]
+    assert len(set(counts)) == 1, counts
+    med = read_data("med.elp")
+    unrelated = med.replace("roles part-of has-location acts-on", "roles part-of has-location acts-on drains")
+    unrelated = unrelated.replace("side A\n", "ri drains o drains <= drains\nside A\n")
+    unrelated = unrelated.replace("side B\n", "Kidney <= ex drains . Bladder\nBladder & Organ <= Kidney\nside B\n")
+    unrelated = unrelated.replace("goal ", "ex drains . Kidney <= Organ\nOrgan <= ex drains . Ureter\ngoal ")
+    assert unrelated.count("drains") == 7
+    assert propagations(unrelated) == propagations(med)
