@@ -116,18 +116,20 @@ def double(a_atoms, axioms: AxiomSet, sigma, target: str, *, neg=()) -> DoubledP
 
 def is_implicitly_defined(a_atoms, axioms: AxiomSet, sigma, target: str, *, neg=()) -> bool:
     """True iff the atoms pin target down relative to the subsignature."""
-    d = double(a_atoms, axioms, sigma, target, neg=neg)
-    if d.target_prime == d.target:
-        return True
-    a, a2 = Const(d.target), Const(d.target_prime)
+    return _defined(double(a_atoms, axioms, sigma, target, neg=neg))
 
-    def holds(goal: Leq) -> bool:
-        return locality.entails(
-            d.atoms, d.renamed_atoms, goal, d.axioms,
-            neg_a=d.neg, neg_b=d.renamed_neg,
-        )
 
-    return holds(Leq(a, a2)) and holds(Leq(a2, a))
+def _defined(d: DoubledProblem) -> bool:
+    """Whether the doubled premises entail target <= target'.
+
+    Swapping every symbol with its primed copy maps the doubled premises
+    onto themselves and this goal onto target' <= target, so that
+    direction follows too and is not decided.
+    """
+    return d.target_prime == d.target or locality.entails(
+        d.atoms, d.renamed_atoms, Leq(Const(d.target), Const(d.target_prime)), d.axioms,
+        neg_a=d.neg, neg_b=d.renamed_neg,
+    )
 
 
 def _unprime(t: Term, rename: dict[str, str]) -> Term:
@@ -151,7 +153,7 @@ def explicit_definition(a_atoms, axioms: AxiomSet, sigma, target: str, *,
     d = double(a_atoms, axioms, sigma, target, neg=neg)
     if d.target_prime == d.target:
         return Const(target)
-    if not is_implicitly_defined(a_atoms, axioms, sigma, target, neg=neg):
+    if not _defined(d):
         return Failure("target is not implicitly defined by the subsignature")
     try:
         res = interp.interpolate(

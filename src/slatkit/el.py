@@ -244,8 +244,6 @@ class Translated:
     axioms: AxiomSet
     axiom_labels: tuple[str, ...]
     goal: Leq
-    pinned_a: tuple[int, ...]
-    pinned_b: tuple[int, ...]
     roles: tuple[str, ...]
 
 
@@ -254,9 +252,11 @@ def translate(p: ELProblem) -> Translated:
 
     Roles of both parts become monotone operators; role axioms are
     deduplicated by value. A goal side that is not a plain name is bound
-    to a fresh constant by a pair of defining atoms on its own side, so
-    the goal is always between constants; those defining atoms are
-    pinned for minimization.
+    to a fresh constant by a pair of defining atoms on its own side, past
+    the side's labelled inclusions, so the goal is always between
+    constants. Minimization keeps the atom every derivation needs
+    (goalA <= C, D <= goalB) and drops its reverse, without which the
+    goal still follows.
     """
     roles = list(p.cbox_a.roles)
     for r in p.cbox_b.roles:
@@ -286,26 +286,18 @@ def translate(p: ELProblem) -> Translated:
         for x in atoms:
             used |= atom_constants(x)
     used |= term_constants(p.goal_c) | term_constants(p.goal_d)
-    pinned_a: list[int] = []
-    pinned_b: list[int] = []
 
-    def bind(t: Concept, base: str, atoms: list, pinned: list[int]) -> Term:
+    def bind(t: Concept, base: str, atoms: list) -> Term:
         if isinstance(t, Const):
             return t
         name = base
         while name in used:
             name += "0"
         used.add(name)
-        pinned.append(len(atoms))
-        atoms.append(Leq(Const(name), t))
-        pinned.append(len(atoms))
-        atoms.append(Leq(t, Const(name)))
+        atoms += (Leq(Const(name), t), Leq(t, Const(name)))
         return Const(name)
 
-    goal = Leq(
-        bind(p.goal_c, "goalA", a_atoms, pinned_a),
-        bind(p.goal_d, "goalB", b_atoms, pinned_b),
-    )
+    goal = Leq(bind(p.goal_c, "goalA", a_atoms), bind(p.goal_d, "goalB", b_atoms))
     return Translated(
         a_atoms=tuple(a_atoms),
         b_atoms=tuple(b_atoms),
@@ -314,8 +306,6 @@ def translate(p: ELProblem) -> Translated:
         axioms=axioms,
         axiom_labels=tuple(labels),
         goal=goal,
-        pinned_a=tuple(pinned_a),
-        pinned_b=tuple(pinned_b),
         roles=tuple(roles),
     )
 
@@ -353,10 +343,7 @@ def justify(p: ELProblem) -> list[str] | None:
     """
     t = translate(p)
     try:
-        j = locality.minimize_axioms(
-            t.a_atoms, t.b_atoms, t.goal, t.axioms,
-            pinned_a=t.pinned_a, pinned_b=t.pinned_b,
-        )
+        j = locality.minimize_axioms(t.a_atoms, t.b_atoms, t.goal, t.axioms)
     except NotEntailed:
         return None
     return _kept_labels(t, j)
@@ -401,10 +388,7 @@ def el_interpolation(p: ELProblem, *, minimize: bool = True, verify: bool = True
     kept_labels: tuple[str, ...] | None = None
     a_atoms, b_atoms, axioms, reserved = t.a_atoms, t.b_atoms, t.axioms, set()
     if minimize:
-        j = locality.minimize_axioms(
-            t.a_atoms, t.b_atoms, t.goal, t.axioms,
-            pinned_a=t.pinned_a, pinned_b=t.pinned_b,
-        )
+        j = locality.minimize_axioms(t.a_atoms, t.b_atoms, t.goal, t.axioms)
         a_atoms = tuple(t.a_atoms[i] for i in j.kept_a)
         b_atoms = tuple(t.b_atoms[i] for i in j.kept_b)
         axioms = AxiomSet(

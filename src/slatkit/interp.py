@@ -19,6 +19,7 @@ occurring on both sides, is available and may make separation impossible
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from enum import Enum
 
 from . import locality, slat
 from .kernel import Rejected
@@ -26,13 +27,11 @@ from .locality import AxiomSet, Inclusion, NotEntailed, PurifiedProblem
 from .slat import NoSharedWitness
 from .terms import (
     App,
-    Color,
-    ColorClash,
+    Atom,
     Const,
     GroundHornClause,
     Leq,
     Term,
-    atom_constants,
     atom_functions,
     expand_eqs,
     format_atom,
@@ -45,6 +44,82 @@ from .terms import (
 
 class VerificationFailed(Exception):
     """The proof kernel rejected a certificate of a computed interpolant."""
+
+
+# ---------------------------------------------------------------------------
+# coloring
+
+
+class Color(str, Enum):
+    A = "A"
+    B = "B"
+    SHARED = "shared"
+
+
+class ColorClash(RuntimeError):
+    """A term mixes A-local and B-local symbols."""
+
+
+def combine_colors(c1: Color, c2: Color) -> Color:
+    if c1 is Color.SHARED:
+        return c2
+    if c2 is Color.SHARED or c1 is c2:
+        return c1
+    raise ColorClash("term mixes A-local and B-local symbols")
+
+
+def color_problem(a_atoms, b_atoms, goal: Atom | None = None) -> dict[str, Color]:
+    """Occurrence-based coloring of constant and function symbols.
+
+    A symbol occurring in atoms of both sides is shared. The goal only
+    colors symbols that occur in no atom at all: such a symbol takes the
+    side of the goal position it appears in, lhs A and rhs B, or shared
+    when it appears on both goal sides. A goal occurrence never widens
+    the color a symbol already has from the atoms.
+    """
+    in_a: set[str] = set()
+    in_b: set[str] = set()
+    for a in a_atoms:
+        in_a.update(a.lhs._consts, a.lhs._fns, a.rhs._consts, a.rhs._fns)
+    for b in b_atoms:
+        in_b.update(b.lhs._consts, b.lhs._fns, b.rhs._consts, b.rhs._fns)
+    colors: dict[str, Color] = {}
+    for s in in_a | in_b:
+        if s in in_a and s in in_b:
+            colors[s] = Color.SHARED
+        elif s in in_a:
+            colors[s] = Color.A
+        else:
+            colors[s] = Color.B
+    if goal is not None:
+        goal_l = term_constants(goal.lhs) | term_functions(goal.lhs)
+        goal_r = term_constants(goal.rhs) | term_functions(goal.rhs)
+        for s in goal_l | goal_r:
+            if s in colors:
+                continue
+            if s in goal_l and s in goal_r:
+                colors[s] = Color.SHARED
+            elif s in goal_l:
+                colors[s] = Color.A
+            else:
+                colors[s] = Color.B
+    return colors
+
+
+def color_names(problem: PurifiedProblem, colors: dict[str, Color], fn_colors, names) -> None:
+    """Color fresh names of the problem, in the order given.
+
+    A name takes the color of the term it stands for: its function's
+    color in fn_colors (shared for a binder, which names a meet) combined
+    with the colors of the term's constants, so each name must come after
+    the names its term uses. Raises ColorClash for a term mixing A and B.
+    """
+    for name in names:
+        fn, term = problem.names[name] if name in problem.names else (None, problem.binders[name])
+        color = fn_colors.get(fn, Color.SHARED)
+        for c in term_constants(term):
+            color = combine_colors(color, colors[c])
+        colors[name] = color
 
 
 # ---------------------------------------------------------------------------
@@ -152,6 +227,7 @@ class Split:
 class SeparationState:
     """Side-attributed atoms and fresh names accumulated while chaining.
 
+    colors holds the color of every symbol, fresh names included.
     candidates holds the shared constants, separation names included.
     fired lists the clause of every atom chaining added, in order: a
     fired instance or a split piece. entailers keeps one growing
@@ -160,6 +236,7 @@ class SeparationState:
     """
 
     problem: PurifiedProblem
+    colors: dict[str, Color]
     fn_colors: dict[str, Color]
     atoms: dict[Color, list[Leq]]
     candidates: set[Const]
@@ -220,7 +297,6 @@ class InterpolationResult:
     purified_term: Term
     goal: Leq
     sharing: SharingMap
-    names: dict[str, Term]
     splits: tuple[Split, ...]
     fired: tuple[GroundHornClause, ...]
     certificates: tuple[tuple[Leq, list[tuple]], tuple[Leq, list[tuple]]] | None
@@ -278,7 +354,9 @@ def interpolate(a_atoms, b_atoms, goal: Leq, axioms: AxiomSet, *,
     or a split piece, and a split piece is a plain mon or comp instance,
     since its name u stands for f(t)); check_certificates() has the
     kernel check them against the premises. Fresh names avoid the
-    reserved symbols too.
+    reserved symbols too. Coloring happens here alone: input symbols by
+    occurrence (color_problem), then every fresh name, split names too,
+    by the term it stands for (color_names).
 
     Raises NotEntailed when the goal does not follow, NoSharedWitness
     when no shared candidate lies above the goal's left side or a mixed
@@ -297,34 +375,27 @@ def interpolate(a_atoms, b_atoms, goal: Leq, axioms: AxiomSet, *,
     make = intersection_sharing if intersection else theta_sharing
     smap = make(axioms, sigma_a, sigma_b)
     fn_colors = _fn_colors(smap, sigma_a, sigma_b)
+    colors = color_problem((*a_in, *neg_a), (*b_in, *neg_b), goal)
+    problem = locality.prepare_problem(a_in, b_in, goal, axioms, neg_a=neg_a, neg_b=neg_b, reserved=reserved)
     try:
-        problem = locality.prepare_problem(
-            a_in, b_in, goal, axioms, neg_a=neg_a, neg_b=neg_b, fn_colors=fn_colors,
-            reserved=reserved,
-        )
+        color_names(problem, colors, fn_colors, problem.purifier.made)
     except ColorClash as e:
         raise NoSharedWitness(
             f"sides cannot be purified apart under this sharing: {e}"
         ) from e
 
-    consts = set(problem.names) | set(problem.binders)
-    for x in (*problem.a0, *problem.b0, *problem.neg_a, *problem.neg_b, problem.goal):
-        consts |= atom_constants(x)
-    # constants occurring only under an application never reach a
-    # purified atom, but they are input vocabulary all the same
-    for _, arg in problem.defs:
-        consts |= term_constants(arg)
-    for t in problem.binders.values():
-        consts |= term_constants(t)
+    # input constants and fresh names: every function is declared
+    consts = set(colors) - set(axioms.functions)
     state = SeparationState(
         problem=problem,
+        colors=colors,
         fn_colors=fn_colors,
         atoms={Color.A: [*problem.a0], Color.B: [*problem.b0]},
-        candidates={Const(c) for c in consts if problem.colors[c] is Color.SHARED},
+        candidates={Const(c) for c in consts if colors[c] is Color.SHARED},
     )
 
     def fire(clause: GroundHornClause, ent: slat.Entailer) -> tuple[Leq, ...]:
-        strict = _clause_strict_colors(clause, problem.colors)
+        strict = _clause_strict_colors(clause, colors)
         if Color.A in strict and Color.B in strict:
             return _fire_split(clause, state, ent)
         state.append(Color.B if strict == {Color.B} else Color.A, clause.conclusion)
@@ -340,16 +411,16 @@ def interpolate(a_atoms, b_atoms, goal: Leq, axioms: AxiomSet, *,
     if not trace.result:
         raise NotEntailed(f"goal not entailed: {format_atom(goal)}")
 
-    own = Color.B if Color.B in _strict_colors(problem.goal.lhs, problem.colors) else Color.A
+    own = Color.B if Color.B in _strict_colors(problem.goal.lhs, colors) else Color.A
     t = slat.intermediate_term(
         state.entailer(own), trace.entailer, problem.goal.lhs, problem.goal.rhs, state.candidates,
     )
-    names, memo = problem.unfold_map(), {}
-    term = unfold(t, names, memo)
-    _check_signature(term, smap, problem.colors, consts - set(names))
+    names = problem.unfold_map()
+    term = unfold(t, names)
+    _check_signature(term, smap, colors, consts - set(names))
     shared_consts = frozenset(
         c for c in consts - set(names)
-        if problem.colors[c] is Color.SHARED
+        if colors[c] is Color.SHARED
     )
     smap = SharingMap(smap.classes, smap.shared_functions, shared_consts, smap.intersection)
 
@@ -366,7 +437,6 @@ def interpolate(a_atoms, b_atoms, goal: Leq, axioms: AxiomSet, *,
         purified_term=t,
         goal=goal,
         sharing=smap,
-        names={n: unfold(Const(n), names, memo) for n in names},
         splits=tuple(state.splits),
         fired=tuple(state.fired),
         certificates=certificates,
@@ -402,15 +472,15 @@ def _fire_split(clause: GroundHornClause, state: SeparationState, ent: slat.Enta
     other. Raises NoSharedWitness when the outer function is not shared,
     since u could then never enter an interpolant.
     """
-    problem = state.problem
+    problem, colors = state.problem, state.colors
     if not clause.premises:
         raise NoSharedWitness("mixed unit instance cannot be separated")
     if len(clause.premises) != 1:
         raise NoSharedWitness(f"cannot separate instance with {len(clause.premises)} premises")
     p = clause.premises[0]
-    owner = _owner_side(clause, p, problem.colors)
+    owner = _owner_side(clause, p, colors)
     t = slat.intermediate_term(state.entailer(owner), ent, p.lhs, p.rhs, state.candidates)
-    bad = {c for c in term_constants(t) if problem.colors[c] is not Color.SHARED}
+    bad = {c for c in term_constants(t) if colors[c] is not Color.SHARED}
     if bad:
         raise RuntimeError(f"separating term uses non-shared constant {sorted(bad)[0]}")
     schema = clause.provenance[0]
@@ -420,7 +490,8 @@ def _fire_split(clause: GroundHornClause, state: SeparationState, ent: slat.Enta
             f"mixed instance of non-shared operator {f} cannot be separated"
         )
     u = problem.purifier.name_for(f, t)
-    if problem.colors[u] is not Color.SHARED:
+    color_names(problem, colors, state.fn_colors, (u,))
+    if colors[u] is not Color.SHARED:
         raise RuntimeError(f"separation name {u} is not shared")
     state.candidates.add(Const(u))
     c_a = GroundHornClause(

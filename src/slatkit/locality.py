@@ -16,20 +16,15 @@ from .kernel import Kernel, Rejected
 from .terms import (
     App,
     Atom,
-    Color,
-    ColorClash,
     Const,
     Eq,
     GroundHornClause,
     Leq,
     Meet,
     Term,
-    color_problem,
-    combine_colors,
     expand_eqs,
     format_atom,
     mk_meet,
-    term_constants,
     term_functions,
     term_key,
 )
@@ -100,7 +95,6 @@ class PurifiedProblem:
     defs: dict[FlatTerm, str]
     names: dict[str, FlatTerm]
     binders: dict[str, Term]
-    colors: dict[str, Color]
     axioms: AxiomSet
     flat: tuple[FlatTerm, ...] = ()
     purifier: "_Purifier | None" = field(default=None, repr=False)
@@ -113,13 +107,8 @@ class PurifiedProblem:
 
 
 class _Purifier:
-    def __init__(self, used: set[str], colors: dict[str, Color],
-                 fn_colors: dict[str, Color] | None):
+    def __init__(self, used: set[str]):
         self.used = set(used)
-        self.colors = colors
-        # without a sharing map the colors are not consulted downstream,
-        # so a name straddling both sides is tolerated instead of raising
-        self.fn_colors = fn_colors
         self.defs: dict[FlatTerm, str] = {}
         self.names: dict[str, FlatTerm] = {}
         self.binders: dict[str, Term] = {}
@@ -136,17 +125,6 @@ class _Purifier:
         self.used.add(name)
         return name
 
-    def _combined(self, start: Color, parts) -> Color:
-        color = start
-        try:
-            for c in parts:
-                color = combine_colors(color, self.colors[c])
-        except ColorClash:
-            if self.fn_colors is not None:
-                raise
-            color = Color.SHARED
-        return color
-
     def name_for(self, fn: str, arg: Term) -> str:
         key = (fn, arg)
         name = self.defs.get(key)
@@ -156,10 +134,6 @@ class _Purifier:
             self.defs[key] = name
             self.names[name] = key
             self.made.append(name)
-            fn_colors = self.fn_colors if self.fn_colors is not None else self.colors
-            self.colors[name] = self._combined(
-                fn_colors.get(fn, Color.SHARED), term_constants(arg)
-            )
         return name
 
     def bind(self, t: Term) -> Const:
@@ -171,20 +145,30 @@ class _Purifier:
             self._binder_keys[key] = name
             self.binders[name] = t
             self.made.append(name)
-            self.colors[name] = self._combined(Color.SHARED, term_constants(t))
             self.pending.append(Leq(Const(name), t))
             self.pending.append(Leq(t, Const(name)))
         return Const(name)
 
     def pure(self, t: Term) -> Term:
-        if isinstance(t, Const):
-            return t
-        if isinstance(t, App):
-            arg = self.pure(t.arg)
-            if not isinstance(arg, Const):
-                arg = self.bind(arg)
-            return Const(self.name_for(t.fn, arg))
-        return mk_meet(self.pure(a) for a in t.args)
+        """t with every application named, bottom up: the walk a recursion
+        would make, from a stack. Children are pushed in reverse, so names
+        are made left to right, inside out; out holds the pure children."""
+        stack, out = [(t, False)], []
+        while stack:
+            x, ready = stack.pop()
+            if isinstance(x, Const):
+                out.append(x)
+            elif not ready:
+                stack.append((x, True))
+                stack += [(k, False) for k in reversed((x.arg,) if isinstance(x, App) else x.args)]
+            elif isinstance(x, App):
+                arg = out.pop()
+                out.append(Const(self.name_for(x.fn, arg if isinstance(arg, Const) else self.bind(arg))))
+            else:
+                args = out[-len(x.args):]
+                del out[-len(x.args):]
+                out.append(mk_meet(args))
+        return out[0]
 
     def pure_atom(self, a: Atom) -> Atom:
         return type(a)(self.pure(a.lhs), self.pure(a.rhs))
@@ -194,26 +178,20 @@ class _Purifier:
         return out
 
 
-def flatten_purify(a_atoms, b_atoms, goal: Leq, *, neg_a=(), neg_b=(), fn_colors=None,
+def flatten_purify(a_atoms, b_atoms, goal: Leq, *, neg_a=(), neg_b=(),
                    axioms: AxiomSet | None = None,
                    reserved=()) -> tuple[PurifiedProblem, tuple[FlatTerm, ...]]:
     """Replace applications by fresh constants, bottom up.
 
     Nested applications are named inside out, so f(g(a)) contributes the
-    flat terms (g, a) and (f, g_a). Fresh names inherit a color from the
-    named term: the function's sharing color combined with the colors of
-    the argument constants. Fresh names avoid every symbol of the input
-    and the reserved ones. Returns the purified problem (its flat term
-    set not yet closed) and the set of flat terms that occurred.
+    flat terms (g, a) and (f, g_a). Fresh names avoid every symbol of the
+    input and the reserved ones. Returns the purified problem (its flat
+    term set not yet closed) and the set of flat terms that occurred.
     """
     a_atoms, b_atoms = expand_eqs(a_atoms), expand_eqs(b_atoms)
     neg_a, neg_b = tuple(neg_a), tuple(neg_b)
-    check_input((*a_atoms, *b_atoms, *neg_a, *neg_b), goal, axioms)
-    colors = color_problem((*a_atoms, *neg_a), (*b_atoms, *neg_b), goal)
-    symbols = set(colors)
-    if axioms is not None:
-        symbols |= set(axioms.functions)
-    purifier = _Purifier(symbols | set(reserved), colors, fn_colors)
+    symbols = check_input((*a_atoms, *b_atoms, *neg_a, *neg_b), goal, axioms)
+    purifier = _Purifier(symbols | set(reserved))
 
     def do_side(side: str, atoms, out_pos: list):
         purifier.side = side
@@ -245,25 +223,28 @@ def flatten_purify(a_atoms, b_atoms, goal: Leq, *, neg_a=(), neg_b=(), fn_colors
         defs=purifier.defs,
         names=purifier.names,
         binders=purifier.binders,
-        colors=purifier.colors,
         axioms=axioms if axioms is not None else AxiomSet(()),
         purifier=purifier,
     )
     return problem, _sorted_flat(purifier.defs)
 
 
-def check_input(atoms, goal: Leq, axioms: AxiomSet | None) -> None:
-    """Raise ValueError for a goal that is not a <= atom and, given
-    axioms, for the first atom with an undeclared function, then for a
-    function name used as a constant."""
+def check_input(atoms, goal: Leq, axioms: AxiomSet | None) -> set[str]:
+    """The names of the atoms, the goal and the axioms' functions.
+
+    Raises ValueError for a goal that is not a <= atom and, given axioms,
+    for the first atom with an undeclared function, then for a function
+    name used as a constant.
+    """
     if not isinstance(goal, Leq):
         raise ValueError("goal must be a <= atom")
-    if axioms is None:
-        return
-    atoms, declared, fns, consts = (*atoms, goal), set(axioms.functions), set(), set()
+    atoms, fns, consts = (*atoms, goal), set(), set()
     for a in atoms:
         fns.update(a.lhs._fns, a.rhs._fns)
         consts.update(a.lhs._consts, a.rhs._consts)
+    if axioms is None:
+        return fns | consts
+    declared = set(axioms.functions)
     if not fns <= declared:
         for a in atoms:
             for f in term_functions(a.lhs) | term_functions(a.rhs):
@@ -271,6 +252,7 @@ def check_input(atoms, goal: Leq, axioms: AxiomSet | None) -> None:
                     raise ValueError(f"undeclared function {f}")
     if consts & declared:
         raise ValueError(f"used as both constant and function: {min(consts & declared)}")
+    return declared | consts
 
 
 def _sorted_flat(terms) -> tuple[FlatTerm, ...]:
@@ -401,15 +383,14 @@ def instantiate(axioms: AxiomSet, flat_terms, defs: dict[FlatTerm, str]) -> tupl
 
 
 def prepare_problem(a_atoms, b_atoms, goal: Leq, axioms: AxiomSet, *,
-                    neg_a=(), neg_b=(), fn_colors=None, reserved=()) -> PurifiedProblem:
+                    neg_a=(), neg_b=(), reserved=()) -> PurifiedProblem:
     """Purify, close the term set and name the new terms.
 
     No instance is built here: saturate() generates them from the closed
     set (problem.flat) as their premises become derivable.
     """
     problem, est = flatten_purify(
-        a_atoms, b_atoms, goal, neg_a=neg_a, neg_b=neg_b,
-        fn_colors=fn_colors, axioms=axioms, reserved=reserved,
+        a_atoms, b_atoms, goal, neg_a=neg_a, neg_b=neg_b, axioms=axioms, reserved=reserved,
     )
     problem.flat = psi_closure(est, axioms)
     for fn, arg in problem.flat:
@@ -703,25 +684,26 @@ class Justification:
     kept_axioms: tuple[int, ...]
 
 
-def reachability_module(inputs: dict[str, tuple], goal: Leq, pinned: dict[str, set[int]]) -> dict[str, list]:
+def reachability_module(inputs: dict[str, tuple], goal: Leq) -> dict[str, list]:
     """The positions, per argument of inputs, of the goal's module M.
 
     Sigma starts as the names (constants and functions alike) of the
-    goal, the negative literals ("na", "nb") and the pinned atoms, which
-    are in M. Another input joins M, adding all its names to Sigma, once
-    every name of one of its triggers is in Sigma: the left side of s <=
-    t, either side of s = t, f of Inclusion(f, g), f and g of
-    Composition(f, g, h). One worklist, a count per trigger of its names
-    not yet in Sigma and a waiting list per name, makes this linear in
-    the names the inputs hold, read off each term's cached name sets (a
-    name that is a constant and a function of one side counts twice and
-    wakes twice).
+    goal and the negative literals ("na", "nb"), which are in M. Another
+    input joins M, adding all its names to Sigma, once every name of one
+    of its triggers is in Sigma: the left side of s <= t, either side of
+    s = t, f of Inclusion(f, g), f and g of Composition(f, g, h). One
+    worklist, a count per trigger of its names not yet in Sigma and a
+    waiting list per name, makes this linear in the names the inputs
+    hold, read off each term's cached name sets (a name that is a
+    constant and a function of one side counts twice and wakes twice).
+    An EL goal binder's pair of atoms joins by its triggers like any
+    other input: goalA <= C through the goal, C <= goalA after it.
     """
     out: dict[str, list[int]] = {kind: [] for kind in inputs}
     waiting: dict[str, list[list]] = {}
     todo: list[str] = [*goal.lhs._consts, *goal.lhs._fns, *goal.rhs._consts, *goal.rhs._fns]
     for kind, xs in inputs.items():
-        ids, always, pins = out[kind], kind in ("na", "nb"), pinned.get(kind, ())
+        ids, always = out[kind], kind in ("na", "nb")
         for i, x in enumerate(xs):
             # an entry holds its input until it joins: an atom, or an axiom's names
             if kind == "ax":
@@ -729,7 +711,7 @@ def reachability_module(inputs: dict[str, tuple], goal: Leq, pinned: dict[str, s
                 trigger = [len(names) - 1, [ids, i, names]]
                 for name in names[:-1]:
                     waiting.setdefault(name, []).append(trigger)
-            elif always or i in pins:
+            elif always:
                 ids.append(i)
                 todo += (*x.lhs._consts, *x.lhs._fns, *x.rhs._consts, *x.rhs._fns)
             else:
@@ -759,14 +741,13 @@ def reachability_module(inputs: dict[str, tuple], goal: Leq, pinned: dict[str, s
 
 
 def minimize_axioms(a_atoms, b_atoms, goal: Leq, axioms: AxiomSet, *,
-                    neg_a=(), neg_b=(), pinned_a=(), pinned_b=()) -> Justification:
+                    neg_a=(), neg_b=()) -> Justification:
     """Deletion based minimization of literals and axioms, guided by proofs.
 
     Candidates are tried one at a time, later input positions first, so
     axioms listed earlier are kept in preference to later alternatives.
     Every drop is permanent when the goal stays entailed. The result is
-    minimal: dropping any kept member breaks the entailment. Pinned
-    literal positions are never offered for deletion.
+    minimal: dropping any kept member breaks the entailment.
 
     Only the goal's module M (reachability_module) is prepared; every
     input outside it is dropped. For any kept set K, K entails the goal
@@ -819,8 +800,7 @@ def minimize_axioms(a_atoms, b_atoms, goal: Leq, axioms: AxiomSet, *,
     """
     inputs = {"a": tuple(a_atoms), "b": tuple(b_atoms), "na": tuple(neg_a),
               "nb": tuple(neg_b), "ax": axioms.axioms}
-    pinned = {"a": set(pinned_a), "b": set(pinned_b)}
-    module = reachability_module(inputs, goal, pinned)
+    module = reachability_module(inputs, goal)
     if any(len(ids) < len(inputs[kind]) for kind, ids in module.items()):
         # the input errors that preparing every input raises
         check_input((*inputs["a"], *inputs["b"], *inputs["na"], *inputs["nb"]), goal, axioms)
@@ -847,16 +827,10 @@ def minimize_axioms(a_atoms, b_atoms, goal: Leq, axioms: AxiomSet, *,
         *((x, (node["nb", i],)) for i, x in enumerate(problem.neg_b)))]
     gate = [None if o is None else node[o] for o in owner] + list(range(n, n + len(fired)))
     program = slat.SelectorProgram(ent, n + len(fired), gate, rules, goals)
-    candidates = [
-        *(("a", i) for i, p in enumerate(module["a"]) if p not in pinned["a"]),
-        *(("na", i) for i in range(len(inputs["na"]))),
-        *(("b", i) for i, p in enumerate(module["b"]) if p not in pinned["b"]),
-        *(("nb", i) for i in range(len(inputs["nb"]))),
-        *(("ax", i) for i in range(len(inputs["ax"]))),
-    ]
     reason, vital = program.vital(range(n))
     support, vital = {selectors[k] for k in program.used(reason)}, {selectors[k] for k in vital}
     keep = {kind: set(range(len(xs))) for kind, xs in inputs.items()}
+    candidates = [(kind, i) for kind in ("a", "na", "b", "nb", "ax") for i in range(len(inputs[kind]))]
     for kind, i in reversed(candidates):
         if (kind, i) in vital:
             continue

@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import re
 from dataclasses import FrozenInstanceError, dataclass
-from enum import Enum
 
 
 class ParseError(ValueError):
@@ -220,62 +219,6 @@ class GroundHornClause:
     provenance: tuple = ("input",)
 
 
-class Color(str, Enum):
-    A = "A"
-    B = "B"
-    SHARED = "shared"
-
-
-class ColorClash(RuntimeError):
-    """A term mixes A-local and B-local symbols."""
-
-
-def combine_colors(c1: Color, c2: Color) -> Color:
-    if c1 is Color.SHARED:
-        return c2
-    if c2 is Color.SHARED or c1 is c2:
-        return c1
-    raise ColorClash("term mixes A-local and B-local symbols")
-
-
-def color_problem(a_atoms, b_atoms, goal: Atom | None = None) -> dict[str, Color]:
-    """Occurrence-based coloring of constant and function symbols.
-
-    A symbol occurring in atoms of both sides is shared. The goal only
-    colors symbols that occur in no atom at all: such a symbol takes the
-    side of the goal position it appears in, lhs A and rhs B, or shared
-    when it appears on both goal sides. A goal occurrence never widens
-    the color a symbol already has from the atoms.
-    """
-    in_a: set[str] = set()
-    in_b: set[str] = set()
-    for a in a_atoms:
-        in_a.update(a.lhs._consts, a.lhs._fns, a.rhs._consts, a.rhs._fns)
-    for b in b_atoms:
-        in_b.update(b.lhs._consts, b.lhs._fns, b.rhs._consts, b.rhs._fns)
-    colors: dict[str, Color] = {}
-    for s in in_a | in_b:
-        if s in in_a and s in in_b:
-            colors[s] = Color.SHARED
-        elif s in in_a:
-            colors[s] = Color.A
-        else:
-            colors[s] = Color.B
-    if goal is not None:
-        goal_l = term_constants(goal.lhs) | term_functions(goal.lhs)
-        goal_r = term_constants(goal.rhs) | term_functions(goal.rhs)
-        for s in goal_l | goal_r:
-            if s in colors:
-                continue
-            if s in goal_l and s in goal_r:
-                colors[s] = Color.SHARED
-            elif s in goal_l:
-                colors[s] = Color.A
-            else:
-                colors[s] = Color.B
-    return colors
-
-
 # ---------------------------------------------------------------------------
 # concrete syntax
 
@@ -286,8 +229,8 @@ _TOKEN_RE = re.compile(r"(\s*)(<=|[&().=!,<]|[^\s&().=!,<]+)")
 _PUNCT = {"&", "(", ")", ".", "<=", "=", "!", ",", "<"}
 
 # deepest bracket (or EL 'ex') nesting the parsers accept: they recurse
-# only up to this bound, and so do locality's _Purifier.pure, _subterms
-# and the comparison of deep term_key tuples in sorted (in C)
+# only up to this bound, and so do _subterms and the comparison of deep
+# term_key tuples in sorted (in C)
 MAX_NESTING = 100
 
 

@@ -106,8 +106,7 @@ def test_criterion_3_medical_ontology_end_to_end():
     # the closed term set behind that interpolant: two location roles
     # over the four anatomy names
     tr = el.translate(both)
-    j = locality.minimize_axioms(tr.a_atoms, tr.b_atoms, tr.goal, tr.axioms,
-                                 pinned_a=tr.pinned_a, pinned_b=tr.pinned_b)
+    j = locality.minimize_axioms(tr.a_atoms, tr.b_atoms, tr.goal, tr.axioms)
     ax_min = AxiomSet(tr.axioms.functions,
                       tuple(tr.axioms.axioms[i] for i in j.kept_axioms))
     _, est = locality.flatten_purify(

@@ -4,8 +4,10 @@ machinery."""
 from itertools import combinations
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from slatkit import locality
+from conftest import DATA, rand_slo_problem, rand_term
+from slatkit import cli, locality
 from slatkit.beth import (
     Failure,
     double,
@@ -15,7 +17,18 @@ from slatkit.beth import (
 )
 from slatkit.locality import AxiomSet, Composition
 from slatkit.slat import eval_term
-from slatkit.terms import App, Const, Leq, mk_meet, parse_atom, parse_term, term_key
+from slatkit.terms import (
+    App,
+    Const,
+    Leq,
+    Term,
+    atom_constants,
+    atom_functions,
+    mk_meet,
+    parse_atom,
+    parse_term,
+    term_key,
+)
 from test_slat import model4
 
 
@@ -81,17 +94,48 @@ def test_target_is_implicitly_defined():
     assert is_implicitly_defined(atoms, axioms, {"g", "e"}, "a")
 
 
-def test_implicit_definability_is_symmetric():
+@settings(max_examples=80, deadline=None)
+@given(st.randoms(use_true_random=False))
+def test_implicit_definability_is_symmetric(rng):
+    # swapping every symbol with its primed copy maps the doubled premises
+    # onto themselves, so target <= target' and target' <= target agree,
+    # and is_implicitly_defined decides the first alone
+    a, b, _, axioms = rand_slo_problem(rng)
+    atoms = (*a, *b)
+    consts = sorted(set().union(*map(atom_constants, atoms)))
+    symbols = sorted({*axioms.functions, *consts}.union(*map(atom_functions, atoms)))
+    neg = tuple(Leq(rand_term(rng, consts, list(axioms.functions)), Const(rng.choice(consts)))
+                for _ in range(rng.randint(0, 1)))
+    target = rng.choice(consts)
+    sigma = {x for x in symbols if x != target and rng.random() < 0.5}
+    d = double(atoms, axioms, sigma, target, neg=neg)
+    t, t2 = Const(d.target), Const(d.target_prime)
+    fwd = locality.entails(d.atoms, d.renamed_atoms, Leq(t, t2), d.axioms, neg_a=d.neg, neg_b=d.renamed_neg)
+    assert fwd == locality.entails(d.atoms, d.renamed_atoms, Leq(t2, t), d.axioms,
+                                   neg_a=d.neg, neg_b=d.renamed_neg)
+    assert fwd == is_implicitly_defined(atoms, axioms, sigma, d.target, neg=neg)
+
+
+def test_definability_prepares_once_per_entailment_it_needs(monkeypatch):
+    calls, prepare = [], locality.prepare_problem
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return prepare(*args, **kwargs)
+
+    monkeypatch.setattr(locality, "prepare_problem", counted)
     atoms, axioms = fe_problem()
-    d = double(atoms, axioms, {"g", "e"}, "a")
-    swapped_axioms = d.axioms
-    rename = d.rename
-    # run the same two entailments with the primed copy playing side A
-    a, a2 = Const(d.target), Const(d.target_prime)
-    fwd = locality.entails(d.atoms, d.renamed_atoms, Leq(a, a2), swapped_axioms)
-    bwd = locality.entails(d.renamed_atoms, d.atoms, Leq(a2, a), swapped_axioms)
-    assert fwd and bwd
-    assert rename["a"] == "a'"
+    assert is_implicitly_defined(atoms, axioms, {"g", "e"}, "a")
+    assert len(calls) == 1
+    calls.clear()
+    # the one implicit check, the interpolation, both directions of the definition
+    assert isinstance(explicit_definition(atoms, axioms, {"g", "e"}, "a"), Term)
+    assert len(calls) == 4
+    for argv, want in ((["beth", str(DATA / "beth_fe.slp")], 5),
+                       (["beth", str(DATA / "beth_fe.slp"), "--sharing", "intersection", "--depth", "2"], 18)):
+        calls.clear()
+        cli.main(argv)
+        assert len(calls) == want, argv
 
 
 def test_unconstrained_target_is_not_defined():

@@ -221,7 +221,8 @@ def test_translate_med():
     assert tr.a_atoms[1] == Leq(Const("Endocardium"),
                                 App("part-of", Const("HeartWall")))
     assert tr.goal == Leq(Const("Endocarditis"), Const("HeartDisease"))
-    assert tr.pinned_a == () and tr.pinned_b == ()
+    # both goal sides are names: no binding atoms past the labelled ones
+    assert len(tr.a_atoms) == len(tr.a_labels) and len(tr.b_atoms) == len(tr.b_labels)
 
 
 def test_translate_binds_complex_goal_sides():
@@ -235,11 +236,8 @@ def test_translate_binds_complex_goal_sides():
     assert isinstance(tr.goal.lhs, Const)
     bound = tr.goal.lhs.name
     assert bound.startswith("goalA")
-    defining = [i for i in tr.pinned_a
-                if bound in (tr.a_atoms[i].lhs, tr.a_atoms[i].rhs)
-                or tr.a_atoms[i].lhs == Const(bound)
-                or tr.a_atoms[i].rhs == Const(bound)]
-    assert defining
+    # the binding pair sits past A's labelled inclusion
+    assert tr.a_atoms[len(tr.a_labels):] == (Leq(Const(bound), p.goal_c), Leq(p.goal_c, Const(bound)))
     assert tr.goal.rhs == Const("B1c")
 
 
@@ -314,8 +312,7 @@ def test_med_psi_closure_shape():
     """With the justification core, the closure is exactly the two
     location roles over the four anatomy names."""
     tr = translate(med())
-    j = locality.minimize_axioms(tr.a_atoms, tr.b_atoms, tr.goal, tr.axioms,
-                                 pinned_a=tr.pinned_a, pinned_b=tr.pinned_b)
+    j = locality.minimize_axioms(tr.a_atoms, tr.b_atoms, tr.goal, tr.axioms)
     a_min = [tr.a_atoms[i] for i in j.kept_a]
     b_min = [tr.b_atoms[i] for i in j.kept_b]
     ax_min = AxiomSet(tr.axioms.functions,

@@ -6,8 +6,9 @@ import random
 import pytest
 
 from conftest import onto_text, rand_slo_problem, read_data
-from slatkit import el, interp, locality
+from slatkit import el, locality
 from slatkit.interp import (
+    Color,
     NoSharedWitness,
     VerificationFailed,
     check_certificates,
@@ -19,7 +20,6 @@ from slatkit.interp import (
 from slatkit.locality import AxiomSet, Composition, Inclusion, NotEntailed
 from slatkit.terms import (
     App,
-    Color,
     Const,
     Leq,
     Meet,
@@ -105,29 +105,32 @@ def test_unfold_follows_a_long_chain_of_names():
     assert (t, depth) == (Const("a"), 3000)
 
 
-def _names_match_unfolding_one_at_a_time(monkeypatch, run):
-    """run() interpolates; its names map must equal unfolding each name alone."""
-    maps = []
+def unfolded_names(res):
+    """Every fresh name of an interpolation run, unfolded to the input
+    signature with one memo over all of them."""
+    names, memo = dict(res.definitions), {}
+    return {n: unfold(Const(n), names, memo) for n in names}
 
-    def recorded(term, names, memo=None):
-        maps.append(names)
-        return unfold(term, names, memo)
 
-    monkeypatch.setattr(interp, "unfold", recorded)
+def _names_match_unfolding_one_at_a_time(run):
+    """run() interpolates; unfolding its names with one shared memo must
+    equal unfolding each name alone, and the interpolant must be its
+    purified term unfolded."""
     res = run()
-    raw = maps[-1]
-    assert res.names == {n: unfold(Const(n), raw) for n in raw}
+    names = dict(res.definitions)
+    assert unfolded_names(res) == {n: unfold(Const(n), names) for n in names}
+    assert res.term == unfold(res.purified_term, names)
     return res
 
 
-def test_names_are_unfolded_like_one_name_at_a_time_on_ladders(monkeypatch):
+def test_names_are_unfolded_like_one_name_at_a_time_on_ladders():
     from test_saturate import ladder
     for n in range(1, 13):
-        res = _names_match_unfolding_one_at_a_time(monkeypatch, lambda: interpolate(*ladder(n)))
+        res = _names_match_unfolding_one_at_a_time(lambda: interpolate(*ladder(n)))
         assert len(res.splits) == n - 1
 
 
-def test_names_are_unfolded_like_one_name_at_a_time_on_el_translations(monkeypatch):
+def test_names_are_unfolded_like_one_name_at_a_time_on_el_translations():
     # med.elp is the one shipped ontology with an entailed goal (med_A and
     # med_B are its parts); seeded role chains add longer split chains
     texts = [read_data("med.elp"), *(onto_text(random.Random(k), 6, 12) for k in range(4))]
@@ -135,7 +138,7 @@ def test_names_are_unfolded_like_one_name_at_a_time_on_el_translations(monkeypat
         p = el.parse_cbox(text)
         for minimize in (True, False):
             _names_match_unfolding_one_at_a_time(
-                monkeypatch, lambda: el.el_interpolation(p, minimize=minimize, verify=False).result)
+                lambda: el.el_interpolation(p, minimize=minimize, verify=False).result)
 
 
 # ---------------------------------------------------------------------------
@@ -287,7 +290,7 @@ def _outcome(a, b, goal, axioms):
         res = interpolate(a, b, goal, axioms, verify=False)
     except (NotEntailed, NoSharedWitness, ValueError) as e:
         return type(e), str(e)
-    return res.term, res.purified_term, res.splits, res.fired, res.names
+    return res.term, res.purified_term, res.splits, res.fired, unfolded_names(res)
 
 
 def test_split_steps_match_fresh_entailers(monkeypatch):

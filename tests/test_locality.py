@@ -6,11 +6,12 @@ import random
 import pytest
 
 from conftest import rand_slo_problem
-from slatkit.interp import unfold
+from slatkit.interp import Color, color_names, color_problem, unfold
 from slatkit.locality import (
     AxiomSet,
     Composition,
     Inclusion,
+    Justification,
     NotEntailed,
     decide,
     entails,
@@ -21,7 +22,7 @@ from slatkit.locality import (
     psi_closure,
 )
 from slatkit.slat import entails_atom
-from slatkit.terms import App, Color, Const, Leq, Meet, parse_atom, parse_term
+from slatkit.terms import App, Const, Leq, Meet, parse_atom, parse_term
 from test_saturate import _decide_by_passes
 
 
@@ -110,20 +111,47 @@ def test_flatten_goal_sides_stay_terms():
     assert problem.binders == {}
 
 
+def test_terms_ten_thousand_deep_from_the_api_are_decided_and_minimized():
+    # the parsers stop at MAX_NESTING, but a term built through the API
+    # may be deeper; purification walks it from a stack, not by recursion
+    deep = Const("a")
+    for _ in range(10000):
+        deep = App("f", deep)
+    a, b, axioms = (Leq(deep, Const("c")),), atoms_of("c <= b"), AxiomSet(("f",))
+    goal = Leq(deep, Const("b"))
+    assert entails(a, b, goal, axioms)
+    assert minimize_axioms(a, b, goal, axioms) == Justification((0,), (0,), (), (), ())
+
+
+def test_purified_names_come_in_the_order_of_a_left_to_right_walk():
+    problem, _ = flatten_purify(atoms_of("f(g(a) & h(b)) & g(a) <= k(c & g(a))"), (),
+                                parse_atom("a <= b"), axioms=AxiomSet(("f", "g", "h", "k")))
+    assert problem.purifier.made == ["g_a", "h_b", "m1", "f_m1", "m2", "k_m2"]
+
+
 def test_flatten_rejects_undeclared_function():
     with pytest.raises(ValueError):
         flatten_purify(atoms_of("f(a) <= b"), (), parse_atom("a <= b"),
                        axioms=AxiomSet(()))
 
 
+def colored(a, b, goal, axioms):
+    """The purified problem and interp's colors of its symbols, fresh
+    names included, each function colored by its occurrences."""
+    problem, est = flatten_purify(a, b, goal, axioms=axioms)
+    colors = color_problem(a, b, goal)
+    color_names(problem, colors, colors, problem.purifier.made)
+    return problem, est, colors
+
+
 def test_name_colors_follow_constituents():
-    problem, _ = flatten_purify(
+    problem, _, colors = colored(
         atoms_of("f(a) <= s", "f(s) <= s"),
         atoms_of("s <= b", "f(s) <= b"),
         parse_atom("a <= b"),
-        axioms=AxiomSet(("f",)),
+        AxiomSet(("f",)),
     )
-    by_term = {ft: problem.colors[n] for ft, n in problem.defs.items()}
+    by_term = {ft: colors[n] for ft, n in problem.defs.items()}
     assert by_term[("f", Const("a"))] is Color.A
     assert by_term[("f", Const("s"))] is Color.SHARED
 
@@ -132,9 +160,9 @@ def test_every_name_is_colored():
     rng = random.Random(11)
     for _ in range(20):
         a, b, goal, axioms = rand_slo_problem(rng)
-        problem, est = flatten_purify(a, b, goal, axioms=axioms)
+        problem, est, colors = colored(a, b, goal, axioms)
         for name in problem.names:
-            assert name in problem.colors
+            assert name in colors
         assert set(problem.defs) == set(est)
 
 
@@ -301,7 +329,7 @@ def test_decide_stable_under_larger_closed_term_set():
         fn = sorted(axioms.functions)[0]
         flats = set(est)
         fresh_arg = next(
-            (Const(c) for c in sorted(problem.colors)
+            (Const(c) for c in sorted(color_problem(a, b, goal))
              if c not in axioms.functions and c not in problem.names
              and c not in problem.binders and (fn, Const(c)) not in flats),
             None,
@@ -341,14 +369,6 @@ def test_minimize_prefers_earlier_atoms():
     just = minimize_axioms(a, b, parse_atom("a <= b"), AxiomSet(()))
     assert just.kept_a == (0,)
     assert just.kept_b == (0,)
-
-
-def test_minimize_honors_pins():
-    a = atoms_of("a <= s", "a <= t")
-    b = atoms_of("s <= b", "t <= b")
-    just = minimize_axioms(a, b, parse_atom("a <= b"), AxiomSet(()),
-                           pinned_a=(1,), pinned_b=())
-    assert 1 in just.kept_a
 
 
 def test_minimize_result_is_minimal():

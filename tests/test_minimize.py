@@ -17,6 +17,7 @@ import pytest
 
 from conftest import entails_with_support, onto_text, rand_slo_problem, rand_term, read_data
 from slatkit import el, locality, slat
+from slatkit.interp import NoSharedWitness, interpolate
 from slatkit.locality import (
     AxiomSet,
     Composition,
@@ -30,8 +31,7 @@ from slatkit.terms import App, Const, Eq, Leq, atom_constants, format_atom, mk_m
 from test_saturate import ladder
 
 
-def _minimize_by_deletion(a_atoms, b_atoms, goal, axioms, *,
-                          neg_a=(), neg_b=(), pinned_a=(), pinned_b=()):
+def _minimize_by_deletion(a_atoms, b_atoms, goal, axioms, *, neg_a=(), neg_b=()):
     a_atoms = tuple(a_atoms)
     b_atoms = tuple(b_atoms)
     neg_a, neg_b = tuple(neg_a), tuple(neg_b)
@@ -59,9 +59,9 @@ def _minimize_by_deletion(a_atoms, b_atoms, goal, axioms, *,
     if not entailed():
         raise NotEntailed(f"goal not entailed: {format_atom(goal)}")
     candidates = [
-        *(("a", i) for i in range(len(a_atoms)) if i not in set(pinned_a)),
+        *(("a", i) for i in range(len(a_atoms))),
         *(("na", i) for i in range(len(neg_a))),
-        *(("b", i) for i in range(len(b_atoms)) if i not in set(pinned_b)),
+        *(("b", i) for i in range(len(b_atoms))),
         *(("nb", i) for i in range(len(neg_b))),
         *(("ax", i) for i in range(len(axioms.axioms))),
     ]
@@ -117,8 +117,7 @@ def with_equations(rng):
 
 def minimize_el(text, minimize):
     t = el.translate(el.parse_cbox(text))
-    return _outcome(minimize, t.a_atoms, t.b_atoms, t.goal, t.axioms,
-                    pinned_a=t.pinned_a, pinned_b=t.pinned_b)
+    return _outcome(minimize, t.a_atoms, t.b_atoms, t.goal, t.axioms)
 
 
 # ---------------------------------------------------------------------------
@@ -163,6 +162,39 @@ def test_chain_with_distractors_matches_the_deletion_loop():
 def test_medical_ontology_matches_the_deletion_loop(name):
     text = read_data(name)
     assert minimize_el(text, minimize_axioms) == minimize_el(text, _minimize_by_deletion)
+
+
+def _interpolant(run):
+    try:
+        return run()
+    except (NotEntailed, NoSharedWitness) as e:
+        return type(e)
+
+
+def test_el_compound_goals_match_the_deletion_loop():
+    # a goal side that is not a name is bound by a pair of atoms; the
+    # deletion loop keeps the one every derivation needs and drops its
+    # reverse, and so do justify and the minimisation before EL interpolate
+    goals = ("C0 <= ex r . C{n}", "ex r . C0 <= ex r . C{n}", "C0 & D0 <= ex r . C{n}",
+             "ex s . C0 <= ex s . ex r . C1", "ex r . C{n} <= C0")
+    rng, checked = random.Random(1009), 0
+    for n, nd in ((3, 4), (4, 8), (6, 12)):
+        text = onto_text(rng, n, nd)
+        for goal in goals:
+            p = el.parse_cbox(text.replace(f"goal C0 <= ex r . C{n}", "goal " + goal.format(n=n)))
+            t = el.translate(p)
+            want = _outcome(_minimize_by_deletion, t.a_atoms, t.b_atoms, t.goal, t.axioms)
+            assert _outcome(minimize_axioms, t.a_atoms, t.b_atoms, t.goal, t.axioms) == want
+            assert el.justify(p) == (None if want is None else el._kept_labels(t, want))
+            if want is None:
+                assert _interpolant(lambda: el.el_interpolate(p)) is NotEntailed
+                continue
+            checked += 1
+            kept = AxiomSet(t.axioms.functions, tuple(t.axioms.axioms[i] for i in want.kept_axioms))
+            assert _interpolant(lambda: el.el_interpolate(p)) == _interpolant(lambda: interpolate(
+                [t.a_atoms[i] for i in want.kept_a], [t.b_atoms[i] for i in want.kept_b],
+                t.goal, kept).term)
+    assert checked == 12
 
 
 # ---------------------------------------------------------------------------
@@ -356,8 +388,9 @@ def test_support_skips_distractors():
     t = el.translate(el.parse_cbox(text))
     ok, support = entails_with_support(t.a_atoms, t.b_atoms, t.goal, t.axioms)
     assert ok
-    used = [*(t.a_atoms[i] for i in support["a"] - set(t.pinned_a)),
-            *(t.b_atoms[i] for i in support["b"] - set(t.pinned_b))]
+    # the goal-binding atoms sit past the labelled inclusions
+    used = [*(t.a_atoms[i] for i in support["a"] if i < len(t.a_labels)),
+            *(t.b_atoms[i] for i in support["b"] if i < len(t.b_labels))]
     assert len(used) == 6
     assert all(format_atom(x).startswith("C") for x in used)
     assert support["ax"] == {0}
@@ -434,9 +467,9 @@ def test_vital_inputs_are_the_ones_every_derivation_uses(monkeypatch):
 # the goal's module: inputs no derivation can reach are dropped unprepared
 
 
-def module_of(a, b, goal, axioms, *, neg_a=(), neg_b=(), pinned_a=(), pinned_b=()):
+def module_of(a, b, goal, axioms, *, neg_a=(), neg_b=()):
     inputs = {"a": tuple(a), "b": tuple(b), "na": tuple(neg_a), "nb": tuple(neg_b), "ax": axioms.axioms}
-    return locality.reachability_module(inputs, goal, {"a": set(pinned_a), "b": set(pinned_b)})
+    return locality.reachability_module(inputs, goal)
 
 
 def positions(a=(), b=(), na=(), nb=(), ax=()):
@@ -539,17 +572,13 @@ def test_a_composition_joins_by_its_first_two_functions():
     assert assert_same_justification(a, b, goal, axioms)
 
 
-def test_negatives_and_pinned_atoms_are_always_in():
+def test_negatives_are_always_in():
     # the negative x <= y brings x in, and x <= z, z <= y contradict it
     a = atoms("x <= z", "z <= y", "w <= y")
     goal, neg_a = parse_atom("a <= b"), atoms("x <= y")
     assert module_of(a, (), goal, AxiomSet(()), neg_a=neg_a) == positions(a=[0, 1], na=[0])
     assert minimize_axioms(a, (), goal, AxiomSet(()), neg_a=neg_a) == Justification((0, 1), (), (0,), (), ())
     assert assert_same_justification(a, (), goal, AxiomSet(()), neg_a=neg_a)
-    # a pinned atom is in whatever its sides, and brings its names in
-    b = atoms("a <= b", "v <= u", "u <= t", "t <= s")
-    assert module_of((), b, goal, AxiomSet(())) == positions(b=[0])
-    assert module_of((), b, goal, AxiomSet(()), pinned_b=(2,)) == positions(b=[0, 2, 3])
 
 
 def test_input_errors_outside_the_module_are_raised():

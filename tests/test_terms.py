@@ -1,4 +1,5 @@
-"""Term algebra: interning, normal forms, ordering, parsing, coloring."""
+"""Term algebra: interning, normal forms, ordering, parsing; the coloring
+of term symbols that interpolation builds on."""
 
 import copy
 import pickle
@@ -8,18 +9,15 @@ import pytest
 from hypothesis import given, strategies as st
 
 from slatkit.inputs import parse_slp
+from slatkit.interp import Color, ColorClash, color_problem, combine_colors
 from slatkit.terms import (
     App,
-    Color,
-    ColorClash,
     Const,
     Eq,
     GroundHornClause,
     Leq,
     Meet,
     ParseError,
-    color_problem,
-    combine_colors,
     expand_eqs,
     format_atom,
     format_term,
@@ -345,7 +343,7 @@ def test_parse_atom_requires_relation():
 
 
 # ---------------------------------------------------------------------------
-# coloring
+# coloring of symbols (slatkit.interp, the one module that colors)
 
 
 def test_combine_colors():
