@@ -9,7 +9,6 @@ is then extracted by interpolating between the copies and verified.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import combinations
 
 from . import interp, locality
@@ -20,6 +19,7 @@ from .terms import (
     App,
     Atom,
     Const,
+    Frozen,
     Leq,
     Term,
     atom_constants,
@@ -30,8 +30,7 @@ from .terms import (
 )
 
 
-@dataclass(frozen=True)
-class Failure:
+class Failure(Frozen):
     """No explicit definition was produced; reason says why."""
 
     reason: str
@@ -40,8 +39,7 @@ class Failure:
         return False
 
 
-@dataclass(frozen=True)
-class DoubledProblem:
+class DoubledProblem(Frozen):
     """Original atoms beside a primed copy sharing only the subsignature."""
 
     atoms: tuple[Atom, ...]

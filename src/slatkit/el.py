@@ -11,17 +11,17 @@ minimal justifying axiom sets all come back from the term level.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from . import interp, locality
 from .inputs import _problem_lines
 from .locality import AxiomSet, Composition, Inclusion, Justification, NotEntailed
 from .terms import (
     App,
     Const,
+    Frozen,
     Leq,
     Meet,
     ParseError,
+    Record,
     Term,
     _PUNCT,
     _TermParser,
@@ -54,8 +54,7 @@ def format_concept(c: Concept) -> str:
 # ontologies
 
 
-@dataclass(frozen=True)
-class GCI:
+class GCI(Frozen):
     """General concept inclusion lhs subsumed-by rhs."""
 
     lhs: Concept
@@ -63,15 +62,13 @@ class GCI:
     label: str = ""
 
 
-@dataclass(frozen=True)
-class RoleIncl:
+class RoleIncl(Frozen):
     sub: str
     sup: str
     label: str = ""
 
 
-@dataclass(frozen=True)
-class RoleComp:
+class RoleComp(Frozen):
     """first o second <= sup: chained roles are below sup."""
 
     first: str
@@ -83,8 +80,7 @@ class RoleComp:
 RoleAxiom = RoleIncl | RoleComp
 
 
-@dataclass(frozen=True)
-class CBox:
+class CBox(Frozen):
     roles: tuple[str, ...]
     gcis: tuple[GCI, ...] = ()
     ris: tuple[RoleAxiom, ...] = ()
@@ -116,8 +112,7 @@ def _roles(gci: GCI):
             stack += reversed(t.args)
 
 
-@dataclass(frozen=True)
-class ELProblem:
+class ELProblem(Frozen):
     cbox_a: CBox
     cbox_b: CBox
     goal_c: Concept
@@ -233,8 +228,7 @@ def parse_cbox(text: str) -> ELProblem:
 # translation
 
 
-@dataclass
-class Translated:
+class Translated(Record):
     """Term-level image of an EL problem."""
 
     a_atoms: tuple[Leq, ...]
@@ -358,8 +352,7 @@ def _kept_labels(t: Translated, j: Justification) -> list[str]:
     )
 
 
-@dataclass
-class ELInterpolation:
+class ELInterpolation(Record):
     """Interpolating concept with the term-level evidence."""
 
     concept: Concept
@@ -381,8 +374,8 @@ def el_interpolation(p: ELProblem, *, minimize: bool = True, verify: bool = True
     of both certificates, read off the interpolation run, with the proof
     kernel against the full, unminimized translated premises as well:
     the concept is the interpolating term, so each certificate is the
-    subsumption it states. Fresh names then avoid the symbols of the
-    dropped axioms too.
+    subsumption it states, its input steps numbered by the full premises.
+    Fresh names then avoid the symbols of the dropped axioms too.
     """
     t = translate(p)
     kept_labels: tuple[str, ...] | None = None
@@ -400,5 +393,10 @@ def el_interpolation(p: ELProblem, *, minimize: bool = True, verify: bool = True
     res = interp.interpolate(a_atoms, b_atoms, t.goal, axioms, verify=verify, reserved=reserved)
     concept = untranslate(res.term, t.roles)
     if verify and minimize:
+        # input k of the kept lists is premise full[k] of the full ones the re-check reads
+        full = (*j.kept_a, *(len(t.a_atoms) + k for k in j.kept_b))
+        res.certificates = tuple(
+            (statement, [(r, x, ps, (full[d[0]],) if r == "input" else d) for r, x, ps, d in steps])
+            for statement, steps in res.certificates)
         interp.check_certificates(res, t.a_atoms, t.b_atoms, t.axioms)
     return ELInterpolation(concept=concept, justification=kept_labels, result=res)

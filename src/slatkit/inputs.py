@@ -16,13 +16,12 @@ Two formats, both UTF-8 with # comments:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .locality import AxiomSet, Composition, Inclusion
 from .slat import FiniteModel
 from .terms import (
     Atom,
     Eq,
+    Frozen,
     Leq,
     ParseError,
     _PUNCT,
@@ -40,8 +39,7 @@ _SLP_DECLARATIONS = {
 _MODEL_RESERVED = {"carrier", "meet", "fun", "const", "axiom", "atom"}
 
 
-@dataclass(frozen=True)
-class SlpProblem:
+class SlpProblem(Frozen):
     functions: tuple[str, ...]
     axioms: AxiomSet
     a_pos: tuple[Atom, ...]
@@ -53,8 +51,7 @@ class SlpProblem:
     target: str | None = None
 
 
-@dataclass(frozen=True)
-class ModelSpec:
+class ModelSpec(Frozen):
     model: FiniteModel
     inclusions: tuple[tuple[str, str], ...]
     compositions: tuple[tuple[str, str, str], ...]
@@ -233,6 +230,11 @@ def parse_slp(text: str) -> SlpProblem:
     )
 
 
+def _row_end(toks, n: int) -> int:
+    """Column of the first token past a head, a name and n values, or just past a shorter row."""
+    return toks[n + 2][1] if len(toks) > n + 2 else toks[-1][1] + len(toks[-1][0])
+
+
 def parse_model(text: str) -> ModelSpec:
     carrier: list[str] | None = None
     meet: dict[tuple[str, str], str] = {}
@@ -268,7 +270,7 @@ def parse_model(text: str) -> ModelSpec:
             names = _idents(toks[1:], lineno, "an element")
             if len(names) != len(carrier) + 1:
                 raise ParseError(
-                    f"meet row needs 1 + {len(carrier)} elements", lineno, col0
+                    f"meet row needs 1 + {len(carrier)} elements", lineno, _row_end(toks, len(carrier))
                 )
             row = element(names[0], lineno, toks[1][1])
             if row in meet_rows:
@@ -280,7 +282,7 @@ def parse_model(text: str) -> ModelSpec:
             names = _idents(toks[1:], lineno, "an element")
             if len(names) != len(carrier) + 1:
                 raise ParseError(
-                    f"fun row needs a name and {len(carrier)} values", lineno, col0
+                    f"fun row needs a name and {len(carrier)} values", lineno, _row_end(toks, len(carrier))
                 )
             f = names[0]
             if f in _MODEL_RESERVED:

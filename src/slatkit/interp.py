@@ -18,7 +18,7 @@ occurring on both sides, is available and may make separation impossible
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import field
 from enum import Enum
 
 from . import locality, slat
@@ -29,8 +29,10 @@ from .terms import (
     App,
     Atom,
     Const,
+    Frozen,
     GroundHornClause,
     Leq,
+    Record,
     Term,
     atom_functions,
     expand_eqs,
@@ -126,8 +128,7 @@ def color_names(problem: PurifiedProblem, colors: dict[str, Color], fn_colors, n
 # sharing
 
 
-@dataclass(frozen=True)
-class SharingMap:
+class SharingMap(Frozen):
     """Which function symbols and constants count as shared."""
 
     classes: tuple[frozenset[str], ...]
@@ -210,8 +211,7 @@ def _fn_colors(smap: SharingMap, sigma_a, sigma_b) -> dict[str, Color]:
 # separation
 
 
-@dataclass
-class Split:
+class Split(Record):
     """Record of one mixed instance separated at an intermediate term."""
 
     clause: GroundHornClause
@@ -223,8 +223,7 @@ class Split:
     owner: Color
 
 
-@dataclass
-class SeparationState:
+class SeparationState(Record):
     """Side-attributed atoms and fresh names accumulated while chaining.
 
     colors holds the color of every symbol, fresh names included.
@@ -285,8 +284,7 @@ def _owner_side(clause: GroundHornClause, premise: Leq, colors) -> Color:
     return Color.A
 
 
-@dataclass
-class InterpolationResult:
+class InterpolationResult(Record):
     """Interpolating term plus the evidence it was built from.
 
     certificates, when verified, pairs goal.lhs <= term and term <= goal.rhs

@@ -9,7 +9,7 @@ forward chaining loop that decides entailment live here.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import field
 
 from . import slat
 from .kernel import Kernel, Rejected
@@ -18,9 +18,11 @@ from .terms import (
     Atom,
     Const,
     Eq,
+    Frozen,
     GroundHornClause,
     Leq,
     Meet,
+    Record,
     Term,
     expand_eqs,
     format_atom,
@@ -38,16 +40,14 @@ class NotEntailed(Exception):
 # axioms
 
 
-@dataclass(frozen=True)
-class Inclusion:
+class Inclusion(Frozen):
     """forall x: f(x) <= g(x)"""
 
     f: str
     g: str
 
 
-@dataclass(frozen=True)
-class Composition:
+class Composition(Frozen):
     """forall x, y: y <= g(x) implies f(y) <= h(x)"""
 
     f: str
@@ -55,8 +55,7 @@ class Composition:
     h: str
 
 
-@dataclass(frozen=True)
-class AxiomSet:
+class AxiomSet(Frozen):
     """Extension signature and axioms; every function is monotone."""
 
     functions: tuple[str, ...]
@@ -79,8 +78,7 @@ class AxiomSet:
 FlatTerm = tuple[str, Term]
 
 
-@dataclass
-class PurifiedProblem:
+class PurifiedProblem(Record):
     """Ground problem with applications replaced by fresh constants.
 
     flat is the psi-closed flat term set the instances range over, every
@@ -402,8 +400,7 @@ def prepare_problem(a_atoms, b_atoms, goal: Leq, axioms: AxiomSet, *,
 # forward chaining
 
 
-@dataclass
-class Trace:
+class Trace(Record):
     """Chaining record: instances fired in order, pass count, outcome, the run's Entailer."""
 
     fired: list[GroundHornClause] = field(default_factory=list)
@@ -673,8 +670,7 @@ class ProofBuilder:
 # justification
 
 
-@dataclass
-class Justification:
+class Justification(Record):
     """Indices of the kept literals and axioms after minimization."""
 
     kept_a: tuple[int, ...]

@@ -13,15 +13,17 @@ for each variable the clause that made it true: a derivation to read back.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import field
 
 from .terms import (
     App,
     Atom,
     Const,
     Eq,
+    Frozen,
     Leq,
     Meet,
+    Record,
     Term,
     expand_eqs,
     format_atom,
@@ -40,8 +42,7 @@ class NoSharedWitness(Exception):
 # Horn encoding
 
 
-@dataclass
-class PropHornProblem:
+class PropHornProblem(Record):
     """Propositional Horn encoding of a ground atom set.
 
     index maps each registered term to its variable, terms each variable
@@ -429,8 +430,7 @@ def intermediate_term(ent: Entailer, ab: Entailer, a: Term, b: Term, candidates)
 # finite models
 
 
-@dataclass
-class FiniteModel:
+class FiniteModel(Record):
     """Finite algebra: carrier, meet table, unary functions, constants."""
 
     carrier: tuple[str, ...]
@@ -458,8 +458,7 @@ def eval_term(model: FiniteModel, t: Term) -> str:
     return value
 
 
-@dataclass(frozen=True)
-class ModelCheck:
+class ModelCheck(Frozen):
     law: str
     passed: bool
     detail: str = ""

@@ -10,7 +10,8 @@ idempotence of the meet exactly when they are the same object.
 from __future__ import annotations
 
 import re
-from dataclasses import FrozenInstanceError, dataclass
+from dataclasses import MISSING, Field, FrozenInstanceError, field
+from operator import attrgetter
 
 
 class ParseError(ValueError):
@@ -30,9 +31,83 @@ class ParseError(ValueError):
 _TABLE: dict = {}   # structure key -> the one term with that structure
 _set = object.__setattr__
 _NO_NAMES = frozenset()
+_FACTORY = object()   # the default of a record field that has a default factory
 
 
-class Term:
+class Record:
+    """Base of the records: mutable ones subclass it, frozen ones Frozen.
+
+    A subclass without __slots__ of its own gets, in one exec, the __init__
+    @dataclass would make from its annotations and field() options: plain
+    stores (object.__setattr__ under Frozen), a fresh object per default
+    factory, then __post_init__. Slotted ones set their own __init__,
+    _fields, _shown and _compared. == compares the _compared fields of two
+    objects of one class, repr shows the _shown ones.
+    """
+
+    __slots__ = ()
+
+    def __init_subclass__(cls):
+        if "__slots__" in cls.__dict__:
+            return
+        store = "_set(self, {0!r}, {1})" if issubclass(cls, Frozen) else "self.{0} = {1}"
+        env, params, body, specs = {"_set": _set, "_FACTORY": _FACTORY}, ["self"], [], []
+        for name in cls.__dict__.get("__annotations__", ()):
+            spec = cls.__dict__.get(name, MISSING)
+            if not isinstance(spec, Field):
+                spec = field(default=spec)
+            elif spec.default is MISSING:
+                delattr(cls, name)
+            else:
+                setattr(cls, name, spec.default)
+            spec.name, value, env[f"_d_{name}"] = name, name, spec.default
+            if spec.default_factory is not MISSING:
+                env[f"_f_{name}"], env[f"_d_{name}"] = spec.default_factory, _FACTORY
+                value = f"_f_{name}() if {name} is _FACTORY else {name}"
+            params.append(name if env[f"_d_{name}"] is MISSING else f"{name}=_d_{name}")
+            body.append(store.format(name, value))
+            specs.append(spec)
+        if hasattr(cls, "__post_init__"):
+            body.append("self.__post_init__()")
+        exec(f"def __init__({', '.join(params)}):\n    " + "\n    ".join(body), env)
+        cls.__init__, cls._fields = env["__init__"], tuple(f.name for f in specs)
+        cls._shown = tuple(f.name for f in specs if f.repr)
+        compared = [f.name for f in specs if f.compare]
+        get = attrgetter(*compared)
+        cls._compared = get if len(compared) > 1 else staticmethod(lambda x: (get(x),))
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            get = self._compared
+            return get(self) == get(other)
+        return NotImplemented
+
+    def __repr__(self):
+        fields = ", ".join(f"{f}={getattr(self, f)!r}" for f in self._shown)
+        return f"{type(self).__qualname__}({fields})"
+
+
+class Frozen(Record):
+    """Base of the frozen records and the terms: hashed by the frozen-dataclass
+    formula hash(tuple of compared fields), closed to assignment, and
+    pickled or copied by calling the class on the _fields."""
+
+    __slots__ = ()
+
+    def __hash__(self):
+        return hash(self._compared(self))
+
+    def __setattr__(self, name, value):
+        raise FrozenInstanceError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise FrozenInstanceError(f"cannot delete field {name!r}")
+
+    def __reduce__(self):
+        return type(self), tuple(getattr(self, f) for f in self._fields)
+
+
+class Term(Frozen):
     """A ground term, hash-consed and in normal form: one object per
     element modulo ACI of the meet, so equality is identity.
 
@@ -45,6 +120,7 @@ class Term:
     """
 
     __slots__ = ("_hash", "_key", "_consts", "_fns")
+    __eq__ = object.__eq__
 
     @classmethod
     def _make(cls, key, tkey, consts, fns):
@@ -58,22 +134,9 @@ class Term:
     def __hash__(self):
         return self._hash
 
-    def __setattr__(self, name, value):
-        raise FrozenInstanceError(f"cannot assign to field {name!r}")
-
-    def __delattr__(self, name):
-        raise FrozenInstanceError(f"cannot delete field {name!r}")
-
-    def __reduce__(self):
-        return type(self), tuple(getattr(self, f) for f in type(self).__slots__)
-
-    def __repr__(self):
-        fields = ", ".join(f"{f}={getattr(self, f)!r}" for f in type(self).__slots__)
-        return f"{type(self).__name__}({fields})"
-
 
 class Const(Term):
-    __slots__ = ("name",)
+    __slots__ = _fields = _shown = ("name",)
 
     def __new__(cls, name: str):
         key = (name,)
@@ -81,7 +144,7 @@ class Const(Term):
 
 
 class App(Term):
-    __slots__ = ("fn", "arg")
+    __slots__ = _fields = _shown = ("fn", "arg")
 
     def __new__(cls, fn: str, arg: Term):
         key = (fn, arg)
@@ -91,7 +154,7 @@ class App(Term):
 class Meet(Term):
     """Meet of the given terms, built as mk_meet builds it."""
 
-    __slots__ = ("args",)
+    __slots__ = _fields = _shown = ("args",)
 
     def __new__(cls, args: tuple[Term, ...]):
         return mk_meet(args)
@@ -170,20 +233,21 @@ def term_functions(t: Term) -> frozenset[str]:
 # atoms and clauses
 
 
-@dataclass(frozen=True)
-class Atom:
-    lhs: Term
-    rhs: Term
+class Atom(Frozen):
+    __slots__ = _fields = _shown = ("lhs", "rhs")
+    _compared = attrgetter(*__slots__)
+
+    def __init__(self, lhs: Term, rhs: Term):
+        _set(self, "lhs", lhs)
+        _set(self, "rhs", rhs)
 
 
-@dataclass(frozen=True)
 class Leq(Atom):
-    pass
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
 class Eq(Atom):
-    pass
+    __slots__ = ()
 
 
 def expand_eqs(atoms) -> tuple[Leq, ...]:
@@ -206,17 +270,20 @@ def atom_functions(a: Atom) -> set[str]:
     return term_functions(a.lhs) | term_functions(a.rhs)
 
 
-@dataclass(frozen=True)
-class GroundHornClause:
+class GroundHornClause(Frozen):
     """Ground Horn clause: conjunction of premises entails the conclusion.
 
     provenance identifies the axiom schema instance the clause came from,
     e.g. ("mon", f, c, d) or ("comp", f, g, h, d, c) or ("input",).
     """
 
-    premises: tuple[Leq, ...]
-    conclusion: Leq
-    provenance: tuple = ("input",)
+    __slots__ = _fields = _shown = ("premises", "conclusion", "provenance")
+    _compared = attrgetter(*__slots__)
+
+    def __init__(self, premises: tuple[Leq, ...], conclusion: Leq, provenance: tuple = ("input",)):
+        _set(self, "premises", premises)
+        _set(self, "conclusion", conclusion)
+        _set(self, "provenance", provenance)
 
 
 # ---------------------------------------------------------------------------

@@ -29,7 +29,7 @@ from slatkit.el import (
     translate,
     untranslate,
 )
-from slatkit.interp import VerificationFailed, check_certificates
+from slatkit.interp import VerificationFailed, check_certificates, unfold
 from slatkit.locality import AxiomSet, Composition
 from slatkit.terms import App, Const, Leq, ParseError, parse_term
 
@@ -306,6 +306,30 @@ def test_med_interpolation_evidence():
     (left, _), (right, _) = r.result.certificates
     assert left == Leq(tr.goal.lhs, r.concept) and right == Leq(r.concept, tr.goal.rhs)
     check_certificates(r.result, tr.a_atoms, tr.b_atoms, tr.axioms)
+
+
+def test_med_certificate_inputs_are_numbered_for_every_check(monkeypatch):
+    """Each input step names its premise's position in the premises of
+    the kernel that checks it: the minimised lists inside interpolate, the
+    full translated lists in the re-check and in the returned result."""
+    from slatkit import kernel
+
+    hits: dict[int, list[bool]] = {}
+    is_input = kernel.Kernel._is_input
+
+    def counting(self, concl, k):
+        hits.setdefault(id(self), []).append(0 <= k < len(self.atoms) and self.pair(self.atoms[k], True) == concl)
+        return is_input(self, concl, k)
+
+    monkeypatch.setattr(kernel.Kernel, "_is_input", counting)
+    r = el_interpolation(med())
+    # the justification's own proof check, interpolate's check, the re-check
+    assert len(hits) == 3 and all(h and all(h) for h in hits.values())
+    tr, names = translate(med()), dict(r.result.definitions)
+    full, memo = (*tr.a_atoms, *tr.b_atoms), {}
+    for _, steps in r.result.certificates:
+        for rule, x, _, (k, *_) in (s for s in steps if s[0] == "input"):
+            assert full[k] == Leq(unfold(x.lhs, names, memo), unfold(x.rhs, names, memo))
 
 
 def test_med_psi_closure_shape():

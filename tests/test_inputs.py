@@ -248,6 +248,21 @@ def test_parse_model_errors(text, what):
     assert what in str(e.value)
 
 
+@pytest.mark.parametrize("text,message,line,column", [
+    # a long row: the first surplus token; a short one: just past its last token
+    ("carrier x y\nmeet x x x\nmeet y x y z", "meet row needs 1 + 2 elements", 3, 12),
+    ("carrier x y\nmeet x  x", "meet row needs 1 + 2 elements", 2, 10),
+    ("carrier x\nmeet", "meet row needs 1 + 1 elements", 2, 5),
+    ("carrier x\nmeet x x\nfun f x x # note", "fun row needs a name and 1 values", 3, 9),
+    ("carrier x y\nmeet x x x\nmeet y x y\nfun f x", "fun row needs a name and 2 values", 4, 8),
+    ("carrier x\nmeet x x\nfun", "fun row needs a name and 1 values", 3, 4),
+])
+def test_parse_model_row_length_positions(text, message, line, column):
+    with pytest.raises(ParseError) as e:
+        parse_model(text)
+    assert (e.value.message, e.value.line, e.value.column) == (message, line, column)
+
+
 def test_parse_model_atom_with_function():
     spec = parse_model(
         "carrier x\nmeet x x\nfun f x\nconst c = x\natom f(c) <= c\n"
