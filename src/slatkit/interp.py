@@ -229,29 +229,19 @@ class SeparationState(Record):
     colors holds the color of every symbol, fresh names included.
     candidates holds the shared constants, separation names included.
     fired lists the clause of every atom chaining added, in order: a
-    fired instance or a split piece. entailers keeps one growing
-    Entailer per side, built over the side's atoms when a split or the
-    final step first needs it; append() adds.
+    fired instance or a split piece. sides holds the side of each atom
+    of the run's Entailer, a0, b0, then each added atom, in order: a
+    side's closures are read off the run's own encoding
+    (slat.intermediate_term), not off an Entailer of their own.
     """
 
     problem: PurifiedProblem
     colors: dict[str, Color]
     fn_colors: dict[str, Color]
-    atoms: dict[Color, list[Leq]]
+    sides: list[Color]
     candidates: set[Const]
     splits: list[Split] = field(default_factory=list)
     fired: list[GroundHornClause] = field(default_factory=list)
-    entailers: dict[Color, slat.Entailer] = field(default_factory=dict)
-
-    def entailer(self, side: Color) -> slat.Entailer:
-        if side not in self.entailers:
-            self.entailers[side] = slat.Entailer(self.atoms[side])
-        return self.entailers[side]
-
-    def append(self, side: Color, atom: Leq) -> None:
-        self.atoms[side].append(atom)
-        if side in self.entailers:
-            self.entailers[side].add(atom)
 
 
 def _strict_colors(term: Term, colors: dict[str, Color]) -> set[Color]:
@@ -388,7 +378,7 @@ def interpolate(a_atoms, b_atoms, goal: Leq, axioms: AxiomSet, *,
         problem=problem,
         colors=colors,
         fn_colors=fn_colors,
-        atoms={Color.A: [*problem.a0], Color.B: [*problem.b0]},
+        sides=[Color.A] * len(problem.a0) + [Color.B] * len(problem.b0),
         candidates={Const(c) for c in consts if colors[c] is Color.SHARED},
     )
 
@@ -396,7 +386,7 @@ def interpolate(a_atoms, b_atoms, goal: Leq, axioms: AxiomSet, *,
         strict = _clause_strict_colors(clause, colors)
         if Color.A in strict and Color.B in strict:
             return _fire_split(clause, state, ent)
-        state.append(Color.B if strict == {Color.B} else Color.A, clause.conclusion)
+        state.sides.append(Color.B if strict == {Color.B} else Color.A)
         state.fired.append(clause)
         return (clause.conclusion,)
 
@@ -410,9 +400,8 @@ def interpolate(a_atoms, b_atoms, goal: Leq, axioms: AxiomSet, *,
         raise NotEntailed(f"goal not entailed: {format_atom(goal)}")
 
     own = Color.B if Color.B in _strict_colors(problem.goal.lhs, colors) else Color.A
-    t = slat.intermediate_term(
-        state.entailer(own), trace.entailer, problem.goal.lhs, problem.goal.rhs, state.candidates,
-    )
+    t = slat.intermediate_term(trace.entailer, trace.entailer, problem.goal.lhs, problem.goal.rhs,
+                               state.candidates, state.sides, own)
     names = problem.unfold_map()
     term = unfold(t, names)
     _check_signature(term, smap, colors, consts - set(names))
@@ -463,12 +452,13 @@ def _fire_split(clause: GroundHornClause, state: SeparationState, ent: slat.Enta
 
     For the unary schemas there is exactly one premise c <= d, and the
     premise owner's atoms give a shared term t between them (ent, the
-    saturation's Entailer, holds both sides' atoms). A fresh shared
-    constant u names f(t) for the instance's outer function f; the
-    instance becomes the Mon piece c <= t -> f(c)-name <= u on the owner's
-    side and the original-schema piece t <= d -> u <= conclusion-rhs on the
-    other. Raises NoSharedWitness when the outer function is not shared,
-    since u could then never enter an interpolant.
+    saturation's Entailer, holds both sides' atoms; the owner's closure
+    of c is read off it). A fresh shared constant u names f(t) for the
+    instance's outer function f; the instance becomes the Mon piece
+    c <= t -> f(c)-name <= u on the owner's side and the original-schema
+    piece t <= d -> u <= conclusion-rhs on the other. Raises
+    NoSharedWitness when the outer function is not shared, since u could
+    then never enter an interpolant.
     """
     problem, colors = state.problem, state.colors
     if not clause.premises:
@@ -477,7 +467,7 @@ def _fire_split(clause: GroundHornClause, state: SeparationState, ent: slat.Enta
         raise NoSharedWitness(f"cannot separate instance with {len(clause.premises)} premises")
     p = clause.premises[0]
     owner = _owner_side(clause, p, colors)
-    t = slat.intermediate_term(state.entailer(owner), ent, p.lhs, p.rhs, state.candidates)
+    t = slat.intermediate_term(ent, ent, p.lhs, p.rhs, state.candidates, state.sides, owner)
     bad = {c for c in term_constants(t) if colors[c] is not Color.SHARED}
     if bad:
         raise RuntimeError(f"separating term uses non-shared constant {sorted(bad)[0]}")
@@ -503,8 +493,7 @@ def _fire_split(clause: GroundHornClause, state: SeparationState, ent: slat.Enta
         prov = ("comp", *clause.provenance[1:4], t, clause.provenance[5])
     c_b = GroundHornClause((Leq(t, p.rhs),), Leq(Const(u), clause.conclusion.rhs), prov)
     state.splits.append(Split(clause, p, t, u, c_a, c_b, owner))
-    state.append(owner, c_a.conclusion)
-    state.append(Color.B if owner is Color.A else Color.A, c_b.conclusion)
+    state.sides += (owner, Color.B if owner is Color.A else Color.A)
     state.fired.extend((c_a, c_b))
     return c_a.conclusion, c_b.conclusion
 

@@ -19,8 +19,8 @@ mon for declared functions, incl and comp for the axioms ("incl", f, g)
 and ("comp", f, g, h) only; an input k that misses tries every premise.
 Steps may use names, each defined once, by an application or meet over
 names defined before it; no premise, negative literal or statement may.
-Terms are compared by ids, one per structure modulo ACI of the meet, a
-name taking its term's, interned from a stack with shallow keys: no term
+Terms get ids, one per structure modulo ACI of the meet (a name its
+term's), from a stack with shallow keys, once per term object: no term
 is hashed or walked recursively, however deep; only what is used is.
 """
 
@@ -46,12 +46,15 @@ class Kernel:
         self.atoms, self.inputs = expand_eqs(atoms), None
         self.negatives = {tuple(self.pair(x, True) for x in expand_eqs([n])) for n in negatives}
 
-    def _const(self, name, outside):
-        """The id of a constant; None for a name whose definition is not interned yet."""
-        body = self.defs.get(name)
+    def _const(self, c, outside):
+        """The id of constant c, memoized; None for a name whose definition is not interned yet."""
+        memo, body = self.memos[outside], self.defs.get(c.name)
         if body is not None and outside:
-            raise Rejected(f"name {name} is not fresh")
-        return self._cons(name) if body is None else self.memos[False].get(id(body), (None, None))[1]
+            raise Rejected(f"name {c.name} is not fresh")
+        i = self._cons(c.name) if body is None else memo.get(id(body), (None, None))[1]
+        if i is not None:
+            memo[id(c)] = (c, i)
+        return i
 
     def _cons(self, key):
         i = self.table.get(key)
@@ -67,23 +70,19 @@ class Kernel:
     def intern(self, t, outside=False):
         """The id of term t; outside, for premises and statements, forbids names."""
         memo = self.memos[outside]
-        if isinstance(t, Const):
-            i = self._const(t.name, outside)
-            if i is not None:
-                return i
-            t = self.defs[t.name]
+        i = memo[id(t)][1] if id(t) in memo else self._const(t, outside) if isinstance(t, Const) else None
+        if i is not None:
+            return i
+        t = self.defs[t.name] if isinstance(t, Const) else t
         stack = [t]
         while stack:
             node, depth = stack[-1], len(stack)
-            if id(node) in memo:
-                stack.pop()
-                continue
             kids = (node.arg,) if isinstance(node, App) else node.args if isinstance(node, Meet) else ()
             if not kids:
                 raise Rejected(f"not a term: {node!r}")
             ids = []
             for k in kids:
-                i = self._const(k.name, outside) if isinstance(k, Const) else memo.get(id(k), (0, None))[1]
+                i = memo[id(k)][1] if id(k) in memo else self._const(k, outside) if isinstance(k, Const) else None
                 if i is None:
                     stack.append(self.defs[k.name] if isinstance(k, Const) else k)
                 ids.append(i)

@@ -21,7 +21,6 @@ from .terms import (
     Frozen,
     GroundHornClause,
     Leq,
-    Meet,
     Record,
     Term,
     expand_eqs,
@@ -661,9 +660,8 @@ class ProofBuilder:
         if len(premises) == 1:
             m = terms[x]
             return "meet_r" if terms[v] == m.args[-1] else "meet_l", node, ((s, x),), (m,), None
-        m = terms[v]
-        left = m.args[0] if len(m.args) == 2 else Meet(m.args[:-1])
-        return "meet_i", node, ((s, problem.index[left]), (s, problem.index[m.args[-1]])), (), None
+        left, last = slat.meet_halves(terms[v])
+        return "meet_i", node, ((s, problem.index[left]), (s, problem.index[last])), (), None
 
 
 # ---------------------------------------------------------------------------

@@ -29,7 +29,6 @@ from .terms import (
     format_atom,
     format_term,
     mk_meet,
-    subterms,
     term_key,
 )
 
@@ -67,26 +66,33 @@ class PropHornProblem(Record):
     def register(self, terms) -> None:
         """Give the new terms and their subterms variables.
 
-        New variables are numbered in term order, and every new meet gets
-        the three clauses tying it to its binary left-fold decomposition,
-        whose prefix is itself registered.
+        New variables are numbered in one left-to-right walk from a stack,
+        in first-occurrence order: a term after its parts, the argument of
+        an application and the binary left-fold decomposition of a meet
+        (the meet of all but its last argument, then the last). Every new
+        meet gets the three clauses tying it to that decomposition.
         """
-        new: set[Term] = set()
-        for t in terms:
-            if t not in self.index:
-                new |= {s for s in subterms(t) if s not in self.index}
-        new_sorted = sorted(new, key=term_key)
-        for t in new_sorted:
-            self.index[t] = len(self.index)
+        index, stack = self.index, [*terms][::-1]
+        while stack:
+            t = stack.pop()
+            if t in index:
+                continue
+            if isinstance(t, Meet):
+                left, last = meet_halves(t)
+                if left not in index or last not in index:
+                    stack += (t, last, left)
+                    continue
+            elif isinstance(t, App) and t.arg not in index:
+                stack += (t, t.arg)
+                continue
+            index[t] = m = len(self.terms)
             self.terms.append(t)
             self.watch.append([])
-        for t in new_sorted:
             if isinstance(t, Meet):
-                left = t.args[0] if len(t.args) == 2 else Meet(t.args[:-1])
-                m, l, r = self.index[t], self.index[left], self.index[t.args[-1]]
+                l, r = index[left], index[last]
                 self.add_clause((m,), l)
                 self.add_clause((m,), r)
-                self.add_clause(tuple(sorted({l, r})), m)
+                self.add_clause((l, r) if l < r else (r, l), m)
 
     def add_atoms(self, atoms, start: int = 0) -> None:
         """Register the atoms' terms; add P_s -> P_t per s <= t they expand to.
@@ -99,6 +105,12 @@ class PropHornProblem(Record):
             self.add_clause((self.index[a.lhs],), self.index[a.rhs], i)
 
 
+def meet_halves(m: Meet) -> tuple[Term, Term]:
+    """The binary left-fold decomposition of a meet: the meet of all but
+    its last argument (that argument for two), and the last."""
+    return m.args[0] if len(m.args) == 2 else Meet(m.args[:-1]), m.args[-1]
+
+
 def encode(atoms, extra_terms=()) -> PropHornProblem:
     """Encode atoms (Eq expanded to two Leq) plus registered extra terms."""
     problem = PropHornProblem()
@@ -107,29 +119,34 @@ def encode(atoms, extra_terms=()) -> PropHornProblem:
     return problem
 
 
-def _spread(problem: PropHornProblem, closure: dict[int, int | None], queue: list[int]) -> list[int]:
+def _spread(problem: PropHornProblem, closure: dict[int, int | None], queue: list[int],
+            sides=None, side=None) -> list[int]:
     """Close closure, which holds the queued variables, under the clauses.
 
     closure maps each variable it holds, in the order they entered, to
     the clause that made it true (None for a seed). A clause fires when
     the variable taken from the queue completes its premises; the queue
-    is returned, ending as every variable that entered, in order.
+    is returned, ending as every variable that entered, in order. With
+    sides, a label per atom position, only the meet clauses and the
+    clauses of the atoms labelled side apply.
     """
-    clauses = problem.clauses
+    clauses, origin = problem.clauses, problem.origin
     for v in queue:
         for cid in problem.watch[v]:
             premises, conclusion = clauses[cid]
             if conclusion not in closure and (
-                    len(premises) == 1 or all(p in closure for p in premises)):
+                    len(premises) == 1 or all(p in closure for p in premises)) and (
+                    sides is None or origin[cid] < 0 or sides[origin[cid]] == side):
                 closure[conclusion] = cid
                 queue.append(conclusion)
     return queue
 
 
-def propagate(problem: PropHornProblem, seeds) -> dict[int, int | None]:
-    """Unit propagation closure of the seed variables, with reasons."""
+def propagate(problem: PropHornProblem, seeds, sides=None, side=None) -> dict[int, int | None]:
+    """Unit propagation closure of the seed variables, with reasons; with
+    sides, over the clauses _spread keeps for side."""
     closure = dict.fromkeys(seeds)
-    _spread(problem, closure, list(closure))
+    _spread(problem, closure, list(closure), sides, side)
     return closure
 
 
@@ -391,14 +408,21 @@ class SelectorProgram:
 # intermediate terms
 
 
-def intermediate_term(ent: Entailer, ab: Entailer, a: Term, b: Term, candidates) -> Term:
+def intermediate_term(ent: Entailer, ab: Entailer, a: Term, b: Term, candidates,
+                      sides=None, side=None) -> Term:
     """Meet of all candidates e with a <= e on the a-side atoms.
 
-    Given the atoms of ab entail a <= b, the returned t satisfies a <= t
-    from the atoms of ent alone and t <= b from those of ab; both claims
-    are re-checked. candidates is a set (any container) of terms; the
-    chosen ones are read off the closure of a, so a call costs the size
-    of that closure, not the number of candidates.
+    The a-side atoms are those of ent or, given sides (a label per atom
+    of ent), those labelled side: the closure of a is then one
+    propagation over ent's own encoding without the other atoms'
+    clauses. It holds the candidates an Entailer over the a-side atoms
+    alone would: both are sound, and the encoding is complete for the
+    terms it registers. Given the atoms of ab entail a <= b, the
+    returned t satisfies a <= t from the a-side atoms, as every chosen
+    candidate does, and t <= b from those of ab, which is checked.
+    candidates is a set (any container) of terms; the chosen ones are
+    read off the closure of a, so a call costs the size of that
+    closure, not the number of candidates.
     Raises NoSharedWitness when no candidate is entailed, since then no
     meet over the candidates can lie above a, and when the meet fails
     t <= b: it is the least meet of candidates above a, so no other one
@@ -406,8 +430,9 @@ def intermediate_term(ent: Entailer, ab: Entailer, a: Term, b: Term, candidates)
     """
     if not ab.derives(ab.var(a), ab.var(b)):
         raise ValueError(f"premise atoms do not entail {format_term(a)} <= {format_term(b)}")
+    above = ent.above(ent.var(a)) if sides is None else propagate(ent.problem, [ent.var(a)], sides, side)
     terms = ent.problem.terms
-    chosen = sorted((e for v in ent.above(ent.var(a)) if (e := terms[v]) in candidates), key=term_key)
+    chosen = sorted((e for v in above if (e := terms[v]) in candidates), key=term_key)
     if not chosen:
         cand = sorted(candidates, key=term_key)
         raise NoSharedWitness(
@@ -415,8 +440,6 @@ def intermediate_term(ent: Entailer, ab: Entailer, a: Term, b: Term, candidates)
             f"(candidates: {', '.join(format_term(c) for c in cand) or 'none'})"
         )
     t = mk_meet(chosen)
-    if not ent.derives(ent.var(a), ent.var(t)):
-        raise RuntimeError(f"intermediate term claim failed: {format_term(a)} <= {format_term(t)}")
     if not ab.derives(ab.var(t), ab.var(b)):
         raise NoSharedWitness(
             f"no shared term lies between {format_term(a)} and {format_term(b)}: "

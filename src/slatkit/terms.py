@@ -196,31 +196,6 @@ def mk_meet(args) -> Term:
     )
 
 
-def subterms(t: Term) -> set[Term]:
-    """All subterms of a term, the term itself included.
-
-    An n-ary meet contributes its left-fold chain: the meet of the first
-    k arguments for every k >= 2. subterms of a & b & c is
-    {a & b & c, a & b, a, b, c}.
-    """
-    out: set[Term] = set()
-    _subterms(t, out)
-    return out
-
-
-def _subterms(t: Term, out: set[Term]) -> None:
-    if t in out:
-        return
-    out.add(t)
-    if isinstance(t, App):
-        _subterms(t.arg, out)
-    elif isinstance(t, Meet):
-        for k in range(2, len(t.args)):
-            out.add(Meet(t.args[:k]))
-        for a in t.args:
-            _subterms(a, out)
-
-
 def term_constants(t: Term) -> frozenset[str]:
     return t._consts
 
@@ -296,8 +271,8 @@ _TOKEN_RE = re.compile(r"(\s*)(<=|[&().=!,<]|[^\s&().=!,<]+)")
 _PUNCT = {"&", "(", ")", ".", "<=", "=", "!", ",", "<"}
 
 # deepest bracket (or EL 'ex') nesting the parsers accept: they recurse
-# only up to this bound, and so do _subterms and the comparison of deep
-# term_key tuples in sorted (in C)
+# only up to this bound, and so does the comparison of deep term_key
+# tuples in sorted (in C)
 MAX_NESTING = 100
 
 

@@ -2,6 +2,7 @@
 separation."""
 
 import random
+import sys
 
 import pytest
 
@@ -279,10 +280,10 @@ def test_interpolate_builds_as_many_entailers_at_any_ladder_length(monkeypatch):
         res = interpolate(*ladder(n))
         assert len(res.splits) == n - 1
         counts.append(len(builds))
-    # the saturation and one growing Entailer per side the split steps
-    # and the interpolant need (here B's alone); the certificates are
-    # proofs read off the saturation, checked by the kernel, not decided
-    assert counts[0] == counts[1] == counts[2] == 2
+    # the saturation's alone: the split steps and the interpolant read
+    # their side closures off its encoding; the certificates are proofs
+    # read off the saturation, checked by the kernel, not decided
+    assert counts[0] == counts[1] == counts[2] == 1
 
 
 def _outcome(a, b, goal, axioms):
@@ -294,30 +295,41 @@ def _outcome(a, b, goal, axioms):
 
 
 def test_split_steps_match_fresh_entailers(monkeypatch):
-    # the reference: intermediate_term on fresh Entailers built from the
-    # atoms each growing Entailer holds
-    from slatkit import el, slat
+    # the reference: the candidates above a read off a fresh Entailer
+    # over the atoms of that side alone, as each side's Entailer did
+    from slatkit import slat
     from test_saturate import ladder
 
     rng = random.Random(9001)
-    problems = [ladder(n) for n in range(1, 13)]
-    for name in ("med.elp", "med_A.elp", "med_B.elp"):
-        t = el.translate(el.parse_cbox(read_data(name)))
-        problems.append((t.a_atoms, t.b_atoms, t.goal, t.axioms))
-    entailed = 0
-    while entailed < 300:
-        problem = rand_slo_problem(rng)
-        if _outcome(*problem)[0] is not NotEntailed:
-            problems.append(problem)
-            entailed += 1
-    want = [_outcome(*p) for p in problems]
-    orig = slat.intermediate_term
+    orig, calls = slat.intermediate_term, []
 
-    def fresh(ent, ab, *args):
-        return orig(slat.Entailer(ent.atoms), slat.Entailer(ab.atoms), *args)
+    def compared(ent, ab, a, b, candidates, sides, side):
+        closure = slat.propagate(ent.problem, [ent.var(a)], sides, side)
+        fresh = slat.Entailer([x for x, s in zip(ent.atoms, sides, strict=True) if s == side])
+        chosen = {e for v in closure if (e := ent.problem.terms[v]) in candidates}
+        want = {e for v in fresh.above(fresh.var(a)) if (e := fresh.problem.terms[v]) in candidates}
+        assert chosen == want
+        calls.append(sys._getframe(1).f_code.co_name)    # _fire_split or interpolate
+        t = orig(ent, ab, a, b, candidates, sides, side)
+        assert term_constants(t) == {c.name for c in want}    # the meet of the chosen ones
+        return t
 
-    monkeypatch.setattr(slat, "intermediate_term", fresh)
-    assert [_outcome(*p) for p in problems] == want
+    monkeypatch.setattr(slat, "intermediate_term", compared)
+    for n in range(1, 13):
+        calls.clear()
+        splits = _outcome(*ladder(n))[2]
+        assert len(calls) == len(splits) + 1 == n
+    t = el.translate(el.parse_cbox(read_data("med.elp")))
+    calls.clear()
+    splits = _outcome(t.a_atoms, t.b_atoms, t.goal, t.axioms)[2]
+    assert len(calls) == len(splits) + 1 == 5
+    draws = split_steps = 0
+    while draws < 300:
+        calls.clear()
+        _outcome(*rand_slo_problem(rng))
+        draws += bool(calls)    # a split step or the final step was compared
+        split_steps += calls.count("_fire_split")
+    assert split_steps >= 50
 
 
 def _raw(t):

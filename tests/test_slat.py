@@ -78,6 +78,17 @@ def test_applications_are_opaque():
     assert not entails_atom(atoms, parse_atom("f(a) <= f(b)"))
 
 
+def test_terms_ten_thousand_deep_from_the_api_are_registered_without_recursion():
+    # the parsers stop at MAX_NESTING; register numbers a deeper term's
+    # subterms in one walk from a stack, with no recursion and no sort
+    fa, fb = Const("a"), Const("b")
+    for _ in range(10000):
+        fa, fb = App("f", fa), App("f", fb)
+    atoms = (Leq(fa, fb), Leq(fb, Const("c")))
+    assert entails_atom(atoms, Leq(fa, Const("c")))
+    assert not entails_atom(atoms, Leq(fb, fa))
+
+
 def test_entailer_reuse_across_queries():
     ent = Entailer(atoms_of("a <= b", "b <= c"))
     assert ent.holds(parse_atom("a <= c"))

@@ -10,6 +10,7 @@ from hypothesis import given, strategies as st
 
 from slatkit.inputs import parse_slp
 from slatkit.interp import Color, ColorClash, color_problem, combine_colors
+from slatkit.slat import encode
 from slatkit.terms import (
     App,
     Const,
@@ -24,7 +25,6 @@ from slatkit.terms import (
     mk_meet,
     parse_atom,
     parse_term,
-    subterms,
     term_constants,
     term_functions,
     term_key,
@@ -230,6 +230,12 @@ def test_normalize_reaches_inside_applications():
 def test_term_key_orders_kinds():
     ts = [Meet((Const("a"), Const("b"))), App("f", Const("a")), Const("z")]
     assert sorted(ts, key=term_key) == [ts[2], ts[1], ts[0]]
+
+
+def subterms(t):
+    """The terms registering t gives variables: its subterms, left-fold
+    meet prefixes included."""
+    return set(encode((), [t]).index)
 
 
 @given(terms)
