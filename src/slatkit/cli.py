@@ -9,7 +9,6 @@ Output is deterministic: identical input and flags give identical bytes.
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 from pathlib import Path
 
@@ -357,6 +356,8 @@ def main(argv=None) -> int:
         print(f"engine error: {e}", file=sys.stderr)
         return EXIT_ENGINE
     if args.json:
+        import json   # here, not at the top: only --json output pays its import
+
         jobj["input"] = args.input
         jobj["format"] = fmt
         print(json.dumps(jobj, indent=2, sort_keys=True))

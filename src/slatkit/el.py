@@ -370,18 +370,25 @@ def el_interpolation(p: ELProblem, *, minimize: bool = True, verify: bool = True
 
     With minimize on (the default), a justification pass first shrinks
     both parts and the role axioms, which also shrinks the closed term
-    set the interpolant is built over. Verification checks the proofs
-    of both certificates, read off the interpolation run, with the proof
-    kernel against the full, unminimized translated premises as well:
-    the concept is the interpolating term, so each certificate is the
-    subsumption it states, its input steps numbered by the full premises.
-    Fresh names then avoid the symbols of the dropped axioms too.
+    set the interpolant is built over. Verification has the proof kernel
+    check the proofs of both certificates, read off the interpolation
+    run, once, against the kept premises. Together they prove the goal
+    from the kept inputs, so the justification's own proof is not built;
+    without verification minimize_axioms builds and checks it. The kernel
+    is monotone in its premises, so the same proofs hold against the
+    full translated premises, and the returned certificates number their
+    input steps by those. Fresh names avoid the symbols of the dropped
+    axioms too. The kept inputs always entail the goal: a deletion that
+    left them short raises RuntimeError, never NotEntailed.
     """
     t = translate(p)
     kept_labels: tuple[str, ...] | None = None
     a_atoms, b_atoms, axioms, reserved = t.a_atoms, t.b_atoms, t.axioms, set()
     if minimize:
-        j = locality.minimize_axioms(t.a_atoms, t.b_atoms, t.goal, t.axioms)
+        if verify:
+            j, _ = locality._minimize(t.a_atoms, t.b_atoms, t.goal, t.axioms, (), ())
+        else:
+            j = locality.minimize_axioms(t.a_atoms, t.b_atoms, t.goal, t.axioms)
         a_atoms = tuple(t.a_atoms[i] for i in j.kept_a)
         b_atoms = tuple(t.b_atoms[i] for i in j.kept_b)
         axioms = AxiomSet(
@@ -390,13 +397,17 @@ def el_interpolation(p: ELProblem, *, minimize: bool = True, verify: bool = True
         )
         kept_labels = tuple(_kept_labels(t, j))
         reserved = {c for x in (*t.a_atoms, *t.b_atoms) for c in atom_constants(x)}
-    res = interp.interpolate(a_atoms, b_atoms, t.goal, axioms, verify=verify, reserved=reserved)
+    try:
+        res = interp.interpolate(a_atoms, b_atoms, t.goal, axioms, verify=verify, reserved=reserved)
+    except NotEntailed as e:
+        if not minimize:
+            raise
+        raise RuntimeError(f"kept inputs do not entail the goal: {e}") from e
     concept = untranslate(res.term, t.roles)
     if verify and minimize:
-        # input k of the kept lists is premise full[k] of the full ones the re-check reads
+        # input k of the kept lists is premise full[k] of the full translated lists
         full = (*j.kept_a, *(len(t.a_atoms) + k for k in j.kept_b))
         res.certificates = tuple(
             (statement, [(r, x, ps, (full[d[0]],) if r == "input" else d) for r, x, ps, d in steps])
             for statement, steps in res.certificates)
-        interp.check_certificates(res, t.a_atoms, t.b_atoms, t.axioms)
     return ELInterpolation(concept=concept, justification=kept_labels, result=res)

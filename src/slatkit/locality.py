@@ -790,8 +790,19 @@ def minimize_axioms(a_atoms, b_atoms, goal: Leq, axioms: AxiomSet, *,
     every candidate gives. The kept set holds the support of the last
     successful derivation; the proof read off its reasons must use no
     dropped input, and the kernel checks it against the kept inputs
-    alone.
+    alone. That proof check is the last step; _minimize is everything
+    before it, for a caller (el.el_interpolation) whose own checked
+    certificates already prove the goal from the kept inputs.
     """
+    j, check_proof = _minimize(a_atoms, b_atoms, goal, axioms, neg_a, neg_b)
+    check_proof()
+    return j
+
+
+def _minimize(a_atoms, b_atoms, goal: Leq, axioms: AxiomSet, neg_a, neg_b):
+    """minimize_axioms up to its proof: the Justification, and the check
+    that builds the proof of the goal from the kept inputs and has the
+    kernel accept it (RuntimeError otherwise)."""
     inputs = {"a": tuple(a_atoms), "b": tuple(b_atoms), "na": tuple(neg_a),
               "nb": tuple(neg_b), "ax": axioms.axioms}
     module = reachability_module(inputs, goal)
@@ -835,20 +846,24 @@ def minimize_axioms(a_atoms, b_atoms, goal: Leq, axioms: AxiomSet, *,
                 keep[kind].add(i)
             else:
                 reason, support = found, {selectors[k] for k in program.used(found)}
-    # the proof of the last successful derivation, checked against the kept inputs alone
-    proofs = ProofBuilder(problem, ent, fired, owner, program.reasons(reason), lambda kind, i: i in keep[kind])
-    root = proofs.conclude(Trace(inconsistent=(None, *problem.neg_a, *problem.neg_b)[
-        program.goals[reason[program.done]]]))
-    if any(i not in keep[kind] for kind, ids in proofs.support(root).items() for i in ids):
-        raise RuntimeError(f"proof of {format_atom(goal)} uses a dropped input")
     kept = {kind: sorted(ids) for kind, ids in keep.items()}
-    try:
-        kernel = proof_kernel([inputs[kind][i] for kind in ("a", "b") for i in kept[kind]],
-                              [inputs[kind][i] for kind in ("na", "nb") for i in kept[kind]],
-                              AxiomSet(axioms.functions, tuple(inputs["ax"][i] for i in kept["ax"])),
-                              tuple(problem.unfold_map().items()))
-        kernel.check(proofs.proof(root), goal)
-    except Rejected as e:
-        raise RuntimeError(f"proof of {format_atom(goal)} rejected: {e}") from e
+
+    def check_proof() -> None:
+        # the proof of the last successful derivation, checked against the kept inputs alone
+        proofs = ProofBuilder(problem, ent, fired, owner, program.reasons(reason), lambda kind, i: i in keep[kind])
+        root = proofs.conclude(Trace(inconsistent=(None, *problem.neg_a, *problem.neg_b)[
+            program.goals[reason[program.done]]]))
+        if any(i not in keep[kind] for kind, ids in proofs.support(root).items() for i in ids):
+            raise RuntimeError(f"proof of {format_atom(goal)} uses a dropped input")
+        try:
+            kernel = proof_kernel([inputs[kind][i] for kind in ("a", "b") for i in kept[kind]],
+                                  [inputs[kind][i] for kind in ("na", "nb") for i in kept[kind]],
+                                  AxiomSet(axioms.functions, tuple(inputs["ax"][i] for i in kept["ax"])),
+                                  tuple(problem.unfold_map().items()))
+            kernel.check(proofs.proof(root), goal)
+        except Rejected as e:
+            raise RuntimeError(f"proof of {format_atom(goal)} rejected: {e}") from e
+
     # the kept positions of M, as positions of the inputs
-    return Justification(*(tuple(module[kind][i] for i in kept[kind]) for kind in ("a", "b", "na", "nb", "ax")))
+    return Justification(*(tuple(module[kind][i] for i in kept[kind])
+                           for kind in ("a", "b", "na", "nb", "ax"))), check_proof

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import MISSING, Field, FrozenInstanceError, field
+from functools import cmp_to_key
 from operator import attrgetter
 
 
@@ -185,7 +186,11 @@ def mk_meet(args) -> Term:
             flat.append(a)
     if not flat:
         raise ValueError("meet of no terms")
-    uniq = tuple(sorted(set(flat), key=term_key))
+    try:
+        uniq = tuple(sorted(set(flat), key=term_key))
+    except RecursionError:
+        # comparing deep keys recurses in C; the same order, from a loop
+        uniq = tuple(sorted(set(flat), key=cmp_to_key(_compare_terms)))
     if len(uniq) == 1:
         return uniq[0]
     key = (uniq,)
@@ -194,6 +199,25 @@ def mk_meet(args) -> Term:
         _NO_NAMES.union(*(a._consts for a in uniq)),
         _NO_NAMES.union(*(a._fns for a in uniq)),
     )
+
+
+def _compare_terms(s: Term, t: Term) -> int:
+    """Compare the term_keys of s and t as tuple comparison does, in a loop.
+
+    Keys are (tag, name, child keys). Past equal tags and names the first
+    child key that differs decides, or else the number of children; two
+    child keys are equal exactly when they are the same object, since
+    every term, and so every key, is built once.
+    """
+    x, y = s._key, t._key
+    while True:
+        if x[:2] != y[:2]:
+            return -1 if x[:2] < y[:2] else 1
+        xs, ys = x[2], y[2]
+        i = next((i for i, (a, b) in enumerate(zip(xs, ys)) if a is not b), None)
+        if i is None:
+            return (len(xs) > len(ys)) - (len(xs) < len(ys))
+        x, y = xs[i], ys[i]
 
 
 def term_constants(t: Term) -> frozenset[str]:
@@ -271,8 +295,7 @@ _TOKEN_RE = re.compile(r"(\s*)(<=|[&().=!,<]|[^\s&().=!,<]+)")
 _PUNCT = {"&", "(", ")", ".", "<=", "=", "!", ",", "<"}
 
 # deepest bracket (or EL 'ex') nesting the parsers accept: they recurse
-# only up to this bound, and so does the comparison of deep term_key
-# tuples in sorted (in C)
+# only up to this bound
 MAX_NESTING = 100
 
 

@@ -8,8 +8,8 @@ import sys
 import pytest
 from hypothesis import given, strategies as st
 
-from conftest import read_data
-from slatkit import el, locality
+from conftest import DATA, read_data
+from slatkit import cli, el, locality
 from slatkit.el import (
     And,
     CBox,
@@ -311,7 +311,7 @@ def test_med_interpolation_evidence():
 def test_med_certificate_inputs_are_numbered_for_every_check(monkeypatch):
     """Each input step names its premise's position in the premises of
     the kernel that checks it: the minimised lists inside interpolate, the
-    full translated lists in the re-check and in the returned result."""
+    full translated lists in the returned result."""
     from slatkit import kernel
 
     hits: dict[int, list[bool]] = {}
@@ -323,13 +323,57 @@ def test_med_certificate_inputs_are_numbered_for_every_check(monkeypatch):
 
     monkeypatch.setattr(kernel.Kernel, "_is_input", counting)
     r = el_interpolation(med())
-    # the justification's own proof check, interpolate's check, the re-check
-    assert len(hits) == 3 and all(h and all(h) for h in hits.values())
+    # interpolate's check of both certificates against the kept premises
+    assert len(hits) == 1 and all(h and all(h) for h in hits.values())
     tr, names = translate(med()), dict(r.result.definitions)
     full, memo = (*tr.a_atoms, *tr.b_atoms), {}
     for _, steps in r.result.certificates:
         for rule, x, _, (k, *_) in (s for s in steps if s[0] == "input"):
             assert full[k] == Leq(unfold(x.lhs, names, memo), unfold(x.rhs, names, memo))
+
+
+@pytest.mark.parametrize("verify", [True, False])
+def test_med_interpolation_builds_one_proof_and_one_kernel(monkeypatch, verify):
+    """Verified, the certificates are the one checked evidence: the
+    justification builds no proof of its own. Unverified, minimize_axioms
+    still builds and checks it. justify always does."""
+    from slatkit import kernel
+
+    built: list[str] = []
+
+    def counted(name, method):
+        def wrapper(self, *args, **kwargs):
+            built.append(name)
+            return method(self, *args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(locality.ProofBuilder, "__init__", counted("proofs", locality.ProofBuilder.__init__))
+    monkeypatch.setattr(kernel.Kernel, "__init__", counted("kernel", kernel.Kernel.__init__))
+    monkeypatch.setattr(kernel.Kernel, "check", counted("check", kernel.Kernel.check))
+    r = el_interpolation(med(), verify=verify)
+    assert r.justification == ("A2", "A4", "A6", "A8", "A9", "A11", "B1", "B4", "R2")
+    assert built == (["proofs", "kernel", "check", "check"] if verify else ["proofs", "kernel", "check"])
+    built.clear()
+    assert justify(med()) == list(r.justification)
+    assert built == ["proofs", "kernel", "check"]
+
+
+@pytest.mark.parametrize("verify", [True, False])
+def test_a_deletion_that_drops_a_needed_input_is_an_engine_error(monkeypatch, verify):
+    """Kept inputs that do not entail the goal raise RuntimeError (exit 3),
+    never NotEntailed: the ontology entails the goal."""
+    minimize = locality._minimize
+
+    def faulty(*args):
+        j, check_proof = minimize(*args)
+        return locality.Justification(j.kept_a[1:], j.kept_b, j.kept_neg_a, j.kept_neg_b, j.kept_axioms), check_proof
+
+    monkeypatch.setattr(locality, "_minimize", faulty)
+    with pytest.raises(RuntimeError, match="kept inputs do not entail the goal"):
+        el_interpolation(med(), verify=verify)
+    monkeypatch.chdir(DATA)
+    argv = ["interpolate", "med.elp"] + ([] if verify else ["--no-verify"])
+    assert cli.main(argv) == cli.EXIT_ENGINE
 
 
 def test_med_psi_closure_shape():

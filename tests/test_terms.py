@@ -3,13 +3,16 @@ of term symbols that interpolation builds on."""
 
 import copy
 import pickle
+import random
 from dataclasses import dataclass
+from functools import cmp_to_key
 
 import pytest
 from hypothesis import given, strategies as st
 
 from slatkit.inputs import parse_slp
 from slatkit.interp import Color, ColorClash, color_problem, combine_colors
+from slatkit.locality import AxiomSet, entails
 from slatkit.slat import encode
 from slatkit.terms import (
     App,
@@ -19,6 +22,7 @@ from slatkit.terms import (
     Leq,
     Meet,
     ParseError,
+    _compare_terms,
     expand_eqs,
     format_atom,
     format_term,
@@ -182,6 +186,39 @@ def test_deep_terms_hash_and_key_without_recursion():
     assert term_key(t)[:2] == (1, "f")
     assert term_functions(t) == {"f"} and term_constants(t) == {"a"}
     assert {t: 1}[t] == 1
+
+
+def test_deep_meet_builds_in_term_key_order_and_is_decided():
+    # comparing the keys of two chains this deep recurses past the limit
+    # in C on every supported Python; mk_meet then orders them in a loop
+    fa, fb = Const("a"), Const("b")
+    for _ in range(5000):
+        fa, fb = App("f", fa), App("f", fb)
+    m = Meet((App("g", fb), fb, fa))
+    assert m.args == (fa, fb, App("g", fb))
+    assert mk_meet([fb, fa]) is Meet((fa, fb))
+    c = Const("c")
+    assert entails([Leq(c, Meet((fa, fb)))], [], Leq(c, fb), AxiomSet(("f",)))
+    assert not entails([Leq(c, fa)], [], Leq(c, Meet((fa, fb))), AxiomSet(("f",)))
+
+
+def _nested(rng: random.Random, depth: int):
+    r = rng.random()
+    if depth == 0 or r < 0.3:
+        return Const(rng.choice("abc"))
+    if r < 0.7:
+        return App(rng.choice("fg"), _nested(rng, depth - 1))
+    return mk_meet(_nested(rng, depth - 1) for _ in range(rng.randint(2, 3)))
+
+
+def test_the_loop_order_is_term_key_order():
+    rng, order = random.Random(7), cmp_to_key(_compare_terms)
+    for _ in range(500):
+        xs = list({_nested(rng, 4) for _ in range(rng.randint(2, 8))})
+        rng.shuffle(xs)
+        assert sorted(xs, key=order) == sorted(xs, key=term_key)
+        s, t = xs[0], xs[-1]
+        assert _compare_terms(s, t) == (term_key(s) > term_key(t)) - (term_key(s) < term_key(t))
 
 
 # ---------------------------------------------------------------------------
