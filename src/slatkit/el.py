@@ -26,6 +26,7 @@ from .terms import (
     _PUNCT,
     _TermParser,
     atom_constants,
+    functions_in_order,
     mk_meet,
     term_constants,
     term_functions,
@@ -91,25 +92,13 @@ class CBox(Frozen):
             raise ValueError("role declared twice")
         for gci in self.gcis:
             if not term_functions(gci.lhs) | term_functions(gci.rhs) <= declared:
-                # the first in term order: a frozenset's order follows the hash seed
-                raise ValueError(f"undeclared role {next(r for r in _roles(gci) if r not in declared)}")
+                roles = functions_in_order(gci.lhs, gci.rhs)
+                raise ValueError(f"undeclared role {next(r for r in roles if r not in declared)}")
         for ri in self.ris:
             names = (ri.sub, ri.sup) if isinstance(ri, RoleIncl) else (ri.first, ri.second, ri.sup)
             for r in names:
                 if r not in declared:
                     raise ValueError(f"undeclared role {r}")
-
-
-def _roles(gci: GCI):
-    """The roles of a GCI in term order: lhs then rhs, depth first, left to right."""
-    stack = [gci.rhs, gci.lhs]
-    while stack:
-        t = stack.pop()
-        if isinstance(t, App):
-            yield t.fn
-            stack.append(t.arg)
-        elif isinstance(t, Meet):
-            stack += reversed(t.args)
 
 
 class ELProblem(Frozen):
@@ -313,9 +302,8 @@ def _ri_key(ri: RoleAxiom):
 def untranslate(t: Term, roles) -> Concept:
     """The term as a concept, checking every operator is a role."""
     declared = set(roles)
-    for f in term_functions(t):
-        if f not in declared:
-            raise ValueError(f"not a role: {f}")
+    if not term_functions(t) <= declared:
+        raise ValueError(f"not a role: {next(f for f in functions_in_order(t) if f not in declared)}")
     return t
 
 

@@ -21,12 +21,13 @@ from .terms import (
     Frozen,
     GroundHornClause,
     Leq,
+    Meet,
     Record,
     Term,
     expand_eqs,
     format_atom,
+    functions_in_order,
     mk_meet,
-    term_functions,
     term_key,
 )
 
@@ -80,7 +81,7 @@ FlatTerm = tuple[str, Term]
 class PurifiedProblem(Record):
     """Ground problem with applications replaced by fresh constants.
 
-    flat is the psi-closed flat term set the instances range over, every
+    flat is the psi-closed flat term set in psi_closure's order, every
     member named in defs; saturate() generates the instances from it.
     """
 
@@ -147,23 +148,27 @@ class _Purifier:
         return Const(name)
 
     def pure(self, t: Term) -> Term:
-        """t with every application named, bottom up: the walk a recursion
-        would make, from a stack. Children are pushed in reverse, so names
-        are made left to right, inside out; out holds the pure children."""
-        stack, out = [(t, False)], []
+        """t with every application named, bottom up, from a stack: a
+        constant, or an application to one, is a base case; any other node
+        leaves a marker under its children, its function or its arity, so
+        names are made left to right, inside out. out holds pure terms."""
+        stack, out = [t], []
         while stack:
-            x, ready = stack.pop()
+            x = stack.pop()
             if isinstance(x, Const):
                 out.append(x)
-            elif not ready:
-                stack.append((x, True))
-                stack += [(k, False) for k in reversed((x.arg,) if isinstance(x, App) else x.args)]
+            elif isinstance(x, App) and isinstance(x.arg, Const):
+                out.append(Const(self.name_for(x.fn, x.arg)))
             elif isinstance(x, App):
+                stack += (x.fn, x.arg)
+            elif isinstance(x, Meet):
+                stack += (len(x.args), *reversed(x.args))
+            elif isinstance(x, str):
                 arg = out.pop()
-                out.append(Const(self.name_for(x.fn, arg if isinstance(arg, Const) else self.bind(arg))))
+                out.append(Const(self.name_for(x, arg if isinstance(arg, Const) else self.bind(arg))))
             else:
-                args = out[-len(x.args):]
-                del out[-len(x.args):]
+                args = out[-x:]
+                del out[-x:]
                 out.append(mk_meet(args))
         return out[0]
 
@@ -183,7 +188,8 @@ def flatten_purify(a_atoms, b_atoms, goal: Leq, *, neg_a=(), neg_b=(),
     Nested applications are named inside out, so f(g(a)) contributes the
     flat terms (g, a) and (f, g_a). Fresh names avoid every symbol of the
     input and the reserved ones. Returns the purified problem (its flat
-    term set not yet closed) and the set of flat terms that occurred.
+    term set not yet closed) and the flat terms that occurred, in the
+    order they were named: psi_closure sorts the set once.
     """
     a_atoms, b_atoms = expand_eqs(a_atoms), expand_eqs(b_atoms)
     neg_a, neg_b = tuple(neg_a), tuple(neg_b)
@@ -223,15 +229,15 @@ def flatten_purify(a_atoms, b_atoms, goal: Leq, *, neg_a=(), neg_b=(),
         axioms=axioms if axioms is not None else AxiomSet(()),
         purifier=purifier,
     )
-    return problem, _sorted_flat(purifier.defs)
+    return problem, tuple(purifier.defs)
 
 
 def check_input(atoms, goal: Leq, axioms: AxiomSet | None) -> set[str]:
     """The names of the atoms, the goal and the axioms' functions.
 
     Raises ValueError for a goal that is not a <= atom and, given axioms,
-    for the first atom with an undeclared function, then for a function
-    name used as a constant.
+    for an undeclared function, naming the first in term order (atoms in
+    order, each lhs then rhs), then for a function name used as a constant.
     """
     if not isinstance(goal, Leq):
         raise ValueError("goal must be a <= atom")
@@ -243,17 +249,11 @@ def check_input(atoms, goal: Leq, axioms: AxiomSet | None) -> set[str]:
         return fns | consts
     declared = set(axioms.functions)
     if not fns <= declared:
-        for a in atoms:
-            for f in term_functions(a.lhs) | term_functions(a.rhs):
-                if f not in declared:
-                    raise ValueError(f"undeclared function {f}")
+        order = functions_in_order(*(t for a in atoms for t in (a.lhs, a.rhs)))
+        raise ValueError(f"undeclared function {next(f for f in order if f not in declared)}")
     if consts & declared:
         raise ValueError(f"used as both constant and function: {min(consts & declared)}")
     return declared | consts
-
-
-def _sorted_flat(terms) -> tuple[FlatTerm, ...]:
-    return tuple(sorted(terms, key=lambda ft: (ft[0], term_key(ft[1]))))
 
 
 def psi_closure(flat_terms, axioms: AxiomSet) -> tuple[FlatTerm, ...]:
@@ -262,7 +262,8 @@ def psi_closure(flat_terms, axioms: AxiomSet) -> tuple[FlatTerm, ...]:
     An inclusion between f and g pairs f(c) with g(c) in both directions;
     a composition with inner g and conclusion h pairs g(c) with h(c). The
     outer function of a composition is not paired. The result is the
-    least closed superset, sorted.
+    least closed superset, sorted by function, then by term_key of the
+    argument: the one sort of a preparation's flat term set.
     """
     pairs = []
     for ax in axioms.axioms:
@@ -283,7 +284,7 @@ def psi_closure(flat_terms, axioms: AxiomSet) -> tuple[FlatTerm, ...]:
             if (other, arg) not in closed:
                 closed.add((other, arg))
                 todo.append((other, arg))
-    return _sorted_flat(closed)
+    return tuple(sorted(closed, key=lambda ft: (ft[0], term_key(ft[1]))))
 
 
 class InstanceSpace:
@@ -297,28 +298,34 @@ class InstanceSpace:
     have no key. clause(key) builds an instance; instantiate() lists all
     of them and saturate() builds only those it fires.
 
+    The flat terms are psi-closed, named in defs and in psi_closure's
+    order, so an inclusion's f and g, and a composition's g and h, have
+    one argument list (args_of); names_of holds the names, built once.
+
     Mon and comp instances have one premise seed <= target, grouped by
     (schema, index): mon over function f has the arguments of f as seeds
     and as targets, comp over an axiom has the arguments of its outer f
-    as seeds and the names of g(c) with (h, c) in the set as targets.
+    as seeds and the names of g(c) as targets. In a diagonal group (mon,
+    comp with f = h) the pairs (i, i), and only they, conclude x <= x.
     """
 
     def __init__(self, axioms: AxiomSet, flat_terms, defs: dict[FlatTerm, str]):
-        self.axioms, self.defs = axioms, defs
-        terms = set(flat_terms)
+        self.axioms = axioms
         self.args_of: dict[str, list[Term]] = {f: [] for f in axioms.functions}
-        for fn, arg in _sorted_flat(terms):
-            self.args_of.setdefault(fn, []).append(arg)
-        self.inner = {i: [c for c in self.args_of[ax.g] if (ax.h, c) in terms]
-                      for i, ax in enumerate(axioms.axioms) if isinstance(ax, Composition)}
+        self.names_of: dict[str, list[Const]] = {f: [] for f in axioms.functions}
+        for ft in flat_terms:
+            self.args_of[ft[0]].append(ft[1])
+            self.names_of[ft[0]].append(Const(defs[ft]))
 
-    def premise_groups(self):
-        """(group, seeds, targets) per premise schema, in key order."""
+    def premise_groups(self, var):
+        """(group, seeds, targets, diagonal) per premise schema, in key
+        order, with var(term) for each seed and target term, once."""
+        seeds = {f: [var(c) for c in args] for f, args in self.args_of.items()}
         for i, f in enumerate(self.axioms.functions):
-            yield (0, i), self.args_of[f], self.args_of[f]
-        for i, inner in self.inner.items():
-            ax = self.axioms.axioms[i]
-            yield (2, i), self.args_of[ax.f], [Const(self.defs[(ax.g, c)]) for c in inner]
+            yield (0, i), seeds[f], seeds[f], True
+        for i, ax in enumerate(self.axioms.axioms):
+            if isinstance(ax, Composition):
+                yield (2, i), seeds[ax.f], [var(c) for c in self.names_of[ax.g]], ax.f == ax.h
 
     def incl_keys(self):
         """Keys of the premise-free inclusion instances, in order."""
@@ -326,38 +333,28 @@ class InstanceSpace:
             if isinstance(ax, Inclusion) and ax.f != ax.g:
                 yield from ((1, i, c) for c in range(len(self.args_of[ax.f])))
 
-    def proper(self, key: tuple) -> bool:
-        """False for a premise pair whose instance concludes x <= x."""
-        if key[0] == 0:
-            return key[2] != key[3]
-        ax = self.axioms.axioms[key[1]]
-        return ax.f != ax.h or self.args_of[ax.f][key[2]] != self.inner[key[1]][key[3]]
-
     def keys(self) -> list[tuple]:
         """Every instance key, in clause order."""
-        pairs = [(*group, i, j) for group, seeds, targets in self.premise_groups()
-                 for i in range(len(seeds)) for j in range(len(targets))]
-        return sorted([*filter(self.proper, pairs), *self.incl_keys()])
+        pairs = [(*group, i, j) for group, seeds, targets, diagonal in self.premise_groups(lambda t: t)
+                 for i in range(len(seeds)) for j in range(len(targets)) if i != j or not diagonal]
+        return sorted([*pairs, *self.incl_keys()])
 
     def clause(self, key: tuple) -> GroundHornClause:
         """The instance with this key."""
-        defs = self.defs
+        args, names = self.args_of, self.names_of
         if key[0] == 0:
             f = self.axioms.functions[key[1]]
-            c, d = self.args_of[f][key[2]], self.args_of[f][key[3]]
-            return GroundHornClause(
-                (Leq(c, d),), Leq(Const(defs[(f, c)]), Const(defs[(f, d)])), ("mon", f, c, d),
-            )
+            c, d = args[f][key[2]], args[f][key[3]]
+            return GroundHornClause((Leq(c, d),), Leq(names[f][key[2]], names[f][key[3]]), ("mon", f, c, d))
         ax = self.axioms.axioms[key[1]]
         if key[0] == 1:
-            c = self.args_of[ax.f][key[2]]
             return GroundHornClause(
-                (), Leq(Const(defs[(ax.f, c)]), Const(defs[(ax.g, c)])), ("incl", ax.f, ax.g, c),
+                (), Leq(names[ax.f][key[2]], names[ax.g][key[2]]), ("incl", ax.f, ax.g, args[ax.f][key[2]]),
             )
-        d, c = self.args_of[ax.f][key[2]], self.inner[key[1]][key[3]]
+        d, c = args[ax.f][key[2]], args[ax.g][key[3]]
         return GroundHornClause(
-            (Leq(d, Const(defs[(ax.g, c)])),),
-            Leq(Const(defs[(ax.f, d)]), Const(defs[(ax.h, c)])),
+            (Leq(d, names[ax.g][key[3]]),),
+            Leq(names[ax.f][key[2]], names[ax.h][key[3]]),
             ("comp", ax.f, ax.g, ax.h, d, c),
         )
 
@@ -370,12 +367,12 @@ def instantiate(axioms: AxiomSet, flat_terms, defs: dict[FlatTerm, str]) -> tupl
     same instances lazily.
     """
     terms = set(flat_terms)
-    if set(psi_closure(terms, axioms)) != terms:
+    if set(closed := psi_closure(terms, axioms)) != terms:
         raise ValueError("flat term set is not psi-closed")
     for ft in terms:
         if ft not in defs:
             raise ValueError(f"unnamed flat term {ft[0]}({ft[1]})")
-    space = InstanceSpace(axioms, terms, defs)
+    space = InstanceSpace(axioms, closed, defs)
     return tuple(space.clause(k) for k in space.keys())
 
 
@@ -390,8 +387,9 @@ def prepare_problem(a_atoms, b_atoms, goal: Leq, axioms: AxiomSet, *,
         a_atoms, b_atoms, goal, neg_a=neg_a, neg_b=neg_b, axioms=axioms, reserved=reserved,
     )
     problem.flat = psi_closure(est, axioms)
-    for fn, arg in problem.flat:
-        problem.purifier.name_for(fn, arg)
+    if len(problem.flat) > len(est):   # name the terms the closure added, in flat order
+        for fn, arg in problem.flat:
+            problem.purifier.name_for(fn, arg)
     return problem
 
 
@@ -423,7 +421,8 @@ def saturate(problem: PurifiedProblem, fire=lambda clause, ent: (clause.conclusi
     fires: once the pass-0 checks fail, the closures of the seeds
     (InstanceSpace) are built and each derivable (seed, target) pair
     wakes its instances; later, the pairs the added atoms make derivable
-    wake the instances of the next pass. Inclusion instances have no
+    wake the instances of the next pass, once its checks fail, so a
+    pass that ends the run wakes nothing. Inclusion instances have no
     premise and fire in pass 1. Names made while chaining (interpolation
     splits) are not in problem.flat and add no instances. The result is
     true when the goal is entailed or a negative literal is
@@ -435,45 +434,43 @@ def saturate(problem: PurifiedProblem, fire=lambda clause, ent: (clause.conclusi
     ent = slat.Entailer([*problem.a0, *problem.b0], [t for a in checked for t in (a.lhs, a.rhs)])
     space = InstanceSpace(problem.axioms, problem.flat, problem.defs)
     trace = Trace(entailer=ent)
-    seeds: dict[int, dict[tuple, list[int]]] | None = None
-    targets: dict[int, list[tuple[tuple, int]]] = {}
-
-    def wake(pairs) -> list[tuple]:
-        """Keys of the instances whose premise is one of the variable pairs."""
-        out = []
-        for s, v in pairs:
-            groups = seeds.get(s)
-            if groups:
-                for group, j in targets.get(v, ()):
-                    out.extend(k for i in groups.get(group, ()) if space.proper(k := (*group, i, j)))
-        return out
-
+    seeds: dict[int, dict[tuple, int]] | None = None
+    targets: dict[int, list[tuple[tuple, int, int]]] = {}
+    made: list[tuple[int, int]] = []
     while True:
         for k, atom in enumerate(() if to_fixpoint else checked):
             if ent.holds(atom):
                 trace.inconsistent = atom if k else None
                 trace.result = True
                 return trace
+        ready = []
         if seeds is None:
             # seed closures are built only once the pass-0 checks fail
             seeds = {}
-            for group, seed_terms, target_terms in space.premise_groups():
-                for i, t in enumerate(seed_terms):
-                    seeds.setdefault(ent.var(t), {}).setdefault(group, []).append(i)
-                for j, t in enumerate(target_terms):
-                    targets.setdefault(ent.var(t), []).append((group, j))
-            ready = sorted([*space.incl_keys(), *wake((s, v) for s in seeds for v in ent.above(s))])
+            for group, seed_vars, target_vars, diagonal in space.premise_groups(ent.var):
+                for i, s in enumerate(seed_vars):   # a group's seeds are distinct terms
+                    seeds.setdefault(s, {})[group] = i
+                for j, v in enumerate(target_vars):   # with the seed of the pair concluding x <= x
+                    targets.setdefault(v, []).append((group, j, j if diagonal else -1))
+            ready, made = [*space.incl_keys()], [(s, v) for s in seeds for v in ent.above(s)]
+        # the instances whose premise is a pair made derivable since the last checks
+        for s, v in made:
+            at = seeds.get(s)
+            if at:
+                for group, j, skip in targets.get(v, ()):
+                    i = at.get(group, skip)   # no seed here reads as the one to skip
+                    if i != skip:
+                        ready.append((*group, i, j))
         if not ready:
             trace.result = False
             return trace
         trace.passes += 1
-        woken = []
-        for key in ready:
+        made = []
+        for key in sorted(ready):
             clause = space.clause(key)
             trace.fired.append(clause)
             for atom in fire(clause, ent):
-                woken += wake(ent.add(atom))
-        ready = sorted(woken)
+                made += ent.add(atom)
 
 
 def decide(problem: PurifiedProblem) -> tuple[bool, Trace]:

@@ -13,6 +13,7 @@ for each variable the clause that made it true: a derivation to read back.
 
 from __future__ import annotations
 
+from collections import defaultdict
 from dataclasses import field
 
 from .terms import (
@@ -25,7 +26,6 @@ from .terms import (
     Meet,
     Record,
     Term,
-    expand_eqs,
     format_atom,
     format_term,
     mk_meet,
@@ -99,10 +99,12 @@ class PropHornProblem(Record):
 
         Each atom clause records its atom's position, counted from start.
         """
-        leqs = [(i, a) for i, x in enumerate(atoms, start) for a in expand_eqs([x])]
-        self.register([t for _, a in leqs for t in (a.lhs, a.rhs)])
-        for i, a in leqs:
-            self.add_clause((self.index[a.lhs],), self.index[a.rhs], i)
+        self.register([t for a in atoms for t in (a.lhs, a.rhs)])
+        for i, a in enumerate(atoms, start):
+            lhs, rhs = self.index[a.lhs], self.index[a.rhs]
+            self.add_clause((lhs,), rhs, i)
+            if isinstance(a, Eq):
+                self.add_clause((rhs,), lhs, i)
 
 
 def meet_halves(m: Meet) -> tuple[Term, Term]:
@@ -165,7 +167,7 @@ class Entailer:
         self.problem = encode(self.atoms, extra_terms)
         self._closures: dict[int, dict[int, int | None]] = {}
         self._seeds: list[int] = []
-        self.holders: dict[int, set[int]] = {}
+        self.holders: defaultdict[int, set[int]] = defaultdict(set)
         self._synced = len(self.problem.clauses)
 
     def var(self, t: Term) -> int:
@@ -179,27 +181,25 @@ class Entailer:
             self._sync()
         return self.problem.index[t]
 
-    def _closure(self, lhs: int) -> dict[int, int | None]:
-        closure = self._closures.get(lhs)
-        if closure is None:
-            closure = self._closures[lhs] = propagate(self.problem, [lhs])
-            for v in closure:
-                self.holders.setdefault(v, set()).add(len(self._seeds))
-            self._seeds.append(lhs)
-        return closure
-
     def reasons(self, lhs: int) -> dict[int, int | None]:
         """The cached closure of lhs: each variable it holds, with the
         clause that made it true (None for lhs itself)."""
-        return self._closure(lhs)
+        closure = self._closures.get(lhs)
+        if closure is None:
+            closure = self._closures[lhs] = propagate(self.problem, [lhs])
+            holders, pos = self.holders, len(self._seeds)
+            for v in closure:
+                holders[v].add(pos)
+            self._seeds.append(lhs)
+        return closure
 
     def derives(self, lhs: int, rhs: int) -> bool:
         """True iff the atoms entail the term of lhs below that of rhs."""
-        return rhs in self._closure(lhs)
+        return rhs in self.reasons(lhs)
 
     def above(self, lhs: int) -> list[int]:
         """Every variable the atoms entail above lhs; its closure is cached."""
-        return list(self._closure(lhs))
+        return list(self.reasons(lhs))
 
     def add(self, atom: Atom) -> list[tuple[int, int]]:
         """Add an atom; return the (lhs, rhs) variable pairs it made derivable.
@@ -207,10 +207,10 @@ class Entailer:
         Only cached closures report pairs, so a caller learns of a new
         consequence of every left hand side it has already queried.
         """
-        index = self.problem.index
-        if isinstance(atom, Leq) and atom.lhs in index and atom.rhs in index:
+        lhs, rhs = self.problem.index.get(atom.lhs), self.problem.index.get(atom.rhs)
+        if lhs is not None and rhs is not None and isinstance(atom, Leq):
             # both sides have variables, so the atom is one clause
-            self.problem.add_clause((index[atom.lhs],), index[atom.rhs], len(self.atoms))
+            self.problem.add_clause((lhs,), rhs, len(self.atoms))
         else:
             self.problem.add_atoms([atom], len(self.atoms))
         self.atoms.append(atom)
@@ -219,35 +219,36 @@ class Entailer:
     def _sync(self) -> list[tuple[int, int]]:
         """Extend the cached closures by the new clauses.
 
-        Only closures holding some new clause's premises but not its
-        conclusion can grow; holders names them, scanned in closure order.
+        Each new clause, in order, is tried in the closures holding its
+        first premise, read off holders in place, which records at once
+        the closures that take it. Then each closure that grew, by
+        position, spreads from the conclusions it took.
         """
         clauses, first = self.problem.clauses, self._synced
         self._synced = len(clauses)
-        holders, none, grow, made = self.holders, set(), set(), []
-        for premises, conclusion in clauses[first:]:
-            held = set.intersection(*(holders.get(p, none) for p in premises))
-            grow |= held - holders.get(conclusion, none)
-        for pos in sorted(grow):
-            seed, queue = self._seeds[pos], []
-            closure = self._closures[seed]
-            for cid in range(first, len(clauses)):
-                premises, conclusion = clauses[cid]
-                if conclusion not in closure and all(p in closure for p in premises):
+        holders, closures, seeds, grown, made = self.holders, self._closures, self._seeds, {}, []
+        for cid in range(first, len(clauses)):
+            premises, conclusion = clauses[cid]
+            for pos in holders.get(premises[0], ()):
+                closure = closures[seeds[pos]]
+                if conclusion not in closure and (len(premises) == 1 or all(p in closure for p in premises)):
                     closure[conclusion] = cid
-                    queue.append(conclusion)
-            for v in _spread(self.problem, closure, queue):
-                holders.setdefault(v, set()).add(pos)
+                    holders[conclusion].add(pos)
+                    grown.setdefault(pos, []).append(conclusion)
+        for pos in sorted(grown):
+            seed = seeds[pos]
+            for v in _spread(self.problem, closures[seed], grown[pos]):
+                holders[v].add(pos)
                 made.append((seed, v))
         return made
 
     def holds(self, atom: Atom) -> bool:
-        lhs, rhs, index = atom.lhs, atom.rhs, self.problem.index
         if isinstance(atom, Eq):
-            return self.holds(Leq(lhs, rhs)) and self.holds(Leq(rhs, lhs))
-        if lhs not in index or rhs not in index:
+            return self.holds(Leq(atom.lhs, atom.rhs)) and self.holds(Leq(atom.rhs, atom.lhs))
+        lhs, rhs = self.problem.index.get(atom.lhs), self.problem.index.get(atom.rhs)
+        if lhs is None or rhs is None:
             raise ValueError(f"unregistered goal term in {format_atom(atom)}")
-        return self.derives(index[lhs], index[rhs])
+        return self.derives(lhs, rhs)
 
 
 def entails_atom(atoms, goal: Atom) -> bool:

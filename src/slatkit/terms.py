@@ -228,6 +228,19 @@ def term_functions(t: Term) -> frozenset[str]:
     return t._fns
 
 
+def functions_in_order(*terms):
+    """The terms' function names, repeats included, depth first, left to
+    right: the order error messages name offenders in, not the hash seed's."""
+    stack = [*reversed(terms)]
+    while stack:
+        t = stack.pop()
+        if isinstance(t, App):
+            yield t.fn
+            stack.append(t.arg)
+        elif isinstance(t, Meet):
+            stack += reversed(t.args)
+
+
 # ---------------------------------------------------------------------------
 # atoms and clauses
 

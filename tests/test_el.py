@@ -85,6 +85,14 @@ def test_untranslate_rejects_non_role_functions():
         untranslate(parse_term("f(X)"), ["r"])
 
 
+def test_untranslate_names_the_first_non_role_in_term_order():
+    # the set {f, g, h} iterates in an order that follows PYTHONHASHSEED
+    with pytest.raises(ValueError, match="^not a role: f$"):
+        untranslate(parse_term("f(g(h(X)))"), ["r"])
+    with pytest.raises(ValueError, match="^not a role: k$"):
+        untranslate(parse_term("r(X) & k(h(Y)) & g(X)"), ["r", "g"])
+
+
 def test_format_concept():
     c = mk_and([Exists("r", mk_and([Name("A"), Name("B")])), Name("C")])
     assert format_concept(c) == "C & ex r . (A & B)"

@@ -135,6 +135,15 @@ def test_flatten_rejects_undeclared_function():
                        axioms=AxiomSet(()))
 
 
+def test_the_first_undeclared_function_in_term_order_is_named():
+    # the set {f, g, h} iterates in an order that follows PYTHONHASHSEED
+    a, b = Const("a"), Const("b")
+    with pytest.raises(ValueError, match="^undeclared function f$"):
+        entails([Leq(App("f", App("g", App("h", a))), b)], [], Leq(a, b), AxiomSet(()))
+    with pytest.raises(ValueError, match="^undeclared function k$"):
+        entails(atoms_of("a <= b", "k(h(a)) & g(b) <= f(a)"), (), Leq(a, b), AxiomSet(("f", "g")))
+
+
 def colored(a, b, goal, axioms):
     """The purified problem and interp's colors of its symbols, fresh
     names included, each function colored by its occurrences."""
