@@ -12,7 +12,7 @@ minimal justifying axiom sets all come back from the term level.
 from __future__ import annotations
 
 from . import interp, locality
-from .inputs import _problem_lines
+from .inputs import _error, _problem_lines
 from .locality import AxiomSet, Composition, Inclusion, Justification, NotEntailed
 from .terms import (
     App,
@@ -23,6 +23,7 @@ from .terms import (
     ParseError,
     Record,
     Term,
+    _EL_RESERVED as _RESERVED,
     _PUNCT,
     _TermParser,
     atom_constants,
@@ -32,9 +33,6 @@ from .terms import (
     term_functions,
     write_term,
 )
-
-_RESERVED = {"roles", "ri", "side", "goal", "ex"}
-
 
 # ---------------------------------------------------------------------------
 # concepts
@@ -118,67 +116,29 @@ _EL_DECLARATIONS = {
 }
 
 
-class _ConceptParser(_TermParser):
-    """The term grammar with `ex r . C` for r(C) and bare concept names."""
-
-    def __init__(self, toks, line: int, roles: set[str]):
-        super().__init__(toks, line)
-        self.roles = roles
-
-    def ident(self, what: str) -> str:
-        if self.i == len(self.toks):
-            raise ParseError("unexpected end of line", self.line, self.col())
-        tok, col = self.toks[self.i]
-        self.i += 1
-        if tok in _PUNCT:
-            raise ParseError(f"expected {what}, got {tok!r}", self.line, col)
-        if tok in _RESERVED:
-            raise ParseError(f"reserved word {tok!r} cannot name {what}", self.line, col)
-        return tok
-
-    def factor(self) -> Concept:
-        i = self.i
-        tok = self.toks[i][0] if i < len(self.toks) else None
-        if tok == "(":
-            return super().factor()
-        if tok == "ex":
-            self.enter()
-            role = self.ident("a role")
-            if role not in self.roles:
-                raise ParseError(f"undeclared role {role}", self.line, self.toks[i + 1][1])
-            self.expect(".")
-            c = App(role, self.factor())
-            self.depth -= 1
-            return c
-        name = self.ident("a concept name")
-        if name in self.roles:
-            raise ParseError(f"{name} used as both role and concept name", self.line, self.toks[i][1])
-        return Const(name)
-
-
 def parse_cbox(text: str) -> ELProblem:
     """Parse the .elp format: roles, role axioms, two sides, one goal."""
-    roles: list[str] = []
+    roles: dict[str, None] = {}   # the declared roles, in order
     ris: list[RoleAxiom] = []
     gcis: dict[str, list[GCI]] = {"A": [], "B": []}
     goal: tuple[Concept, Concept] | None = None
-    for side, lineno, toks in _problem_lines(text, _EL_DECLARATIONS, "concept inclusions"):
-        head, col0 = toks[0]
+    for side, lineno, toks, raw in _problem_lines(text, _EL_DECLARATIONS, "concept inclusions"):
+        head = toks[0]
         if head == "roles":
-            for tok, col in toks[1:]:
+            for k, tok in enumerate(toks[1:], start=1):
                 if tok in _RESERVED or tok in _PUNCT:
-                    raise ParseError(f"bad role name {tok!r}", lineno, col)
+                    raise _error(f"bad role name {tok!r}", lineno, raw, k)
                 if tok in roles:
-                    raise ParseError(f"role {tok} declared twice", lineno, col)
-                roles.append(tok)
+                    raise _error(f"role {tok} declared twice", lineno, raw, k)
+                roles[tok] = None
             if len(toks) == 1:
-                raise ParseError("empty roles declaration", lineno, col0)
+                raise _error("empty roles declaration", lineno, raw)
         elif head == "ri":
-            p = _ConceptParser(toks, lineno, set(roles))
-            p.take()
+            p = _TermParser(toks, lineno, raw, roles)
+            p.i = 1
             names = [p.ident("a role")]
             if p.peek() == "o":
-                p.take()
+                p.i += 1
                 names.append(p.ident("a role"))
             p.expect("<=")
             names.append(p.ident("a role"))
@@ -186,14 +146,16 @@ def parse_cbox(text: str) -> ELProblem:
             for k, r in enumerate(names):
                 if r not in roles:
                     # the roles are tokens 1, 3 and 5 of `ri r [o s] <= t`
-                    raise ParseError(f"undeclared role {r}", lineno, toks[2 * k + 1][1])
+                    raise _error(f"undeclared role {r}", lineno, raw, 2 * k + 1)
             label = f"R{len(ris) + 1}"
             if len(names) == 2:
                 ris.append(RoleIncl(names[0], names[1], label))
             else:
                 ris.append(RoleComp(names[0], names[1], names[2], label))
         else:
-            p = _ConceptParser(toks[1:] if head == "goal" else toks, lineno, set(roles))
+            if head == "goal":   # blanking the head keeps every column
+                toks, raw = toks[1:], raw.replace("goal", "    ", 1)
+            p = _TermParser(toks, lineno, raw, roles)
             lhs = p.term()
             p.expect("<=")
             rhs = p.term()
@@ -241,10 +203,7 @@ def translate(p: ELProblem) -> Translated:
     (goalA <= C, D <= goalB) and drops its reverse, without which the
     goal still follows.
     """
-    roles = list(p.cbox_a.roles)
-    for r in p.cbox_b.roles:
-        if r not in roles:
-            roles.append(r)
+    roles = list(dict.fromkeys((*p.cbox_a.roles, *p.cbox_b.roles)))
     ris: list[RoleAxiom] = []
     labels: list[str] = []
     for ri in (*p.cbox_a.ris, *p.cbox_b.ris):

@@ -25,10 +25,11 @@ from .terms import (
     Leq,
     ParseError,
     _PUNCT,
+    _TermParser,
     atom_constants,
     atom_functions,
-    parse_atom_tokens,
-    tokenize,
+    column,
+    words,
 )
 
 _SLP_RESERVED = {"functions", "axiom", "side", "goal", "sigma", "target"}
@@ -59,16 +60,22 @@ class ModelSpec(Frozen):
 
 
 def _lines(text: str):
-    """Yield (lineno, tokens) for each line with tokens, comments cut."""
+    """Yield (lineno, tokens, line) for each line with tokens: the token
+    strings, comments cut, and the cut line, which places errors."""
     for lineno, raw in enumerate(text.splitlines(), start=1):
-        i = raw.find("#")
-        toks = tokenize(raw if i < 0 else raw[:i], lineno)
+        raw = raw.partition("#")[0]
+        toks = words(raw, lineno)
         if toks:
-            yield lineno, toks
+            yield lineno, toks, raw
+
+
+def _error(message: str, lineno: int, raw: str, k: int = 0) -> ParseError:
+    """The error at token k of the line raw."""
+    return ParseError(message, lineno, column(raw, lineno, k))
 
 
 def _problem_lines(text: str, declarations: dict[str, str], body: str, anywhere=()):
-    """Yield (side, lineno, tokens) for the lines of an .slp or .elp file.
+    """Yield (side, lineno, tokens, line) for the lines of an .slp or .elp file.
 
     Checks the layout both formats share: each head in declarations
     comes before every side line (its value is the error message),
@@ -78,145 +85,145 @@ def _problem_lines(text: str, declarations: dict[str, str], body: str, anywhere=
     """
     side: str | None = None
     goal_seen = False
-    for lineno, toks in _lines(text):
-        head, col0 = toks[0]
+    for lineno, toks, raw in _lines(text):
+        head = toks[0]
         if goal_seen:
-            raise ParseError("nothing may follow the goal", lineno, col0)
+            raise _error("nothing may follow the goal", lineno, raw)
         if head in declarations:
             if side is not None:
-                raise ParseError(declarations[head], lineno, col0)
+                raise _error(declarations[head], lineno, raw)
         elif head == "side":
-            if len(toks) != 2 or toks[1][0] not in ("A", "B"):
-                raise ParseError("expected 'side A' or 'side B'", lineno, col0)
-            side = toks[1][0]
+            if len(toks) != 2 or toks[1] not in ("A", "B"):
+                raise _error("expected 'side A' or 'side B'", lineno, raw)
+            side = toks[1]
             continue
         elif head == "goal":
             goal_seen = True
         elif head not in anywhere and side is None:
-            raise ParseError(f"{body} must appear inside 'side A' or 'side B'", lineno, col0)
-        yield side, lineno, toks
+            raise _error(f"{body} must appear inside 'side A' or 'side B'", lineno, raw)
+        yield side, lineno, toks, raw
 
 
-def _idents(toks, lineno: int, what: str) -> list[str]:
-    out = []
-    for tok, col in toks:
-        if tok in _PUNCT:
-            raise ParseError(f"expected {what}, got {tok!r}", lineno, col)
-        out.append(tok)
-    return out
+def _idents(toks, raw: str, lineno: int, what: str) -> list[str]:
+    """The tokens past the head, each of them a name."""
+    for k in range(1, len(toks)):
+        if toks[k] in _PUNCT:
+            raise _error(f"expected {what}, got {toks[k]!r}", lineno, raw, k)
+    return toks[1:]
 
 
-def _first(toks, offends, message: str, lineno: int) -> ParseError:
-    """The error at the first name token for which offends(token, next token)."""
-    for (tok, col), (nxt, _) in zip(toks, [*toks[1:], (None, 0)]):
+def _first(toks, start: int, raw: str, lineno: int, offends, message: str) -> ParseError:
+    """The error at the first name token from toks[start] on for which
+    offends(token, next token)."""
+    for k, (tok, nxt) in enumerate(zip(toks[start:], [*toks[start + 1:], None]), start):
         if tok not in _PUNCT and offends(tok, nxt):
-            return ParseError(message.format(tok), lineno, col)
+            return _error(message.format(tok), lineno, raw, k)
     raise AssertionError("no offending token")
 
 
-def _axiom_line(toks, lineno: int):
-    """Parse the tail of an `axiom` line into an Inclusion or Composition."""
-    names = _idents(toks, lineno, "a function name")
+def _axiom_line(toks, raw: str, lineno: int):
+    """Parse an `axiom` line into an Inclusion or Composition."""
+    names = _idents(toks, raw, lineno, "a function name")
     if not names:
         raise ParseError("expected 'inclusion' or 'composition'", lineno, 1)
     kind, args = names[0], names[1:]
     if kind == "inclusion":
         if len(args) != 2:
-            raise ParseError("inclusion takes two function names", lineno, toks[0][1])
+            raise _error("inclusion takes two function names", lineno, raw, 1)
         return Inclusion(args[0], args[1])
     if kind == "composition":
         if len(args) != 3:
-            raise ParseError("composition takes three function names", lineno, toks[0][1])
+            raise _error("composition takes three function names", lineno, raw, 1)
         return Composition(args[0], args[1], args[2])
-    raise ParseError(f"unknown axiom kind {kind!r}", lineno, toks[0][1])
+    raise _error(f"unknown axiom kind {kind!r}", lineno, raw, 1)
 
 
 def parse_slp(text: str) -> SlpProblem:
     functions: list[str] = []
     axioms = []
-    axiom_toks = []
+    axiom_lines = []
     pos = {"A": [], "B": []}
     neg = {"A": [], "B": []}
     goal: Leq | None = None
-    sigma: list[tuple[str, int]] | None = None
+    sigma: list[str] | None = None
     target: str | None = None
     declared: set[str] = set()
     used_consts: set[str] = set()
-    sigma_line = target_line = target_col = 0
+    sigma_line = target_line = (0, "")
 
-    def check_atom(atom: Atom, lineno: int, toks, start: int) -> None:
+    def check_atom(atom: Atom, lineno: int, toks, raw: str, start: int) -> None:
         """Name the first offending token in line order, at its column."""
         consts = atom_constants(atom)
         if not atom_functions(atom) <= declared:
-            raise _first(toks[start:], lambda tok, nxt: nxt == "(" and tok not in declared,
-                         "undeclared function {}", lineno)
+            raise _first(toks, start, raw, lineno, lambda tok, nxt: nxt == "(" and tok not in declared,
+                         "undeclared function {}")
         if consts & _SLP_RESERVED:
-            raise _first(toks[start:], lambda tok, nxt: nxt != "(" and tok in _SLP_RESERVED,
-                         "reserved word {!r} used as a constant", lineno)
+            raise _first(toks, start, raw, lineno, lambda tok, nxt: nxt != "(" and tok in _SLP_RESERVED,
+                         "reserved word {!r} used as a constant")
         used_consts.update(consts)
         # a declared function with no argument after it is used as a constant
         if consts & declared:
-            raise _first(toks[start:], lambda tok, nxt: nxt != "(" and tok in declared,
-                         "used as both constant and function: {}", lineno)
+            raise _first(toks, start, raw, lineno, lambda tok, nxt: nxt != "(" and tok in declared,
+                         "used as both constant and function: {}")
 
-    for side, lineno, toks in _problem_lines(
+    for side, lineno, toks, raw in _problem_lines(
         text, _SLP_DECLARATIONS, "literals", ("sigma", "target")
     ):
-        head, col0 = toks[0]
+        head = toks[0]
         if head == "functions":
-            for name in _idents(toks[1:], lineno, "a function name"):
+            for name in _idents(toks, raw, lineno, "a function name"):
                 if name in _SLP_RESERVED:
-                    raise ParseError(f"reserved word {name!r}", lineno, col0)
-                if name in functions:
-                    raise ParseError(f"function {name} declared twice", lineno, col0)
+                    raise _error(f"reserved word {name!r}", lineno, raw)
+                if name in declared:
+                    raise _error(f"function {name} declared twice", lineno, raw)
                 functions.append(name)
                 declared.add(name)
             if len(toks) == 1:
-                raise ParseError("empty functions declaration", lineno, col0)
+                raise _error("empty functions declaration", lineno, raw)
         elif head == "axiom":
-            axioms.append(_axiom_line(toks[1:], lineno))
-            axiom_toks.append((lineno, toks[2:]))
+            axioms.append(_axiom_line(toks, raw, lineno))
+            axiom_lines.append((lineno, toks, raw))
         elif head == "sigma":
             if sigma is not None:
-                raise ParseError("sigma given twice", lineno, col0)
-            sigma, sigma_line = toks[1:], lineno
-            if not _idents(sigma, lineno, "a symbol"):
-                raise ParseError("empty sigma declaration", lineno, col0)
+                raise _error("sigma given twice", lineno, raw)
+            sigma, sigma_line = _idents(toks, raw, lineno, "a symbol"), (lineno, raw)
+            if not sigma:
+                raise _error("empty sigma declaration", lineno, raw)
         elif head == "target":
             if target is not None:
-                raise ParseError("target given twice", lineno, col0)
-            names = _idents(toks[1:], lineno, "a constant")
+                raise _error("target given twice", lineno, raw)
+            names = _idents(toks, raw, lineno, "a constant")
             if len(names) != 1:
-                raise ParseError("target takes one constant", lineno, col0)
-            target, target_line, target_col = names[0], lineno, toks[1][1]
+                raise _error("target takes one constant", lineno, raw)
+            target, target_line = names[0], (lineno, raw)
         elif head == "goal":
-            atom = parse_atom_tokens(toks, lineno, 1)
+            atom = _TermParser(toks, lineno, raw).atom(1)
             if not isinstance(atom, Leq):
-                raise ParseError("goal must be a <= atom", lineno, col0)
-            check_atom(atom, lineno, toks, 1)
+                raise _error("goal must be a <= atom", lineno, raw)
+            check_atom(atom, lineno, toks, raw, 1)
             goal = atom
         else:
             start = int(head == "!")
-            atom = parse_atom_tokens(toks, lineno, start)
+            atom = _TermParser(toks, lineno, raw).atom(start)
             if start and isinstance(atom, Eq):
-                raise ParseError("negated equality is not supported", lineno, col0)
-            check_atom(atom, lineno, toks, start)
+                raise _error("negated equality is not supported", lineno, raw)
+            check_atom(atom, lineno, toks, raw, start)
             (neg if start else pos)[side].append(atom)
     if goal is None and target is None:
         nl = len(text.splitlines()) + 1
         raise ParseError("missing goal line (or target for definability)", nl, 1)
     # checked here, not on the axiom line: functions may be declared later
-    for lineno, toks in axiom_toks:
-        for f, col in toks:
-            if f not in functions:
-                raise ParseError(f"axiom uses undeclared function {f}", lineno, col)
+    for lineno, toks, raw in axiom_lines:
+        for k in range(2, len(toks)):
+            if toks[k] not in declared:
+                raise _error(f"axiom uses undeclared function {toks[k]}", lineno, raw, k)
     axiom_set = AxiomSet(tuple(functions), tuple(axioms))
     if sigma is not None:
-        for s, col in sigma:
+        for k, s in enumerate(sigma, start=1):
             if s not in declared and s not in used_consts:
-                raise ParseError(f"sigma symbol {s} occurs nowhere", sigma_line, col)
+                raise _error(f"sigma symbol {s} occurs nowhere", *sigma_line, k)
     if target is not None and target not in used_consts:
-        raise ParseError(f"target {target} occurs in no atom", target_line, target_col)
+        raise _error(f"target {target} occurs in no atom", *target_line, 1)
     return SlpProblem(
         functions=tuple(functions),
         axioms=axiom_set,
@@ -225,14 +232,9 @@ def parse_slp(text: str) -> SlpProblem:
         b_pos=tuple(pos["B"]),
         b_neg=tuple(neg["B"]),
         goal=goal,
-        sigma=tuple(s for s, _ in sigma) if sigma is not None else None,
+        sigma=tuple(sigma) if sigma is not None else None,
         target=target,
     )
-
-
-def _row_end(toks, n: int) -> int:
-    """Column of the first token past a head, a name and n values, or just past a shorter row."""
-    return toks[n + 2][1] if len(toks) > n + 2 else toks[-1][1] + len(toks[-1][0])
 
 
 def parse_model(text: str) -> ModelSpec:
@@ -245,85 +247,78 @@ def parse_model(text: str) -> ModelSpec:
     compositions: list[tuple[str, str, str]] = []
     atoms: list[Atom] = []
 
-    def element(name: str, lineno: int, col: int) -> str:
+    def element(name: str, lineno: int, raw: str, k: int) -> str:
         if carrier is None or name not in carrier:
-            raise ParseError(f"not a carrier element: {name}", lineno, col)
+            raise _error(f"not a carrier element: {name}", lineno, raw, k)
         return name
 
-    for lineno, toks in _lines(text):
-        head, col0 = toks[0]
+    for lineno, toks, raw in _lines(text):
+        head = toks[0]
         if head != "carrier" and carrier is None:
-            raise ParseError("carrier must be declared first", lineno, col0)
+            raise _error("carrier must be declared first", lineno, raw)
         if head == "carrier":
             if carrier is not None:
-                raise ParseError("carrier declared twice", lineno, col0)
+                raise _error("carrier declared twice", lineno, raw)
             carrier = []
-            for name in _idents(toks[1:], lineno, "an element"):
+            for name in _idents(toks, raw, lineno, "an element"):
                 if name in _MODEL_RESERVED:
-                    raise ParseError(f"reserved word {name!r}", lineno, col0)
+                    raise _error(f"reserved word {name!r}", lineno, raw)
                 if name in carrier:
-                    raise ParseError(f"element {name} declared twice", lineno, col0)
+                    raise _error(f"element {name} declared twice", lineno, raw)
                 carrier.append(name)
             if not carrier:
-                raise ParseError("empty carrier", lineno, col0)
+                raise _error("empty carrier", lineno, raw)
         elif head == "meet":
-            names = _idents(toks[1:], lineno, "an element")
+            names = _idents(toks, raw, lineno, "an element")
             if len(names) != len(carrier) + 1:
-                raise ParseError(
-                    f"meet row needs 1 + {len(carrier)} elements", lineno, _row_end(toks, len(carrier))
-                )
-            row = element(names[0], lineno, toks[1][1])
+                # at the first token past the row, or just past a short one
+                raise _error(f"meet row needs 1 + {len(carrier)} elements", lineno, raw, len(carrier) + 2)
+            row = element(names[0], lineno, raw, 1)
             if row in meet_rows:
-                raise ParseError(f"meet row for {row} given twice", lineno, col0)
+                raise _error(f"meet row for {row} given twice", lineno, raw)
             meet_rows.add(row)
-            for y, (v, col) in zip(carrier, toks[2:]):
-                meet[(row, y)] = element(v, lineno, col)
+            for k, (y, v) in enumerate(zip(carrier, names[1:]), start=2):
+                meet[(row, y)] = element(v, lineno, raw, k)
         elif head == "fun":
-            names = _idents(toks[1:], lineno, "an element")
+            names = _idents(toks, raw, lineno, "an element")
             if len(names) != len(carrier) + 1:
-                raise ParseError(
-                    f"fun row needs a name and {len(carrier)} values", lineno, _row_end(toks, len(carrier))
-                )
+                raise _error(f"fun row needs a name and {len(carrier)} values", lineno, raw, len(carrier) + 2)
             f = names[0]
             if f in _MODEL_RESERVED:
-                raise ParseError(f"reserved word {f!r}", lineno, col0)
+                raise _error(f"reserved word {f!r}", lineno, raw)
             if f in funcs:
-                raise ParseError(f"function {f} given twice", lineno, col0)
-            funcs[f] = {x: element(v, lineno, col) for x, (v, col) in zip(carrier, toks[2:])}
+                raise _error(f"function {f} given twice", lineno, raw)
+            funcs[f] = {x: element(v, lineno, raw, k)
+                        for k, (x, v) in enumerate(zip(carrier, names[1:]), start=2)}
         elif head == "const":
-            if (
-                len(toks) != 4
-                or toks[2][0] != "="
-                or toks[1][0] in _PUNCT
-                or toks[3][0] in _PUNCT
-            ):
-                raise ParseError("expected 'const c = element'", lineno, col0)
-            c = toks[1][0]
+            if len(toks) != 4 or toks[2] != "=" or toks[1] in _PUNCT or toks[3] in _PUNCT:
+                raise _error("expected 'const c = element'", lineno, raw)
+            c = toks[1]
             if c in _MODEL_RESERVED:
-                raise ParseError(f"reserved word {c!r}", lineno, col0)
+                raise _error(f"reserved word {c!r}", lineno, raw)
             if c in consts:
-                raise ParseError(f"constant {c} bound twice", lineno, col0)
-            consts[c] = element(toks[3][0], lineno, toks[3][1])
+                raise _error(f"constant {c} bound twice", lineno, raw)
+            consts[c] = element(toks[3], lineno, raw, 3)
         elif head == "axiom":
-            ax = _axiom_line(toks[1:], lineno)
-            for f, col in toks[2:]:
-                if f not in funcs:
-                    raise ParseError(f"uninterpreted function {f}", lineno, col)
+            ax = _axiom_line(toks, raw, lineno)
+            for k in range(2, len(toks)):
+                if toks[k] not in funcs:
+                    raise _error(f"uninterpreted function {toks[k]}", lineno, raw, k)
             if isinstance(ax, Inclusion):
                 inclusions.append((ax.f, ax.g))
             else:
                 compositions.append((ax.f, ax.g, ax.h))
         elif head == "atom":
-            atom = parse_atom_tokens(toks, lineno, 1)
+            atom = _TermParser(toks, lineno, raw).atom(1)
             if not atom_functions(atom) <= funcs.keys():
-                raise _first(toks[1:], lambda tok, nxt: nxt == "(" and tok not in funcs,
-                             "uninterpreted function {}", lineno)
+                raise _first(toks, 1, raw, lineno, lambda tok, nxt: nxt == "(" and tok not in funcs,
+                             "uninterpreted function {}")
             if not atom_constants(atom) <= consts.keys():
-                raise _first(toks[1:], lambda tok, nxt: nxt != "(" and tok not in consts,
-                             "unbound constant {}", lineno)
+                raise _first(toks, 1, raw, lineno, lambda tok, nxt: nxt != "(" and tok not in consts,
+                             "unbound constant {}")
             atoms.append(atom)
         else:
-            raise ParseError(f"unknown directive {head!r}", lineno, col0)
+            raise _error(f"unknown directive {head!r}", lineno, raw)
     end = len(text.splitlines()) + 1
     if carrier is None:
         raise ParseError("missing carrier", end, 1)

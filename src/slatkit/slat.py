@@ -63,8 +63,8 @@ class PropHornProblem(Record):
         self.clauses.append((premises, conclusion))
         self.origin.append(origin)
 
-    def register(self, terms) -> None:
-        """Give the new terms and their subterms variables.
+    def register(self, terms) -> list[int]:
+        """Give the new terms and their subterms variables; return terms' variables.
 
         New variables are numbered in one left-to-right walk from a stack,
         in first-occurrence order: a term after its parts, the argument of
@@ -72,36 +72,39 @@ class PropHornProblem(Record):
         (the meet of all but its last argument, then the last). Every new
         meet gets the three clauses tying it to that decomposition.
         """
-        index, stack = self.index, [*terms][::-1]
-        while stack:
-            t = stack.pop()
-            if t in index:
-                continue
-            if isinstance(t, Meet):
-                left, last = meet_halves(t)
-                if left not in index or last not in index:
-                    stack += (t, last, left)
+        index, out = self.index, []
+        for t in terms:
+            stack = [t]   # t stays at the bottom, so v ends as its variable
+            while stack:
+                t = stack.pop()
+                if (v := index.get(t)) is not None:
                     continue
-            elif isinstance(t, App) and t.arg not in index:
-                stack += (t, t.arg)
-                continue
-            index[t] = m = len(self.terms)
-            self.terms.append(t)
-            self.watch.append([])
-            if isinstance(t, Meet):
-                l, r = index[left], index[last]
-                self.add_clause((m,), l)
-                self.add_clause((m,), r)
-                self.add_clause((l, r) if l < r else (r, l), m)
+                if isinstance(t, Meet):
+                    left, last = meet_halves(t)
+                    l, r = index.get(left), index.get(last)
+                    if l is None or r is None:
+                        stack += (t, last, left)
+                        continue
+                elif isinstance(t, App) and t.arg not in index:
+                    stack += (t, t.arg)
+                    continue
+                index[t] = v = len(self.terms)
+                self.terms.append(t)
+                self.watch.append([])
+                if isinstance(t, Meet):
+                    self.add_clause((v,), l)
+                    self.add_clause((v,), r)
+                    self.add_clause((l, r) if l < r else (r, l), v)
+            out.append(v)
+        return out
 
     def add_atoms(self, atoms, start: int = 0) -> None:
         """Register the atoms' terms; add P_s -> P_t per s <= t they expand to.
 
         Each atom clause records its atom's position, counted from start.
         """
-        self.register([t for a in atoms for t in (a.lhs, a.rhs)])
-        for i, a in enumerate(atoms, start):
-            lhs, rhs = self.index[a.lhs], self.index[a.rhs]
+        sides = iter(self.register([t for a in atoms for t in (a.lhs, a.rhs)]))
+        for i, (a, lhs, rhs) in enumerate(zip(atoms, sides, sides), start):
             self.add_clause((lhs,), rhs, i)
             if isinstance(a, Eq):
                 self.add_clause((rhs,), lhs, i)
@@ -176,10 +179,11 @@ class Entailer:
         The pairs registering a meet makes derivable, each with a new
         meet on the right, grow the cached closures but are not reported.
         """
-        if t not in self.problem.index:
-            self.problem.register([t])
+        v = self.problem.index.get(t)
+        if v is None:
+            [v] = self.problem.register([t])
             self._sync()
-        return self.problem.index[t]
+        return v
 
     def reasons(self, lhs: int) -> dict[int, int | None]:
         """The cached closure of lhs: each variable it holds, with the

@@ -301,11 +301,16 @@ class GroundHornClause(Frozen):
 # ---------------------------------------------------------------------------
 # concrete syntax
 
-# reserved: whitespace and  & ( ) . <= = ! ,   ('<' only occurs inside '<=');
+# reserved: whitespace and  & ( ) . <= = ! ,   ('<' only occurs inside '<=')
+_TOKEN = r"<=|[&().=!,<]|[^\s&().=!,<]+"
+_WORDS = re.compile(_TOKEN).findall
 # each match is the whitespace before a token and the token
-_TOKEN_RE = re.compile(r"(\s*)(<=|[&().=!,<]|[^\s&().=!,<]+)")
+_TOKEN_RE = re.compile(rf"(\s*)({_TOKEN})")
 
 _PUNCT = {"&", "(", ")", ".", "<=", "=", "!", ",", "<"}
+
+# words that name no concept and no role in the EL grammar
+_EL_RESERVED = {"roles", "ri", "side", "goal", "ex"}
 
 # deepest bracket (or EL 'ex') nesting the parsers accept: they recurse
 # only up to this bound
@@ -316,7 +321,8 @@ def tokenize(text: str, line: int = 1) -> list[tuple[str, int]]:
     """Split into (token, column) pairs. '<' outside '<=' is rejected.
 
     Every character is whitespace, punctuation or part of a name, so the
-    matches cover the text up to trailing whitespace.
+    matches cover the text up to trailing whitespace. The parsers read
+    words(); columns come from here, and only to place an error.
     """
     toks: list[tuple[str, int]] = []
     col = 1
@@ -329,68 +335,114 @@ def tokenize(text: str, line: int = 1) -> list[tuple[str, int]]:
     return toks
 
 
-class _TermParser:
-    """Recursive descent over (token, column) pairs; the per-token paths
-    index self.toks directly."""
+def words(text: str, line: int = 1) -> list[str]:
+    """The token strings of text as tokenize splits it, with its '<' error."""
+    toks = _WORDS(text)
+    if "<" in toks:
+        tokenize(text, line)
+    return toks
 
-    def __init__(self, toks: list[tuple[str, int]], line: int):
+
+def column(text: str, line: int, k: int) -> int:
+    """Column of token k of text; past the end, the column just after the
+    last token (1 if there is none)."""
+    toks = tokenize(text, line)
+    if k < len(toks):
+        return toks[k][1]
+    return toks[-1][1] + len(toks[-1][0]) if toks else 1
+
+
+class _TermParser:
+    """Recursive descent over toks, the token strings of text. It reads f(t)
+    or, given the set of declared roles, the EL grammar's ex r . C as r(C).
+    An error's column is computed from text.
+    """
+
+    __slots__ = ("toks", "line", "text", "roles", "i", "depth")
+
+    def __init__(self, toks: list[str], line: int, text: str, roles=None):
         self.toks = toks
         self.line = line
-        self.i = 0
-        self.depth = 0
+        self.text = text
+        self.roles = roles
+        self.i = self.depth = 0
+
+    def error(self, message: str, i: int | None = None) -> ParseError:
+        """The error at token i, by default the current token."""
+        k = self.i if i is None else i
+        return ParseError(message, self.line, column(self.text, self.line, k))
 
     def peek(self) -> str | None:
-        return self.toks[self.i][0] if self.i < len(self.toks) else None
-
-    def col(self) -> int:
-        if self.i < len(self.toks):
-            return self.toks[self.i][1]
-        return self.toks[-1][1] + len(self.toks[-1][0]) if self.toks else 1
-
-    def take(self) -> str:
-        tok = self.peek()
-        if tok is None:
-            raise ParseError("unexpected end of input", self.line, self.col())
-        self.i += 1
-        return tok
+        return self.toks[self.i] if self.i < len(self.toks) else None
 
     def expect(self, tok: str) -> None:
-        got = self.peek()
-        if got != tok:
-            raise ParseError(f"expected {tok!r}, got {got!r}", self.line, self.col())
-        self.i += 1
+        i = self.i
+        if i == len(self.toks) or self.toks[i] != tok:
+            raise self.error(f"expected {tok!r}, got {self.peek()!r}")
+        self.i = i + 1
 
     def enter(self) -> None:
         """Step over the token opening one more nesting level."""
         if self.depth == MAX_NESTING:
-            raise ParseError(f"nesting deeper than {MAX_NESTING} levels", self.line, self.col())
+            raise self.error(f"nesting deeper than {MAX_NESTING} levels")
         self.depth += 1
         self.i += 1
 
+    def ident(self, what: str) -> str:
+        """An EL role or concept name: never punctuation or a reserved word."""
+        if self.i == len(self.toks):
+            raise self.error("unexpected end of line")
+        tok = self.toks[self.i]
+        if tok in _PUNCT:
+            raise self.error(f"expected {what}, got {tok!r}")
+        if tok in _EL_RESERVED:
+            raise self.error(f"reserved word {tok!r} cannot name {what}")
+        self.i += 1
+        return tok
+
     def term(self) -> Term:
-        args = [self.factor()]
-        toks = self.toks
-        while self.i < len(toks) and toks[self.i][0] == "&":
+        t, toks = self.factor(), self.toks
+        if self.i == len(toks) or toks[self.i] != "&":
+            return t   # a lone factor is already in normal form
+        args = [t]
+        while self.i < len(toks) and toks[self.i] == "&":
             self.i += 1
             args.append(self.factor())
-        # a lone factor is already in normal form
-        return args[0] if len(args) == 1 else mk_meet(args)
+        return mk_meet(args)
 
     def factor(self) -> Term:
-        toks, i = self.toks, self.i
-        if i == len(toks):
-            raise ParseError("expected a term, got end of line", self.line, self.col())
-        tok = toks[i][0]
+        toks, i, roles = self.toks, self.i, self.roles
+        tok = toks[i] if i < len(toks) else None
         if tok == "(":
             self.enter()
             t = self.term()
             self.expect(")")
             self.depth -= 1
             return t
+        if roles is not None:
+            # roles are names, so a token in roles needs no check by ident
+            if tok == "ex":
+                self.enter()
+                role = toks[i + 1] if i + 1 < len(toks) else None
+                if role not in roles:
+                    self.ident("a role")
+                    raise self.error(f"undeclared role {role}", i + 1)
+                self.i = i + 2
+                self.expect(".")
+                t = App(role, self.factor())
+                self.depth -= 1
+                return t
+            if tok is None or tok in _PUNCT or tok in _EL_RESERVED or tok in roles:
+                name = self.ident("a concept name")
+                raise self.error(f"{name} used as both role and concept name", i)
+            self.i = i + 1
+            return Const(tok)
+        if tok is None:
+            raise self.error("expected a term, got end of line")
         if tok in _PUNCT:
-            raise ParseError(f"expected a term, got {tok!r}", self.line, toks[i][1])
+            raise self.error(f"expected a term, got {tok!r}")
         self.i = i = i + 1
-        if i < len(toks) and toks[i][0] == "(":
+        if i < len(toks) and toks[i] == "(":
             self.enter()
             arg = self.term()
             self.expect(")")
@@ -398,39 +450,33 @@ class _TermParser:
             return App(tok, arg)
         return Const(tok)
 
-    def atom(self) -> Atom:
+    def atom(self, start: int = 0) -> Atom:
+        """Exactly one atom, from token start to the end of the line."""
+        self.i = start
         lhs = self.term()
         op = self.peek()
         if op not in ("<=", "="):
             got = "end of line" if op is None else repr(op)
-            raise ParseError(f"expected '<=' or '=', got {got}", self.line, self.col())
+            raise self.error(f"expected '<=' or '=', got {got}")
         self.i += 1
         rhs = self.term()
+        self.done()
         return Leq(lhs, rhs) if op == "<=" else Eq(lhs, rhs)
 
     def done(self) -> None:
         if self.i != len(self.toks):
-            raise ParseError(f"trailing input {self.peek()!r}", self.line, self.col())
+            raise self.error(f"trailing input {self.peek()!r}")
 
 
 def parse_term(text: str, line: int = 1) -> Term:
-    p = _TermParser(tokenize(text, line), line)
+    p = _TermParser(words(text, line), line, text)
     t = p.term()
     p.done()
     return t
 
 
 def parse_atom(text: str, line: int = 1) -> Atom:
-    return parse_atom_tokens(tokenize(text, line), line)
-
-
-def parse_atom_tokens(toks: list[tuple[str, int]], line: int, start: int = 0) -> Atom:
-    """Parse the (token, column) pairs from toks[start] on as exactly one atom."""
-    p = _TermParser(toks, line)
-    p.i = start
-    a = p.atom()
-    p.done()
-    return a
+    return _TermParser(words(text, line), line, text).atom()
 
 
 def write_term(t: Term, app) -> str:

@@ -6,7 +6,7 @@ from pathlib import Path
 
 from slatkit import locality
 from slatkit.locality import AxiomSet, Composition, Inclusion
-from slatkit.terms import App, Const, Eq, Leq, Meet, expand_eqs, format_term, mk_meet, term_constants
+from slatkit.terms import App, Const, Eq, Leq, Meet, expand_eqs, format_atom, format_term, mk_meet, term_constants
 
 DATA = Path(__file__).parent / "data"
 
@@ -159,6 +159,19 @@ def rand_slo_problem(rng: random.Random):
         a_atoms.append(Leq(goal.lhs, s))
         b_atoms.append(Leq(s, goal.rhs))
     return tuple(a_atoms), tuple(b_atoms), goal, axioms
+
+
+def slp_text(a_atoms, b_atoms, goal, axioms) -> str:
+    """The problem as an .slp file."""
+    lines = [f"functions {' '.join(axioms.functions)}"] if axioms.functions else []
+    for ax in axioms.axioms:
+        if isinstance(ax, Inclusion):
+            lines.append(f"axiom inclusion {ax.f} {ax.g}")
+        else:
+            lines.append(f"axiom composition {ax.f} {ax.g} {ax.h}")
+    lines += ["side A", *map(format_atom, a_atoms), "side B", *map(format_atom, b_atoms),
+              f"goal {format_atom(goal)}"]
+    return "\n".join(lines) + "\n"
 
 
 def onto_text(rng, n, nd, dup=3):

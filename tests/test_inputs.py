@@ -1,16 +1,19 @@
 """The .slp and .model file formats."""
 
 import os
+import random
 import subprocess
 import sys
 
 import pytest
 
-from conftest import read_data
+from conftest import DATA, onto_text, read_data, slp_text
+from slatkit import terms
 from slatkit.el import parse_cbox
 from slatkit.inputs import parse_model, parse_slp
 from slatkit.locality import Composition, Inclusion
 from slatkit.terms import ParseError, parse_atom
+from test_saturate import ladder
 
 
 # ---------------------------------------------------------------------------
@@ -268,3 +271,49 @@ def test_parse_model_atom_with_function():
         "carrier x\nmeet x x\nfun f x\nconst c = x\natom f(c) <= c\n"
     )
     assert spec.atoms == (parse_atom("f(c) <= c"),)
+
+
+# ---------------------------------------------------------------------------
+# token columns: computed for errors only
+
+PARSE = {".slp": parse_slp, ".elp": parse_cbox, ".model": parse_model}
+
+
+def tokenize_calls(monkeypatch) -> list:
+    """The arguments of every later terms.tokenize call, in order, from
+    whichever slatkit module calls it."""
+    calls, tokenize = [], terms.tokenize
+    for name, module in list(sys.modules.items()):
+        if name.partition(".")[0] == "slatkit" and getattr(module, "tokenize", None) is tokenize:
+            monkeypatch.setattr(module, "tokenize", lambda *args: calls.append(args) or tokenize(*args))
+    return calls
+
+
+def test_valid_files_parse_without_token_columns(monkeypatch):
+    texts = [(path.suffix, path.read_text(encoding="utf-8"))
+             for path in sorted(DATA.iterdir()) if path.suffix in PARSE]
+    texts += [(".slp", slp_text(*ladder(40))), (".elp", onto_text(random.Random(1), 10, 30))]
+    assert sorted({suffix for suffix, _ in texts}) == [".elp", ".model", ".slp"]
+    calls = tokenize_calls(monkeypatch)
+    for suffix, text in texts:
+        PARSE[suffix](text)
+    assert calls == []
+
+
+def _last_line(text: str, line: str) -> str:
+    return "\n".join([*text.splitlines()[:-1], line]) + "\n"
+
+
+@pytest.mark.parametrize("suffix,text,message,line,column", [
+    (".slp", _last_line(slp_text(*ladder(40)), "goal c40 <= d40 )"), "trailing input ')'", 85, 17),
+    (".slp", _last_line(slp_text(*ladder(40)), "goal c40 < d40"), "stray '<' (did you mean '<=')", 85, 10),
+    (".elp", _last_line(onto_text(random.Random(1), 10, 30), "goal C0 <= ex q . C10"),
+     "undeclared role q", 49, 15),
+    (".model", read_data("four_point.model") + "atom g(b) <=  z", "unbound constant z", 16, 15),
+], ids=["slp trailing", "slp stray", "elp role", "model constant"])
+def test_an_error_on_the_last_line_is_placed_by_one_tokenize_call(monkeypatch, suffix, text, message, line, column):
+    calls = tokenize_calls(monkeypatch)
+    with pytest.raises(ParseError) as err:
+        PARSE[suffix](text)
+    assert (err.value.message, err.value.line, err.value.column) == (message, line, column)
+    assert len(calls) == 1 and calls[0][1] == line

@@ -7,8 +7,7 @@ from hypothesis import given, settings, strategies as st
 
 import parser_reference as ref
 from conftest import DATA
-from slatkit.el import _ConceptParser
-from slatkit.terms import MAX_NESTING, ParseError, parse_atom, parse_term, tokenize
+from slatkit.terms import MAX_NESTING, ParseError, _TermParser, parse_atom, parse_term, tokenize, words
 
 ROLES = {"r"}
 PIECES = ["a", "f", "(", ")", "&", "<=", "=", "!", ".", ",", "<", "ex", "r", "#", " ", "\t"]
@@ -23,7 +22,7 @@ def outcome(parse, *args):
 
 
 def parse_inclusion(text, roles, line):
-    p = _ConceptParser(tokenize(text, line), line, roles)
+    p = _TermParser(words(text, line), line, text, roles)
     lhs = p.term()
     p.expect("<=")
     rhs = p.term()
