@@ -151,11 +151,9 @@ def _cmd_interpolate(args, fmt: str, text: str):
     lines.append(f"interpolant: {shown}")
     lines += cert
     lines.append("verified" if verify else "not verified (--no-verify)")
-    jobj.update(
-        entailed=True,
-        interpolant=shown,
-        verified=verify,
-        splits=[
+    jobj.update(entailed=True, interpolant=shown, verified=verify)
+    if args.json:    # a text run prints no split records
+        jobj["splits"] = [
             {
                 "instance": _prov_label(s.clause.provenance),
                 "premise": format_atom(s.premise),
@@ -164,8 +162,7 @@ def _cmd_interpolate(args, fmt: str, text: str):
                 "owner": s.owner.value,
             }
             for s in splits
-        ],
-    )
+        ]
     return EXIT_OK, lines, jobj
 
 
@@ -179,23 +176,18 @@ def _cmd_justify(args, fmt: str, text: str):
             )
         except NotEntailed:
             raise _InputError("goal is not entailed; nothing to justify")
-        lines = [f"side A: {format_atom(p.a_pos[i])}" for i in j.kept_a]
-        lines += [f"side A: ! {format_atom(p.a_neg[i])}" for i in j.kept_neg_a]
-        lines += [f"side B: {format_atom(p.b_pos[i])}" for i in j.kept_b]
-        lines += [f"side B: ! {format_atom(p.b_neg[i])}" for i in j.kept_neg_b]
-        axioms = [_axiom_text(p.axioms.axioms[i]) for i in j.kept_axioms]
-        lines += [f"axiom: {ax}" for ax in axioms]
-        jobj = {
-            "command": "justify",
-            "kept": {
-                "A": [format_atom(p.a_pos[i]) for i in j.kept_a],
-                "A_negative": [format_atom(p.a_neg[i]) for i in j.kept_neg_a],
-                "B": [format_atom(p.b_pos[i]) for i in j.kept_b],
-                "B_negative": [format_atom(p.b_neg[i]) for i in j.kept_neg_b],
-                "axioms": axioms,
-            },
+        # each kept input formatted once, for the text lines and the JSON alike
+        kept = {
+            "A": [format_atom(p.a_pos[i]) for i in j.kept_a],
+            "A_negative": [format_atom(p.a_neg[i]) for i in j.kept_neg_a],
+            "B": [format_atom(p.b_pos[i]) for i in j.kept_b],
+            "B_negative": [format_atom(p.b_neg[i]) for i in j.kept_neg_b],
+            "axioms": [_axiom_text(p.axioms.axioms[i]) for i in j.kept_axioms],
         }
-        return EXIT_OK, lines, jobj
+        lines = [f"side A: {x}" for x in kept["A"]] + [f"side A: ! {x}" for x in kept["A_negative"]]
+        lines += [f"side B: {x}" for x in kept["B"]] + [f"side B: ! {x}" for x in kept["B_negative"]]
+        lines += [f"axiom: {ax}" for ax in kept["axioms"]]
+        return EXIT_OK, lines, {"command": "justify", "kept": kept}
     p = el.parse_cbox(text)
     labels = el.justify(p)
     if labels is None:

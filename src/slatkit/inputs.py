@@ -239,6 +239,7 @@ def parse_slp(text: str) -> SlpProblem:
 
 def parse_model(text: str) -> ModelSpec:
     carrier: list[str] | None = None
+    elements: set[str] = set()    # the carrier's names, for membership tests in O(1)
     meet: dict[tuple[str, str], str] = {}
     meet_rows: set[str] = set()
     funcs: dict[str, dict[str, str]] = {}
@@ -248,7 +249,7 @@ def parse_model(text: str) -> ModelSpec:
     atoms: list[Atom] = []
 
     def element(name: str, lineno: int, raw: str, k: int) -> str:
-        if carrier is None or name not in carrier:
+        if name not in elements:
             raise _error(f"not a carrier element: {name}", lineno, raw, k)
         return name
 
@@ -263,9 +264,10 @@ def parse_model(text: str) -> ModelSpec:
             for name in _idents(toks, raw, lineno, "an element"):
                 if name in _MODEL_RESERVED:
                     raise _error(f"reserved word {name!r}", lineno, raw)
-                if name in carrier:
+                if name in elements:
                     raise _error(f"element {name} declared twice", lineno, raw)
                 carrier.append(name)
+                elements.add(name)
             if not carrier:
                 raise _error("empty carrier", lineno, raw)
         elif head == "meet":

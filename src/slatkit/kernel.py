@@ -19,12 +19,11 @@ mon for declared functions, incl and comp for the axioms ("incl", f, g)
 and ("comp", f, g, h) only; an input k that misses tries every premise.
 Steps may use names, each defined once, by an application or meet over
 names defined before it; no premise, negative literal or statement may.
-Terms get ids, one per structure modulo ACI of the meet (a name its
-term's), from a stack with shallow keys, once per term object: no term
-is hashed or walked recursively, however deep; only what is used is.
+One memo gives every term object, in a step or a premise alike, one id per
+structure modulo ACI of the meet (a name its term's, from its first use).
 """
 
-from .terms import App, Const, Meet, expand_eqs, term_constants
+from .terms import App, Const, Meet, expand_eqs
 
 
 class Rejected(Exception):
@@ -35,115 +34,117 @@ class Kernel:
     """Checks proofs against premise atoms, negative literals and axioms."""
 
     def __init__(self, atoms, negatives, functions, axioms, definitions):
-        self.table, self.parts, self.memos, self.functions = {}, [], ({}, {}), set(functions)
-        self.axioms, self.defs, names = set(axioms), {}, {name for name, _ in definitions}
-        if len(names) != len(definitions) or names & self.functions:
+        self.table, self.parts, self.memo, self.functions = {}, [], {}, set(functions)
+        self.axioms, self.defs, self.names = set(axioms), {}, {name for name, _ in definitions}
+        if len(self.names) != len(definitions) or self.names & self.functions:
             raise Rejected("a name is defined twice or is a function")
         for name, body in definitions:
-            if not isinstance(body, (App, Meet)) or not term_constants(body) & names <= self.defs.keys():
+            if not isinstance(body, (App, Meet)) or not body._consts & self.names <= self.defs.keys():
                 raise Rejected(f"bad definition of {name}")
             self.defs[name] = body
         self.atoms, self.inputs = expand_eqs(atoms), None
         self.negatives = {tuple(self.pair(x, True) for x in expand_eqs([n])) for n in negatives}
 
-    def _const(self, c, outside):
-        """The id of constant c, memoized; None for a name whose definition is not interned yet."""
-        memo, body = self.memos[outside], self.defs.get(c.name)
-        if body is not None and outside:
-            raise Rejected(f"name {c.name} is not fresh")
-        i = self._cons(c.name) if body is None else memo.get(id(body), (None, None))[1]
-        if i is not None:
-            memo[id(c)] = (c, i)
-        return i
-
-    def _cons(self, key):
-        i = self.table.get(key)
-        if i is None:
-            i = self.table[key] = len(self.parts)
-            self.parts.append(key if isinstance(key, frozenset) else frozenset((i,)))
-        return i
-
-    def _meet(self, ids):
-        key = frozenset().union(*map(self.parts.__getitem__, ids))
-        return next(iter(key)) if len(key) == 1 else self._cons(key)
-
-    def intern(self, t, outside=False):
-        """The id of term t; outside, for premises and statements, forbids names."""
-        memo = self.memos[outside]
-        i = memo[id(t)][1] if id(t) in memo else self._const(t, outside) if isinstance(t, Const) else None
-        if i is not None:
-            return i
-        t = self.defs[t.name] if isinstance(t, Const) else t
-        stack = [t]
+    def intern(self, t):
+        """The id of term t: a node waits on the stack for its children."""
+        memo = self.memo
+        if id(t) in memo:
+            return memo[id(t)]
+        table, parts, stack = self.table, self.parts, [t]
         while stack:
-            node, depth = stack[-1], len(stack)
-            kids = (node.arg,) if isinstance(node, App) else node.args if isinstance(node, Meet) else ()
-            if not kids:
+            node = stack.pop()
+            if id(node) in memo:    # met twice in one walk
+                continue
+            if isinstance(node, App):
+                if id(node.arg) not in memo:
+                    stack += (node, node.arg)
+                    continue
+                key = (node.fn, memo[id(node.arg)])
+            elif isinstance(node, Const):
+                body = self.defs.get(node.name)
+                if body is None:
+                    key = node.name
+                elif id(body) in memo:    # a name: its definition's id
+                    memo[id(node)] = memo[id(body)]
+                    continue
+                else:
+                    stack += (node, body)
+                    continue
+            elif isinstance(node, Meet):
+                if todo := [x for x in node.args if id(x) not in memo]:
+                    stack += (node, *todo)
+                    continue
+                key = frozenset().union(*[parts[memo[id(x)]] for x in node.args])
+            else:
                 raise Rejected(f"not a term: {node!r}")
-            ids = []
-            for k in kids:
-                i = memo[id(k)][1] if id(k) in memo else self._const(k, outside) if isinstance(k, Const) else None
-                if i is None:
-                    stack.append(self.defs[k.name] if isinstance(k, Const) else k)
-                ids.append(i)
-            if len(stack) == depth:
-                stack.pop()
-                memo[id(node)] = (node, self._cons((node.fn, ids[0])) if isinstance(node, App) else self._meet(ids))
-        return memo[id(t)][1]
+            i = memo[id(node)] = table.setdefault(key, len(parts))
+            if i == len(parts):    # a new id, also the key of a meet of its part alone
+                parts.append(key if isinstance(key, frozenset) else frozenset((i,)))
+                table[parts[i]] = i
+        return memo[id(t)]
 
     def pair(self, atom, outside=False):
-        return self.intern(atom.lhs, outside), self.intern(atom.rhs, outside)
+        """The ids of atom's sides; outside, where constant sets show a name, the first met is refused."""
+        stack = [atom.rhs, atom.lhs] if outside and self.names & (    # a non-term side: intern refuses it
+            getattr(atom.lhs, "_consts", self.names) | getattr(atom.rhs, "_consts", self.names)) else ()
+        while stack:
+            t = stack.pop()
+            kids = (t,) if isinstance(t, Const) else (t.arg,) if isinstance(t, App) else (
+                t.args if isinstance(t, Meet) else self.intern(t))
+            if name := next((k.name for k in kids if isinstance(k, Const) and k.name in self.names), None):
+                raise Rejected(f"name {name} is not fresh")
+            stack += [k for k in kids if not isinstance(k, Const)]
+        return self.intern(atom.lhs), self.intern(atom.rhs)
 
     def _is_input(self, concl, k):
         if 0 <= k < len(self.atoms) and self.pair(self.atoms[k], True) == concl:
             return True
-        if self.inputs is None:
-            self.inputs = {self.pair(x, True) for x in self.atoms}
+        self.inputs = self.inputs or {self.pair(x, True) for x in self.atoms}    # built on first need
         return concl in self.inputs
 
-    def _follows(self, rule, atom, detail, concl, got):
-        """Whether the rule gives concl from the premise pairs got."""
-        i, lhs, want = self.intern, concl[0], None
-        a = lambda f, t: self._cons((f, i(t)))  # the id of f(t)
+    def _follows(self, rule, atom, detail, concl, premises, done):
+        """Whether the rule gives concl from the conclusions done of its premises."""
+        i, app, (lhs, rhs), n = self.intern, self.table.get, concl, len(premises)  # app: None if no term has it
         if rule in ("input", "refl", "contra"):
-            return (tuple(got) in self.negatives if rule == "contra" else not got and (
-                self._is_input(concl, *detail) if rule == "input" else lhs == concl[1]))
+            return (tuple(map(done.__getitem__, premises)) in self.negatives if rule == "contra" else not n and (
+                self._is_input(concl, *detail) if rule == "input" else lhs == rhs))
         if rule in ("meet_l", "meet_r", "meet_i"):
             m = detail[0] if rule != "meet_i" else atom.rhs
             if not isinstance(m, Meet) or len(m.args) < 2:
                 raise Rejected(f"not a meet: {m!r}")
-            left, last = self._meet([i(x) for x in m.args[:-1]]), i(m.args[-1])
-            need = [(lhs, left), (lhs, last)] if rule == "meet_i" else [(lhs, i(m))]
-            want = None if rule == "meet_i" else (lhs, left if rule == "meet_l" else last)
-        elif rule == "trans" and len(got) >= 2:
-            mids = [g[1] for g in got[:-1]]
-            need = list(zip([lhs, *mids], [*mids, concl[1]]))
-        elif rule == "mon" and detail[0] in self.functions:
+            left, last = app(frozenset().union(*map(self.parts.__getitem__, map(i, m.args[:-1])))), i(m.args[-1])
+            if rule == "meet_i":
+                return n == 2 and done[premises[0]] == (lhs, left) and done[premises[1]] == (lhs, last)
+            return n == 1 and done[premises[0]] == (lhs, i(m)) and rhs == (left if rule == "meet_l" else last)
+        if rule == "trans" and n >= 2:
+            for p in premises:    # a chain from lhs to rhs; None once a link is missing
+                lhs = done[p][1] if done[p][0] == lhs else None
+            return lhs == rhs
+        if rule == "mon" and detail[0] in self.functions:
             f, c, d = detail
-            need, want = [(i(c), i(d))], (a(f, c), a(f, d))
-        elif rule == "incl" and ("incl", *detail[:2]) in self.axioms:
+            c, d = i(c), i(d)
+            return n == 1 and done[premises[0]] == (c, d) and concl == (app((f, c)), app((f, d)))
+        if rule == "incl" and ("incl", *detail[:2]) in self.axioms:
             f, g, c = detail
-            need, want = [], (a(f, c), a(g, c))
-        elif rule == "comp" and ("comp", *detail[:3]) in self.axioms:
+            return not n and concl == (app((f, i(c))), app((g, i(c))))
+        if rule == "comp" and ("comp", *detail[:3]) in self.axioms:
             f, g, h, d, c = detail
-            need, want = [(i(d), a(g, c))], (a(f, d), a(h, c))
-        else:
-            raise Rejected(f"bad {rule} step")
-        return got == need and want in (None, concl)
+            d, c = i(d), i(c)
+            return n == 1 and done[premises[0]] == (d, app((g, c))) and concl == (app((f, d)), app((h, c)))
+        raise Rejected(f"bad {rule} step")
 
     def check(self, steps, statement):
         """Raise Rejected unless the steps, the last one, prove statement."""
         want, done = self.pair(statement, True), []
         for k, (rule, atom, premises, detail) in enumerate(steps):
-            if any(not 0 <= p < k for p in premises):
+            if premises and not (0 <= min(premises) and max(premises) < k):
                 raise Rejected(f"step {k} refers to a step not before it")
-            got, concl = [done[p] for p in premises], self.pair(atom)
+            concl = self.intern(atom.lhs), self.intern(atom.rhs)
             try:
-                ok = self._follows(rule, atom, detail, concl, got)
+                if not self._follows(rule, atom, detail, concl, premises, done):
+                    raise Rejected(f"step {k} ({rule}) does not follow")
             except (TypeError, ValueError, IndexError) as e:
                 raise Rejected(f"malformed {rule} step {k}") from e
-            if not ok:
-                raise Rejected(f"step {k} ({rule}) does not follow")
             done.append(concl)
         if not done or done[-1] != want:
             raise Rejected("the proof does not conclude its statement")

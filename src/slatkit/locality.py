@@ -530,7 +530,9 @@ class ProofBuilder:
     reasons, else a derivation's over the same atoms
     (slat.SelectorProgram.reasons). Either names only atoms true before
     its pair, so the walk, an iterative depth-first search, ends; every
-    pair and atom becomes one step, however many proofs use it.
+    pair and atom becomes one step, however many proofs use it. A proof
+    and a support read only the steps their root rests on, found by one
+    walk per root.
     kept(kind, i) says which inputs a proof may rest on: premise numbers
     count the atoms of kept inputs only, and an incl or comp step rests
     on the kept axioms of its schema, or on its dropped ones when none
@@ -545,7 +547,10 @@ class ProofBuilder:
         self.reason, self.kept = reason or (lambda s, v: ent.reasons(s).get(v, -1)), kept
         self.steps: list[tuple] = []
         self.leaf: dict[int, tuple] = {}
-        self.made: dict[tuple[int, int], int] = {}
+        self.made: dict[tuple[int, int], int | None] = {}
+        self.uses: dict[int, list[int]] = {}
+        # an owned atom's position: its premise number, counting kept inputs' atoms only
+        self.premise = {v: k for k, v in enumerate(v for v, o in enumerate(owner) if o and kept(*o))}
 
     def derive(self, atom: Leq) -> int:
         """Position of a step concluding the atom, over the run's terms."""
@@ -559,15 +564,21 @@ class ProofBuilder:
             return self.derive(problem.goal)
         premises = tuple(self.derive(x) for x in expand_eqs([trace.inconsistent]))
         k = (*problem.neg_a, *problem.neg_b).index(trace.inconsistent)
-        return self._add(("contra", problem.goal, premises, ()),
-                         ("na", k) if k < len(problem.neg_a) else ("nb", k - len(problem.neg_a)))
+        self.leaf[len(self.steps)] = ("na", k) if k < len(problem.neg_a) else ("nb", k - len(problem.neg_a))
+        self.steps.append(("contra", problem.goal, premises, ()))
+        return len(self.steps) - 1
 
     def _used(self, root: int) -> list[int]:
-        keep = {root}
-        for k in range(root, -1, -1):
-            if k in keep:
-                keep.update(self.steps[k][2])
-        return sorted(keep)
+        """The steps root rests on, in order: one walk from root, for support and proof alike."""
+        if root not in self.uses:
+            keep, todo, steps = set(), [root], self.steps
+            while todo:
+                k = todo.pop()
+                if k not in keep:
+                    keep.add(k)
+                    todo += steps[k][2]
+            self.uses[root] = sorted(keep)
+        return self.uses[root]
 
     def proof(self, root: int) -> list[tuple]:
         """The steps root rests on, renumbered in order, root last.
@@ -576,11 +587,10 @@ class ProofBuilder:
         the pair, an input step's detail as its atom's position, which
         becomes the kernel's premise number, counting owned atoms only.
         """
-        used, terms = self._used(root), self.ent.problem.terms
-        new = {k: i for i, k in enumerate(used)}
-        premise = {v: k for k, v in enumerate(v for v, o in enumerate(self.owner) if o and self.kept(*o))}
+        used, terms, premise = self._used(root), self.ent.problem.terms, self.premise
+        new = dict(zip(used, range(len(used)))).__getitem__
         return [(rule, atom if isinstance(atom, Leq) else Leq(terms[atom[0]], terms[atom[1]]),
-                 tuple(new[p] for p in premises), (premise[detail[0]],) if rule == "input" else detail)
+                 tuple(map(new, premises)), (premise[detail[0]],) if rule == "input" else detail)
                 for rule, atom, premises, detail in map(self.steps.__getitem__, used)]
 
     def support(self, root: int) -> dict[str, set[int]]:
@@ -596,30 +606,32 @@ class ProofBuilder:
                 support[kind].add(what)
         return support
 
-    def _add(self, step: tuple, leaf: tuple | None = None) -> int:
-        if leaf is not None:
-            self.leaf[len(self.steps)] = leaf
-        self.steps.append(step)
-        return len(self.steps) - 1
-
     def _make(self, root: tuple[int, int]) -> int:
-        made, plans, stack = self.made, {}, [root]
+        made, steps, stack = self.made, self.steps, [(root, None)]
         while stack:
-            node = stack.pop()
-            if node in made:
+            node, plan = stack.pop()
+            if plan is None:
+                if node in made:
+                    continue
+                plan = self._plan(node)
+                if plan[2]:    # the step waits on the stack for its premises'
+                    made[node] = None
+                    stack.append((node, plan))
+                    for d in plan[2]:
+                        if d not in made:
+                            stack.append((d, None))
+                        elif made[d] is None:
+                            raise RuntimeError("cyclic derivation")
+                    continue
+            rule, atom, deps, detail, leaf = plan
+            premises = tuple(map(made.__getitem__, deps))
+            if rule is None:
+                made[node] = premises[0]
                 continue
-            if node in plans:
-                rule, atom, deps, detail, leaf = plans[node]
-                premises = tuple(map(made.__getitem__, deps))
-                made[node] = premises[0] if rule is None else self._add((rule, atom, premises, detail), leaf)
-                continue
-            plans[node] = plan = self._plan(node)
-            stack.append(node)
-            for d in plan[2]:
-                if d not in made:
-                    if d in plans:
-                        raise RuntimeError("cyclic derivation")
-                    stack.append(d)
+            if leaf is not None:
+                self.leaf[len(steps)] = leaf
+            made[node] = len(steps)
+            steps.append((rule, atom, premises, detail))
         return made[root]
 
     def _plan(self, node: tuple[int, int]) -> tuple:
@@ -627,17 +639,18 @@ class ProofBuilder:
         atom i and (s, v) for v in the closure of s; rule None when the
         step is that of its one node."""
         s, v = node
-        problem, n0 = self.ent.problem, len(self.owner)
-        if s < 0 and v < n0:
-            atom, owner = self.ent.atoms[v], self.owner[v]
-            return ("refl", atom, (), (), None) if owner is None else ("input", atom, (), (v,), owner)
         if s < 0:
-            clause = self.clauses[v - n0]
-            prov, index = clause.provenance, problem.index
+            owners = self.owner
+            if v < len(owners):
+                atom, owner = self.ent.atoms[v], owners[v]
+                return ("refl", atom, (), (), None) if owner is None else ("input", atom, (), (v,), owner)
+            clause = self.clauses[v - len(owners)]
+            prov, index = clause.provenance, self.ent.problem.index
             leaf = None if prov[0] == "mon" else ("ax", instance_axiom(clause))
             deps = tuple((index[p.lhs], index[p.rhs]) for p in clause.premises)
             return prov[0], clause.conclusion, deps, prov[1:], leaf
-        reason, terms = self.reason, problem.terms
+        problem, reason = self.ent.problem, self.reason
+        terms = problem.terms
         cid = reason(s, v)
         if cid is None:
             return "refl", node, (), (), None

@@ -266,6 +266,29 @@ def test_parse_model_row_length_positions(text, message, line, column):
     assert (e.value.message, e.value.line, e.value.column) == (message, line, column)
 
 
+def chain_model(n: int) -> list[str]:
+    """The lines of an n-element chain e0 > e1 > ...: the meet is the later element."""
+    names = [f"e{i}" for i in range(n)]
+    rows = [f"meet {x} " + " ".join(names[max(i, j)] for j in range(n)) for i, x in enumerate(names)]
+    return ["carrier " + " ".join(names), *rows, "fun f " + " ".join(names[1:] + names[-1:])]
+
+
+def test_parse_model_of_a_200_element_chain():
+    """Carrier membership is a set lookup, so a 200-element table parses
+    at once, and a bad entry in its last row is placed as in a small one."""
+    lines = chain_model(200)
+    m = parse_model("\n".join(lines) + "\n").model
+    assert m.carrier == tuple(f"e{i}" for i in range(200))
+    assert len(m.meet) == 200 * 200 and m.meet[("e3", "e150")] == "e150" == m.meet[("e150", "e3")]
+    assert m.funcs["f"]["e0"] == "e1" and m.funcs["f"]["e199"] == "e199"
+    last = lines[200]
+    lines[200] = last[:last.rindex(" ")] + " x9"
+    with pytest.raises(ParseError) as e:
+        parse_model("\n".join(lines) + "\n")
+    assert (e.value.message, e.value.line, e.value.column) == (
+        "not a carrier element: x9", 201, last.rindex(" ") + 2)
+
+
 def test_parse_model_atom_with_function():
     spec = parse_model(
         "carrier x\nmeet x x\nfun f x\nconst c = x\natom f(c) <= c\n"

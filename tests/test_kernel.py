@@ -8,7 +8,7 @@ from pathlib import Path
 
 import pytest
 
-from conftest import rand_slo_problem, read_data
+from conftest import onto_text, rand_slo_problem, read_data
 from slatkit import el, interp, kernel, locality
 from slatkit.inputs import parse_slp
 from slatkit.interp import interpolate, unfold
@@ -53,17 +53,26 @@ def decision_case(label, a, b, goal, axioms, neg_a=(), neg_b=()):
                 proofs.proof(proofs.conclude(trace)), goal)
 
 
+def el_cases(label, text):
+    """Both certificates of an EL interpolation, against the full translated premises."""
+    t, r = el.translate(el.parse_cbox(text)), el.el_interpolation(el.parse_cbox(text))
+    return t, [Case(f"{label} {side}", (*t.a_atoms, *t.b_atoms), (), t.axioms, r.result.definitions,
+                    steps, statement)
+               for side, (statement, steps) in zip(("left", "right"), r.result.certificates)]
+
+
 def corpus() -> list[Case]:
     cases = []
     p = parse_slp(read_data("slo.slp"))
     cases += interpolation_cases("slo.slp", p.a_pos, p.b_pos, p.goal, p.axioms, p.a_neg, p.b_neg)
     cases.append(decision_case("slo.slp check", p.a_pos, p.b_pos, p.goal, p.axioms, p.a_neg, p.b_neg))
-    t = el.translate(el.parse_cbox(read_data("med.elp")))
-    r = el.el_interpolation(el.parse_cbox(read_data("med.elp")))
-    cases += [Case(f"med.elp {side}", (*t.a_atoms, *t.b_atoms), (), t.axioms, r.result.definitions,
-                   steps, statement)
-              for side, (statement, steps) in zip(("left", "right"), r.result.certificates)]
+    t, med = el_cases("med.elp", read_data("med.elp"))
+    cases += med
     cases.append(decision_case("med.elp check", t.a_atoms, t.b_atoms, t.goal, t.axioms))
+    # role chains split across A and B, with distractors: comp steps over EL roles
+    rng = random.Random(3)
+    for k in range(6):
+        cases += el_cases(f"onto {k}", onto_text(rng, rng.randint(3, 8), rng.randint(0, 12)))[1]
     for n in range(1, 13):
         cases += interpolation_cases(f"ladder({n})", *ladder(n))
     incl = AxiomSet(("f", "g"), (Inclusion("g", "f"),))

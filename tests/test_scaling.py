@@ -10,7 +10,8 @@ import random
 from conftest import onto_text, read_data
 from slatkit import el, slat
 from slatkit.interp import interpolate
-from slatkit.locality import minimize_axioms
+from slatkit.locality import minimize_axioms, proof_kernel
+from slatkit.terms import App, Const, expand_eqs
 from test_saturate import ladder
 
 
@@ -105,3 +106,56 @@ def test_justify_work_does_not_grow_with_distractors(monkeypatch):
     unrelated = unrelated.replace("goal ", "ex drains . Kidney <= Organ\nOrgan <= ex drains . Ureter\ngoal ")
     assert unrelated.count("drains") == 7
     assert propagations(unrelated) == propagations(med)
+
+
+class CountingMemo(dict):
+    """An id memo that counts its writes: one per miss."""
+
+    writes = 0
+
+    def __setitem__(self, key, value):
+        self.writes += 1
+        super().__setitem__(key, value)
+
+
+def interned_objects(premises, definitions, certificates) -> int:
+    """The distinct term objects a check of the certificates interns: the
+    sides of its statements, of its steps' atoms and of the premises its
+    input steps name, the terms its rules name, each with its subterms and
+    a name with its definition's."""
+    defs, roots = dict(definitions), []
+    for statement, steps in certificates:
+        roots += (statement.lhs, statement.rhs)
+        for rule, atom, _, detail in steps:
+            roots += (atom.lhs, atom.rhs)
+            if rule == "input":
+                roots += (premises[detail[0]].lhs, premises[detail[0]].rhs)
+            roots += {"meet_l": detail[:1], "meet_r": detail[:1], "mon": detail[1:],
+                      "incl": detail[2:], "comp": detail[3:]}.get(rule, ())
+    seen: set[int] = set()
+    while roots:
+        t = roots.pop()
+        if id(t) not in seen:
+            seen.add(id(t))
+            roots += ((defs[t.name],) if t.name in defs else ()) if isinstance(t, Const) else \
+                (t.arg,) if isinstance(t, App) else t.args
+    return len(seen)
+
+
+def test_certificate_checks_intern_each_term_object_once_on_ladders():
+    # the kernel keeps one id memo for the terms of steps and premises
+    # alike, so it misses once per distinct term object it interns, and
+    # those grow linearly with the ladder
+    misses = []
+    for n in (40, 80, 160):
+        a, b, goal, axioms = ladder(n)
+        res = interpolate(a, b, goal, axioms)
+        k = proof_kernel((*a, *b), (), axioms, res.definitions)
+        assert not k.memo    # no negative literal was interned
+        k.memo = CountingMemo()
+        for statement, steps in res.certificates:
+            k.check(steps, statement)
+        assert k.memo.writes == interned_objects(expand_eqs((*a, *b)), res.definitions, res.certificates)
+        misses.append(k.memo.writes)
+    for small, large in zip(misses, misses[1:]):
+        assert large <= 2.3 * small, misses
