@@ -213,17 +213,14 @@ def _cmd_beth(args, fmt: str, text: str):
         "sigma": list(p.sigma),
         "sharing": args.sharing,
     }
-    implicit = beth.is_implicitly_defined(
-        p.a_pos, p.axioms, p.sigma, p.target, neg=p.a_neg
+    result = beth.explicit_definition(
+        p.a_pos, p.axioms, p.sigma, p.target, neg=p.a_neg, sharing=args.sharing
     )
-    jobj["implicitly_defined"] = implicit
+    implicit = jobj["implicitly_defined"] = result != beth.UNDEFINED
     lines = [f"implicitly defined: {'yes' if implicit else 'no'}"]
     if not implicit:
         jobj["definition"] = None
         return EXIT_NEGATIVE, lines, jobj
-    result = beth.explicit_definition(
-        p.a_pos, p.axioms, p.sigma, p.target, neg=p.a_neg, sharing=args.sharing
-    )
     if isinstance(result, beth.Failure):
         found, note = _search_definition(p, args.depth)
         if found is not None:

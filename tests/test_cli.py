@@ -218,6 +218,29 @@ def test_beth_depth_bound_reshapes_the_search(capsys):
     assert "no defining term up to depth 2" in out
 
 
+INCONSISTENT = "functions f\nside A\na <= f(e)\ne <= b\nb <= e\n! e <= b\n"
+
+
+def test_beth_on_inconsistent_premises_is_an_input_error(tmp_path, capsys):
+    # a <= a' is not entailed, so chaining reaches the contradicted literal
+    # first: the premises entail everything but admit no definition
+    f = tmp_path / "inconsistent.slp"
+    f.write_text(INCONSISTENT + "sigma e\ntarget a\n", encoding="utf-8")
+    code, out, err = in_process(["beth", f], capsys)
+    assert (code, out) == (2, "")
+    assert err == "error: premises are inconsistent (derived e <= b); no intermediate term exists\n"
+
+
+def test_beth_goal_found_before_the_contradiction(tmp_path, capsys):
+    # with f in sigma, a <= f(e) <= a' holds at the first check, before
+    # the negative literal is checked
+    f = tmp_path / "goal_first.slp"
+    f.write_text(INCONSISTENT + "f(e) <= a\nsigma e f\ntarget a\n", encoding="utf-8")
+    code, out, err = in_process(["beth", f], capsys)
+    assert (code, err) == (0, "")
+    assert out == "implicitly defined: yes\ndefinition: f(e)\n"
+
+
 @pytest.mark.parametrize("depth", ["-1", "two"])
 def test_bad_depth_is_a_usage_error(depth, capsys):
     with pytest.raises(SystemExit) as exit_info:
