@@ -3,9 +3,9 @@
 A constant a is implicitly defined by a subsignature when any two models
 of the axioms agreeing on the subsignature agree on a. Checked by
 doubling: rename every symbol outside the subsignature to a primed copy
-and ask whether the two copies force a <= a'. One interpolation between
-the copies answers, yields the defining term and its proofs, which the
-kernel checks in the single theory once the primes are mapped back.
+and ask whether the two copies force a <= a'. Interpolating between the
+copies then yields a defining term and its proofs, which the kernel
+checks in the single theory once the primes are mapped back.
 """
 
 from __future__ import annotations
@@ -14,7 +14,7 @@ from itertools import combinations
 
 from . import interp, locality
 from .interp import VerificationFailed
-from .locality import AxiomSet, Composition, Inclusion, NotEntailed
+from .locality import AxiomSet, Composition, Inclusion
 from .slat import NoSharedWitness
 from .terms import (
     App,
@@ -116,12 +116,17 @@ def double(a_atoms, axioms: AxiomSet, sigma, target: str, *, neg=()) -> DoubledP
 
 
 def is_implicitly_defined(a_atoms, axioms: AxiomSet, sigma, target: str, *, neg=()) -> bool:
-    """True iff the atoms pin target down relative to the subsignature:
-    iff the doubled premises entail target <= target'. Swapping every
-    symbol with its primed copy maps the doubled premises onto themselves
-    and this goal onto target' <= target, so that direction follows too
-    and is not decided."""
-    d = double(a_atoms, axioms, sigma, target, neg=neg)
+    """True iff the atoms pin target down relative to the subsignature."""
+    return _defined(double(a_atoms, axioms, sigma, target, neg=neg))
+
+
+def _defined(d: DoubledProblem) -> bool:
+    """Whether the doubled premises entail target <= target'.
+
+    Swapping every symbol with its primed copy maps the doubled premises
+    onto themselves and this goal onto target' <= target, so that
+    direction follows too and is not decided.
+    """
     return d.target_prime == d.target or locality.entails(
         d.atoms, d.renamed_atoms, Leq(Const(d.target), Const(d.target_prime)), d.axioms,
         neg_a=d.neg, neg_b=d.renamed_neg,
@@ -132,20 +137,22 @@ def explicit_definition(a_atoms, axioms: AxiomSet, sigma, target: str, *,
                         neg=(), sharing: str = "theta") -> Term | Failure:
     """Extract a defining term over the subsignature, or say why not.
 
-    One interpolation of target <= target' across the doubled problem
-    decides definability by plain chaining first (NotEntailed gives
-    UNDEFINED), then extracts a term t. Its certificates, primes mapped
-    back, prove target <= t and t <= target, and the kernel checks them
-    against the undoubled premises, negative literals and axioms.
-    sharing picks the operator-sharing notion: "theta" (co-occurrence
-    closure, the notion the existence theorem needs) or "intersection"
-    (strictly two-sided occurrence, which may fail).
+    Decides target <= target' on the doubled problem (UNDEFINED if it
+    does not follow) and interpolates it across the copies. The kernel
+    checks the interpolant t's certificates, primes mapped back, as
+    proofs of target <= t and t <= target from the undoubled premises.
+    sharing picks the operator-sharing notion for the interpolation:
+    "theta" (co-occurrence closure, the notion the existence theorem
+    needs) or "intersection" (strictly two-sided occurrence, which may
+    fail).
     """
     if sharing not in ("theta", "intersection"):
         raise ValueError(f"unknown sharing mode {sharing!r}")
     d = double(a_atoms, axioms, sigma, target, neg=neg)
     if d.target_prime == d.target:
         return Const(target)
+    if not _defined(d):
+        return UNDEFINED
     inverse = {v: k for k, v in d.rename.items() if v != k}
     back = lambda x: _rename_term(x, inverse) if isinstance(x, Term) else inverse.get(x, x)
     try:
@@ -153,7 +160,7 @@ def explicit_definition(a_atoms, axioms: AxiomSet, sigma, target: str, *,
             d.atoms, d.renamed_atoms,
             Leq(Const(d.target), Const(d.target_prime)),
             d.axioms, neg_a=d.neg, neg_b=d.renamed_neg,
-            intersection=(sharing == "intersection"), decide_first=True,
+            intersection=(sharing == "intersection"),
         )
         t = res.term = back(res.term)
         res.definitions = tuple((name, back(body)) for name, body in res.definitions)
@@ -163,8 +170,6 @@ def explicit_definition(a_atoms, axioms: AxiomSet, sigma, target: str, *,
                          for rule, atom, premises, detail in steps])
             for statement, (_, steps) in zip((Leq(Const(target), t), Leq(t, Const(target))), res.certificates))
         interp.check_certificates(res, d.atoms, d.atoms, axioms, neg_a=d.neg, neg_b=d.neg)
-    except NotEntailed:
-        return UNDEFINED
     except NoSharedWitness as e:
         return Failure(f"no shared defining term found: {e}")
     except VerificationFailed as e:

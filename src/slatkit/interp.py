@@ -329,7 +329,7 @@ def unfold(term: Term, names: dict[str, Term], memo: dict[str, Term] | None = No
 
 def interpolate(a_atoms, b_atoms, goal: Leq, axioms: AxiomSet, *,
                 neg_a=(), neg_b=(), verify: bool = True,
-                intersection: bool = False, reserved=(), decide_first: bool = False) -> InterpolationResult:
+                intersection: bool = False, reserved=()) -> InterpolationResult:
     """Compute a shared term t with a <= t and t <= b, given a <= b holds.
 
     Forward chaining with side attribution and mixed-instance splitting,
@@ -344,9 +344,7 @@ def interpolate(a_atoms, b_atoms, goal: Leq, axioms: AxiomSet, *,
     kernel check them against the premises. Fresh names avoid the
     reserved symbols too. Coloring happens here alone: input symbols by
     occurrence (color_problem), then every fresh name, split names too,
-    by the term it stands for (color_names). With decide_first, plain
-    chaining decides the goal before any name is colored or instance
-    split: a goal that does not follow costs a decision, not the splits.
+    by the term it stands for (color_names).
 
     Raises NotEntailed when the goal does not follow, NoSharedWitness
     when no shared candidate lies above the goal's left side or a mixed
@@ -367,8 +365,6 @@ def interpolate(a_atoms, b_atoms, goal: Leq, axioms: AxiomSet, *,
     fn_colors = _fn_colors(smap, sigma_a, sigma_b)
     colors = color_problem((*a_in, *neg_a), (*b_in, *neg_b), goal)
     problem = locality.prepare_problem(a_in, b_in, goal, axioms, neg_a=neg_a, neg_b=neg_b, reserved=reserved)
-    if decide_first and not locality.decide(problem)[0]:
-        raise NotEntailed(f"goal not entailed: {format_atom(goal)}")
     try:
         color_names(problem, colors, fn_colors, problem.purifier.made)
     except ColorClash as e:

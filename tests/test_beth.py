@@ -128,12 +128,12 @@ def test_definability_prepares_once_per_entailment_it_needs(monkeypatch):
     assert is_implicitly_defined(atoms, axioms, {"g", "e"}, "a")
     assert len(calls) == 1
     calls.clear()
-    # one interpolation decides, extracts and gives the certificates the kernel checks;
+    # the one implicit check, then the interpolation, whose certificates the kernel checks;
     # the depth-2 search then decides a <= t for each of the 15 {g, e}-terms t
     assert isinstance(explicit_definition(atoms, axioms, {"g", "e"}, "a"), Term)
-    assert len(calls) == 1
-    for argv, want in ((["beth", str(DATA / "beth_fe.slp")], 1),
-                       (["beth", str(DATA / "beth_fe.slp"), "--sharing", "intersection", "--depth", "2"], 16)):
+    assert len(calls) == 2
+    for argv, want in ((["beth", str(DATA / "beth_fe.slp")], 2),
+                       (["beth", str(DATA / "beth_fe.slp"), "--sharing", "intersection", "--depth", "2"], 17)):
         calls.clear()
         cli.main(argv)
         assert len(calls) == want, argv

@@ -64,7 +64,8 @@ def test_the_same_definitions_failures_and_errors_as_the_reference(sharing, monk
     for atoms, axioms, sigma, target, neg in cases():
         made.clear()
         got = outcome(beth.explicit_definition, atoms, axioms, sigma, target, neg, sharing)
-        assert not decided    # one interpolation: explicit_definition decides nothing apart
+        # the one definability decision; the kernel checks the term, so no entails re-decides it
+        assert len(decided) == (got != Const(target)), (atoms, sigma, target, neg)
         seen["split"] += isinstance(got, Term) and bool(made and made[-1].splits)
         want = outcome(beth_reference.explicit_definition, atoms, axioms, sigma, target, neg, sharing)
         assert got == want, (atoms, sigma, target, neg)
@@ -109,15 +110,15 @@ def test_the_kernel_checks_the_unprimed_certificates(monkeypatch):
     assert len(checked) == 2
 
 
-def test_an_undefined_target_is_decided_before_any_name_is_colored(monkeypatch):
-    # the splitting run colors the fresh names first; an undefined target never gets there
-    def refused(*args):
-        raise AssertionError("colored names for an undefined target")
+def test_an_undefined_target_is_answered_by_the_decision_alone(monkeypatch):
+    # the splitting run would reach NotEntailed only after splitting every mixed instance
+    def refused(*args, **kwargs):
+        raise AssertionError("interpolated an undefined target")
 
-    monkeypatch.setattr(interp, "color_names", refused)
+    monkeypatch.setattr(interp, "interpolate", refused)
     atoms, axioms = fe_problem()
-    assert beth.explicit_definition(atoms, axioms, {"g"}, "a") == beth.UNDEFINED
-    assert beth.explicit_definition(atoms, axioms, {"g"}, "a", sharing="intersection") == beth.UNDEFINED
+    for sharing in ("theta", "intersection"):
+        assert beth.explicit_definition(atoms, axioms, {"g"}, "a", sharing=sharing) == beth.UNDEFINED
 
 
 def swapped_interpolant(monkeypatch, term):
