@@ -56,16 +56,32 @@ class DoubledProblem(Frozen):
     rename: dict[str, str]
 
 
-def _rename_term(t: Term, rename: dict[str, str]) -> Term:
-    if isinstance(t, Const):
-        return Const(rename.get(t.name, t.name))
-    if isinstance(t, App):
-        return App(rename.get(t.fn, t.fn), _rename_term(t.arg, rename))
-    return mk_meet(_rename_term(x, rename) for x in t.args)
+def _rename_term(t: Term, rename: dict[str, str], memo: dict[Term, Term] | None = None) -> Term:
+    """t with its names renamed, from an explicit stack. memo maps each
+    term renamed so far to its image: calls that share it rename each
+    distinct subterm once, however deep or shared their terms are."""
+    memo = {} if memo is None else memo
+    stack = [t]
+    while stack:
+        x = stack[-1]
+        if x in memo:
+            stack.pop()
+        elif isinstance(x, Const):
+            memo[x] = Const(rename.get(x.name, x.name))
+        elif isinstance(x, App):
+            if x.arg in memo:
+                memo[x] = App(rename.get(x.fn, x.fn), memo[x.arg])
+            else:
+                stack.append(x.arg)
+        elif all(y in memo for y in x.args):
+            memo[x] = mk_meet([memo[y] for y in x.args])
+        else:
+            stack += x.args
+    return memo[t]
 
 
-def _rename_atom(a: Atom, rename: dict[str, str]) -> Atom:
-    return type(a)(_rename_term(a.lhs, rename), _rename_term(a.rhs, rename))
+def _rename_atom(a: Atom, rename: dict[str, str], memo: dict[Term, Term]) -> Atom:
+    return type(a)(_rename_term(a.lhs, rename, memo), _rename_term(a.rhs, rename, memo))
 
 
 def double(a_atoms, axioms: AxiomSet, sigma, target: str, *, neg=()) -> DoubledProblem:
@@ -102,11 +118,12 @@ def double(a_atoms, axioms: AxiomSet, sigma, target: str, *, neg=()) -> DoubledP
             ax2 = Composition(rename[ax.f], rename[ax.g], rename[ax.h])
         if ax2 not in doubled:
             doubled.append(ax2)
+    memo: dict[Term, Term] = {}
     return DoubledProblem(
         atoms=atoms,
         neg=neg,
-        renamed_atoms=tuple(_rename_atom(x, rename) for x in atoms),
-        renamed_neg=tuple(_rename_atom(x, rename) for x in neg),
+        renamed_atoms=tuple(_rename_atom(x, rename, memo) for x in atoms),
+        renamed_neg=tuple(_rename_atom(x, rename, memo) for x in neg),
         axioms=AxiomSet(tuple(fns), tuple(doubled)),
         sigma=sigma,
         target=target,
@@ -153,8 +170,8 @@ def explicit_definition(a_atoms, axioms: AxiomSet, sigma, target: str, *,
         return Const(target)
     if not _defined(d):
         return UNDEFINED
-    inverse = {v: k for k, v in d.rename.items() if v != k}
-    back = lambda x: _rename_term(x, inverse) if isinstance(x, Term) else inverse.get(x, x)
+    inverse, memo = {v: k for k, v in d.rename.items() if v != k}, {}
+    back = lambda x: _rename_term(x, inverse, memo) if isinstance(x, Term) else inverse.get(x, x)
     try:
         res = interp.interpolate(
             d.atoms, d.renamed_atoms,
@@ -166,7 +183,7 @@ def explicit_definition(a_atoms, axioms: AxiomSet, sigma, target: str, *,
         res.definitions = tuple((name, back(body)) for name, body in res.definitions)
         # A on both sides keeps every B premise number k: k - |A| is its unprimed atom
         res.certificates = tuple(
-            (statement, [(rule, _rename_atom(atom, inverse), premises, tuple(map(back, detail)))
+            (statement, [(rule, _rename_atom(atom, inverse, memo), premises, tuple(map(back, detail)))
                          for rule, atom, premises, detail in steps])
             for statement, (_, steps) in zip((Leq(Const(target), t), Leq(t, Const(target))), res.certificates))
         interp.check_certificates(res, d.atoms, d.atoms, axioms, neg_a=d.neg, neg_b=d.neg)

@@ -122,6 +122,7 @@ def parse_cbox(text: str) -> ELProblem:
     ris: list[RoleAxiom] = []
     gcis: dict[str, list[GCI]] = {"A": [], "B": []}
     goal: tuple[Concept, Concept] | None = None
+    parser = _TermParser([], 0, "", roles)   # roles fills in place
     for side, lineno, toks, raw in _problem_lines(text, _EL_DECLARATIONS, "concept inclusions"):
         head = toks[0]
         if head == "roles":
@@ -134,7 +135,7 @@ def parse_cbox(text: str) -> ELProblem:
             if len(toks) == 1:
                 raise _error("empty roles declaration", lineno, raw)
         elif head == "ri":
-            p = _TermParser(toks, lineno, raw, roles)
+            p = parser.at(toks, lineno, raw)
             p.i = 1
             names = [p.ident("a role")]
             if p.peek() == "o":
@@ -155,7 +156,7 @@ def parse_cbox(text: str) -> ELProblem:
         else:
             if head == "goal":   # blanking the head keeps every column
                 toks, raw = toks[1:], raw.replace("goal", "    ", 1)
-            p = _TermParser(toks, lineno, raw, roles)
+            p = parser.at(toks, lineno, raw)
             lhs = p.term()
             p.expect("<=")
             rhs = p.term()

@@ -150,11 +150,12 @@ def parse_slp(text: str) -> SlpProblem:
     declared: set[str] = set()
     used_consts: set[str] = set()
     sigma_line = target_line = (0, "")
+    parser = _TermParser([], 0, "")
 
     def check_atom(atom: Atom, lineno: int, toks, raw: str, start: int) -> None:
         """Name the first offending token in line order, at its column."""
-        consts = atom_constants(atom)
-        if not atom_functions(atom) <= declared:
+        consts = atom.lhs._consts | atom.rhs._consts
+        if not (atom.lhs._fns <= declared and atom.rhs._fns <= declared):
             raise _first(toks, start, raw, lineno, lambda tok, nxt: nxt == "(" and tok not in declared,
                          "undeclared function {}")
         if consts & _SLP_RESERVED:
@@ -197,14 +198,14 @@ def parse_slp(text: str) -> SlpProblem:
                 raise _error("target takes one constant", lineno, raw)
             target, target_line = names[0], (lineno, raw)
         elif head == "goal":
-            atom = _TermParser(toks, lineno, raw).atom(1)
+            atom = parser.at(toks, lineno, raw).atom(1)
             if not isinstance(atom, Leq):
                 raise _error("goal must be a <= atom", lineno, raw)
             check_atom(atom, lineno, toks, raw, 1)
             goal = atom
         else:
             start = int(head == "!")
-            atom = _TermParser(toks, lineno, raw).atom(start)
+            atom = parser.at(toks, lineno, raw).atom(start)
             if start and isinstance(atom, Eq):
                 raise _error("negated equality is not supported", lineno, raw)
             check_atom(atom, lineno, toks, raw, start)

@@ -18,7 +18,6 @@ occurring on both sides, is available and may make separation impossible
 
 from __future__ import annotations
 
-from dataclasses import field
 from enum import Enum
 
 from . import locality, slat
@@ -36,6 +35,7 @@ from .terms import (
     Term,
     atom_functions,
     expand_eqs,
+    field,
     format_atom,
     format_term,
     mk_meet,

@@ -9,8 +9,6 @@ forward chaining loop that decides entailment live here.
 
 from __future__ import annotations
 
-from dataclasses import field
-
 from . import slat
 from .kernel import Kernel, Rejected
 from .terms import (
@@ -25,6 +23,7 @@ from .terms import (
     Record,
     Term,
     expand_eqs,
+    field,
     format_atom,
     functions_in_order,
     mk_meet,
@@ -151,7 +150,11 @@ class _Purifier:
         """t with every application named, bottom up, from a stack: a
         constant, or an application to one, is a base case; any other node
         leaves a marker under its children, its function or its arity, so
-        names are made left to right, inside out. out holds pure terms."""
+        names are made left to right, inside out. out holds pure terms.
+        A term with no function symbol is pure already and comes back as
+        it is, unwalked."""
+        if not t._fns:
+            return t
         stack, out = [t], []
         while stack:
             x = stack.pop()
@@ -173,7 +176,9 @@ class _Purifier:
         return out[0]
 
     def pure_atom(self, a: Atom) -> Atom:
-        return type(a)(self.pure(a.lhs), self.pure(a.rhs))
+        """a with both sides pure: a itself when neither side changed."""
+        lhs, rhs = self.pure(a.lhs), self.pure(a.rhs)
+        return a if lhs is a.lhs and rhs is a.rhs else type(a)(lhs, rhs)
 
     def drain(self) -> list[Leq]:
         out, self.pending = self.pending, []
@@ -200,9 +205,9 @@ def flatten_purify(a_atoms, b_atoms, goal: Leq, *, neg_a=(), neg_b=(),
         purifier.side = side
         out = []
         for x in atoms:
-            px = purifier.pure_atom(x)
-            out.append(px)
-            out_pos.extend(purifier.drain())
+            out.append(purifier.pure_atom(x))
+            if purifier.pending:
+                out_pos += purifier.drain()
         return tuple(out)
 
     a0: list[Leq] = []
@@ -263,7 +268,9 @@ def psi_closure(flat_terms, axioms: AxiomSet) -> tuple[FlatTerm, ...]:
     a composition with inner g and conclusion h pairs g(c) with h(c). The
     outer function of a composition is not paired. The result is the
     least closed superset, sorted by function, then by term_key of the
-    argument: the one sort of a preparation's flat term set.
+    argument: the one sort of a preparation's flat term set. When no
+    axiom links two distinct functions every set is closed, and the set
+    is only sorted.
     """
     pairs = []
     for ax in axioms.axioms:
@@ -277,7 +284,7 @@ def psi_closure(flat_terms, axioms: AxiomSet) -> tuple[FlatTerm, ...]:
             linked.setdefault(f1, set()).add(f2)
             linked.setdefault(f2, set()).add(f1)
     closed = set(flat_terms)
-    todo = list(closed)
+    todo = list(closed) if linked else ()
     while todo:
         fn, arg = todo.pop()
         for other in linked.get(fn, ()):

@@ -14,7 +14,6 @@ for each variable the clause that made it true: a derivation to read back.
 from __future__ import annotations
 
 from collections import defaultdict
-from dataclasses import field
 
 from .terms import (
     App,
@@ -26,6 +25,7 @@ from .terms import (
     Meet,
     Record,
     Term,
+    field,
     format_atom,
     format_term,
     mk_meet,
@@ -70,11 +70,18 @@ class PropHornProblem(Record):
         in first-occurrence order: a term after its parts, the argument of
         an application and the binary left-fold decomposition of a meet
         (the meet of all but its last argument, then the last). Every new
-        meet gets the three clauses tying it to that decomposition.
+        meet gets the three clauses tying it to that decomposition. A term
+        registered before, or a new constant, has no new part: it gets its
+        variable without the walk.
         """
         index, out = self.index, []
         for t in terms:
-            stack = [t]   # t stays at the bottom, so v ends as its variable
+            v = index.get(t)
+            if v is None and t.__class__ is Const:
+                index[t] = v = len(self.terms)
+                self.terms.append(t)
+                self.watch.append([])
+            stack = [t] if v is None else ()   # t stays at the bottom, so v ends as its variable
             while stack:
                 t = stack.pop()
                 if (v := index.get(t)) is not None:
@@ -471,19 +478,36 @@ class FiniteModel(Record):
 
 
 def eval_term(model: FiniteModel, t: Term) -> str:
-    """Value of a ground term; constants must be bound in the model."""
-    if isinstance(t, Const):
-        if t.name not in model.consts:
-            raise ValueError(f"unbound constant {t.name}")
-        return model.consts[t.name]
-    if isinstance(t, App):
-        if t.fn not in model.funcs:
-            raise ValueError(f"uninterpreted function {t.fn}")
-        return model.funcs[t.fn][eval_term(model, t.arg)]
-    value = eval_term(model, t.args[0])
-    for a in t.args[1:]:
-        value = model.meet[(value, eval_term(model, a))]
-    return value
+    """Value of a ground term; constants must be bound in the model.
+
+    Evaluated from a stack, as _Purifier.pure walks: a node is checked
+    when it is popped, outside in and left to right, and leaves a marker
+    under its children, its function or its arity. out holds values.
+    """
+    consts, funcs, meet = model.consts, model.funcs, model.meet
+    stack, out = [t], []
+    while stack:
+        x = stack.pop()
+        kind = x.__class__
+        if kind is Const:
+            if x.name not in consts:
+                raise ValueError(f"unbound constant {x.name}")
+            out.append(consts[x.name])
+        elif kind is App:
+            if x.fn not in funcs:
+                raise ValueError(f"uninterpreted function {x.fn}")
+            stack += (x.fn, x.arg)
+        elif kind is str:
+            out[-1] = funcs[x][out[-1]]
+        elif kind is Meet:
+            stack += (len(x.args), *reversed(x.args))
+        else:
+            value = out[-x]
+            for v in out[1 - x:]:
+                value = meet[(value, v)]
+            del out[-x:]
+            out.append(value)
+    return out[0]
 
 
 class ModelCheck(Frozen):

@@ -10,7 +10,6 @@ idempotence of the meet exactly when they are the same object.
 from __future__ import annotations
 
 import re
-from dataclasses import MISSING, Field, FrozenInstanceError, field
 from functools import cmp_to_key
 from operator import attrgetter
 
@@ -33,6 +32,24 @@ _TABLE: dict = {}   # structure key -> the one term with that structure
 _set = object.__setattr__
 _NO_NAMES = frozenset()
 _FACTORY = object()   # the default of a record field that has a default factory
+MISSING = object()    # a field option that is not given
+
+
+class field:
+    """The options of a record field, the ones of dataclasses.field that
+    the records use."""
+
+    __slots__ = ("name", "default", "default_factory", "repr", "compare")
+
+    def __init__(self, *, default=MISSING, default_factory=MISSING, repr=True, compare=True):
+        self.name, self.default, self.default_factory = None, default, default_factory
+        self.repr, self.compare = repr, compare
+
+
+def _frozen(change: str, name: str):
+    """The error a frozen record raises; only a refused change imports dataclasses."""
+    from dataclasses import FrozenInstanceError
+    return FrozenInstanceError(f"cannot {change} field {name!r}")
 
 
 class Record:
@@ -55,7 +72,7 @@ class Record:
         env, params, body, specs = {"_set": _set, "_FACTORY": _FACTORY}, ["self"], [], []
         for name in cls.__dict__.get("__annotations__", ()):
             spec = cls.__dict__.get(name, MISSING)
-            if not isinstance(spec, Field):
+            if not isinstance(spec, field):
                 spec = field(default=spec)
             elif spec.default is MISSING:
                 delattr(cls, name)
@@ -99,10 +116,10 @@ class Frozen(Record):
         return hash(self._compared(self))
 
     def __setattr__(self, name, value):
-        raise FrozenInstanceError(f"cannot assign to field {name!r}")
+        raise _frozen("assign to", name)
 
     def __delattr__(self, name):
-        raise FrozenInstanceError(f"cannot delete field {name!r}")
+        raise _frozen("delete", name)
 
     def __reduce__(self):
         return type(self), tuple(getattr(self, f) for f in self._fields)
@@ -361,11 +378,17 @@ class _TermParser:
     __slots__ = ("toks", "line", "text", "roles", "i", "depth")
 
     def __init__(self, toks: list[str], line: int, text: str, roles=None):
+        self.roles = roles
+        self.at(toks, line, text)
+
+    def at(self, toks: list[str], line: int, text: str) -> _TermParser:
+        """The parser, moved to the start of another line; a file's body
+        lines share one parser."""
         self.toks = toks
         self.line = line
         self.text = text
-        self.roles = roles
         self.i = self.depth = 0
+        return self
 
     def error(self, message: str, i: int | None = None) -> ParseError:
         """The error at token i, by default the current token."""

@@ -161,6 +161,42 @@ def rand_slo_problem(rng: random.Random):
     return tuple(a_atoms), tuple(b_atoms), goal, axioms
 
 
+def split_problem(rng: random.Random):
+    """A two-sided ladder whose interpolation splits mixed instances.
+
+    A climbs a{i+1} <= f(a{i}) and B climbs g(b{i}) <= b{i+1} to the goal
+    a{n} <= b{n}, where g is f or f's inclusion partner (f(x) <= g(x)).
+    The bottom rungs meet through b0 (a0 <= b0 on A) or through a shared
+    s0 (a0 <= s0 on A, s0 <= b0 on B). About 15% of the B rungs are
+    dropped, which mostly leaves the goal not entailed; random axioms
+    over the functions and 0-3 noise atoms vary the instances.
+    """
+    n = rng.randint(1, 6)
+    fns = ["f", "g", "h"][: rng.randint(1, 3)]
+    axioms = list(rand_axioms(rng, fns).axioms)
+    g = rng.choice(fns[:2])
+    if g == "g" and Inclusion("f", "g") not in axioms:
+        axioms.append(Inclusion("f", "g"))
+    a = [Const(f"a{i}") for i in range(n + 1)]
+    b = [Const(f"b{i}") for i in range(n + 1)]
+    a_atoms = [Leq(a[i + 1], App("f", a[i])) for i in range(n)]
+    b_atoms = [Leq(App(g, b[i]), b[i + 1]) for i in range(n) if rng.random() >= 0.15]
+    if rng.random() < 0.5:
+        a_atoms.append(Leq(a[0], b[0]))
+        shared = ["b0"]
+    else:
+        a_atoms.append(Leq(a[0], Const("s0")))
+        b_atoms.append(Leq(Const("s0"), b[0]))
+        shared = ["s0"]
+    for _ in range(rng.randint(0, 3)):
+        side, names = (a_atoms, [x.name for x in a]) if rng.random() < 0.5 else (b_atoms, [x.name for x in b])
+        vocab = names + shared
+        side.append(Leq(rand_term(rng, vocab, fns), rand_term(rng, vocab, fns)))
+    rng.shuffle(a_atoms)
+    rng.shuffle(b_atoms)
+    return tuple(a_atoms), tuple(b_atoms), Leq(a[n], b[n]), AxiomSet(tuple(fns), tuple(axioms))
+
+
 def slp_text(a_atoms, b_atoms, goal, axioms) -> str:
     """The problem as an .slp file."""
     lines = [f"functions {' '.join(axioms.functions)}"] if axioms.functions else []

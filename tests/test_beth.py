@@ -1,13 +1,14 @@
 """Definability via signature doubling, and the bounded refutation
 machinery."""
 
+import time
 from itertools import combinations
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from conftest import DATA, rand_slo_problem, rand_term
-from slatkit import cli, locality
+from slatkit import beth, cli, locality
 from slatkit.beth import (
     Failure,
     double,
@@ -64,6 +65,38 @@ def test_double_avoids_prime_collisions():
     d = double(atoms, AxiomSet(()), {"b"}, "a")
     primes = {d.rename["a"], d.rename["a'"]}
     assert len(primes) == 2 and "a" not in primes and "a'" not in primes
+
+
+def test_double_renames_a_10000_level_term_without_recursion():
+    t = Const("a")
+    for _ in range(10000):
+        t = App("f", t)
+    d = double([Leq(t, Const("b")), Leq(Const("b"), Const("a"))], AxiomSet(("f",)), {"b"}, "a")
+    renamed = d.renamed_atoms[0].lhs
+    for _ in range(10000):
+        assert renamed.fn == "f'"
+        renamed = renamed.arg
+    assert renamed == Const("a'") and d.renamed_atoms[1] == Leq(Const("b"), Const("a'"))
+
+
+def test_double_renames_a_shared_term_once_per_subterm(monkeypatch):
+    # t(k+1) = f(t(k)) & g(t(k)) has 3 * 60 + 1 distinct subterms and 2^61 tree nodes
+    def shared(a, f):
+        t = Const(a)
+        for _ in range(60):
+            t = mk_meet([App(f, t), App("g", t)])
+        return t
+    meets = []
+
+    def counted(args, mk_meet=beth.mk_meet):
+        meets.append(args)
+        assert len(meets) <= 60, "a meet renamed twice"   # fails fast where a tree walk would run for ages
+        return mk_meet(args)
+    monkeypatch.setattr(beth, "mk_meet", counted)
+    start = time.perf_counter()
+    d = double([Leq(shared("a", "f"), Const("b"))], AxiomSet(("f", "g")), {"g", "b"}, "a")
+    assert time.perf_counter() - start < 1
+    assert d.renamed_atoms == (Leq(shared("a'", "f'"), Const("b")),)
 
 
 def test_double_requires_occurring_target():

@@ -15,7 +15,7 @@ import random
 import pytest
 
 import chaining_reference as ref
-from conftest import DATA, onto_text, rand_axioms, rand_flat_atom, rand_slo_problem, read_data
+from conftest import DATA, onto_text, rand_axioms, rand_flat_atom, rand_slo_problem, read_data, split_problem
 from slatkit import el, inputs, interp, locality, slat
 from slatkit.locality import NotEntailed
 from slatkit.slat import NoSharedWitness
@@ -92,6 +92,21 @@ def test_seeded_draws(monkeypatch, adds):
         assert_same_runs(adds, a, b, goal, axioms)
         for intersection in (False, True):
             assert_same_interpolation(monkeypatch, adds, a, b, goal, axioms, intersection=intersection)
+
+
+def test_split_draws(monkeypatch, adds):
+    # two-sided ladders whose interpolations mostly split, some of them a comp instance
+    rng = random.Random(2031)
+    kinds = {}
+    for _ in range(60):
+        a, b, goal, axioms = split_problem(rng)
+        assert_same_runs(adds, a, b, goal, axioms)
+        for intersection in (False, True):
+            kind, res = assert_same_interpolation(monkeypatch, adds, a, b, goal, axioms, intersection=intersection)
+            kinds[kind] = kinds.get(kind, 0) + 1
+            if kind == "value" and res.splits:
+                kinds["split"] = kinds.get("split", 0) + 1
+    assert kinds["split"] > 30 and kinds["NotEntailed"] > 10, kinds
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 5, 8, 13])

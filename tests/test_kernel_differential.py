@@ -2,11 +2,15 @@
 proof of the kernel corpus, every one-step mutant of it and every misuse
 below gets the same verdict and, when rejected, the same message."""
 
+import random
+
 import kernel_reference
+from conftest import split_problem
 from slatkit import kernel
-from slatkit.locality import axiom_key
+from slatkit.locality import NotEntailed, axiom_key
+from slatkit.slat import NoSharedWitness
 from slatkit.terms import App, Const, Leq, Meet
-from test_kernel import CORPUS, mutants
+from test_kernel import CORPUS, interpolation_cases, mutants
 
 
 def verdict(module, case, steps=None, definitions=None, atoms=None, negatives=None, statement=None):
@@ -39,6 +43,24 @@ def test_the_same_verdicts_on_the_corpus_and_every_mutant():
             assert same(case, steps=steps, definitions=definitions)[0] == "Rejected"
             rejected += 1
     assert accepted > 90 and rejected > 2000
+
+
+def test_the_same_verdicts_on_split_draws_and_their_mutants():
+    # certificates whose proofs introduce split pieces, comp pieces among them
+    rng, cases = random.Random(41), []
+    while len(cases) < 8:
+        a, b, goal, axioms = split_problem(rng)
+        try:
+            cases += interpolation_cases(f"split draw {len(cases) // 2}", a, b, goal, axioms)
+        except (NotEntailed, NoSharedWitness):
+            continue
+    rejected = 0
+    for case in cases:
+        assert same(case) == ("accepted", None)
+        for _, steps, definitions in mutants(case):
+            assert same(case, steps=steps, definitions=definitions)[0] == "Rejected"
+            rejected += 1
+    assert rejected > 1000 and any(step[0] == "comp" for case in cases for step in case.steps)
 
 
 def misuses(case):

@@ -171,3 +171,20 @@ def test_import_runs_at_most_one_exec_per_record_class():
                          capture_output=True, text=True, check=True).stdout
     execs, records = map(int, out.split())
     assert records >= 20 and 0 < execs <= records
+
+
+def test_cli_import_leaves_dataclasses_and_inspect_out():
+    """The records need no dataclasses at start-up: a refused change to a
+    frozen record imports it, to raise its FrozenInstanceError."""
+    script = ("import sys\n"
+              "import slatkit.cli\n"
+              "print(sorted({'dataclasses', 'inspect'} & sys.modules.keys()))\n"
+              "try:\n"
+              "    slatkit.terms.Const('a').name = 'b'\n"
+              "except AttributeError as e:\n"
+              "    print(type(e).__module__, type(e).__name__)\n")
+    src = os.path.dirname(os.path.dirname(slatkit.__file__))
+    env = {**os.environ, "PYTHONPATH": src}
+    out = subprocess.run([sys.executable, "-c", script], env=env,
+                         capture_output=True, text=True, check=True).stdout
+    assert out.splitlines() == ["[]", "dataclasses FrozenInstanceError"]

@@ -297,6 +297,25 @@ def test_model_leq_and_eval():
     assert eval_term(m, parse_term("a & b")) == "d"
 
 
+def test_model_check_evaluates_a_10000_level_atom_without_recursion():
+    t = Const("e")
+    for _ in range(10000):
+        t = App("f", t)
+    # f(e) = f(a) = a in model4
+    checks = check_finite_model(model4(), atoms=[Leq(t, Const("a")), Leq(t, Const("e"))])
+    assert [(c.passed, c.detail) for c in checks[-2:]] == [(True, ""), (False, "lhs = a, rhs = e")]
+    assert eval_term(model4(), mk_meet([t, App("g", t)])) == "d"
+
+
+def test_eval_names_the_first_unbound_symbol_in_written_order():
+    m = model4()
+    for text, message in [("h(f(x))", "uninterpreted function h"), ("f(h(x))", "uninterpreted function h"),
+                          ("f(x) & g(y)", "unbound constant x"), ("a & g(h(y)) & x", "unbound constant x"),
+                          ("f(a & y) & h(a)", "unbound constant y")]:
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            eval_term(m, parse_term(text))
+
+
 def test_model_check_reports_broken_laws():
     m = model4()
     bad_meet = dict(m.meet)
