@@ -84,7 +84,7 @@ class Kernel:
         return memo[id(t)]
 
     def pair(self, atom, outside=False):
-        """The ids of atom's sides; outside, where constant sets show a name, the first met is refused."""
+        """The ids of atom's sides; outside, the first name met going down subterms whose constant sets show one is refused."""
         stack = [atom.rhs, atom.lhs] if outside and self.names & (    # a non-term side: intern refuses it
             getattr(atom.lhs, "_consts", self.names) | getattr(atom.rhs, "_consts", self.names)) else ()
         while stack:
@@ -93,7 +93,7 @@ class Kernel:
                 t.args if isinstance(t, Meet) else self.intern(t))
             if name := next((k.name for k in kids if isinstance(k, Const) and k.name in self.names), None):
                 raise Rejected(f"name {name} is not fresh")
-            stack += [k for k in kids if not isinstance(k, Const)]
+            stack += [k for k in kids if not isinstance(k, Const) and self.names & getattr(k, "_consts", self.names)]
         return self.intern(atom.lhs), self.intern(atom.rhs)
 
     def _is_input(self, concl, k):
