@@ -14,7 +14,7 @@ from itertools import combinations
 
 from . import interp, locality
 from .interp import VerificationFailed
-from .locality import AxiomSet, Composition, Inclusion
+from .locality import AxiomSet
 from .slat import NoSharedWitness
 from .terms import (
     App,
@@ -112,10 +112,7 @@ def double(a_atoms, axioms: AxiomSet, sigma, target: str, *, neg=()) -> DoubledP
             fns.append(rename[f])
     doubled: list = list(axioms.axioms)
     for ax in axioms.axioms:
-        if isinstance(ax, Inclusion):
-            ax2 = Inclusion(rename[ax.f], rename[ax.g])
-        else:
-            ax2 = Composition(rename[ax.f], rename[ax.g], rename[ax.h])
+        ax2 = type(ax)(*(rename[f] for f in ax.fns))
         if ax2 not in doubled:
             doubled.append(ax2)
     memo: dict[Term, Term] = {}

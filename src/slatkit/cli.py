@@ -15,7 +15,7 @@ from pathlib import Path
 from . import beth, el, interp, locality
 from .inputs import SlpProblem, parse_model, parse_slp
 from .interp import VerificationFailed
-from .locality import Inclusion, NotEntailed
+from .locality import SCHEMA_FUNCTIONS, NotEntailed
 from .slat import NoSharedWitness, check_finite_model
 from .terms import Const, Leq, ParseError, format_atom, format_term
 
@@ -32,12 +32,7 @@ class _InputError(Exception):
 
 
 def _prov_label(prov) -> str:
-    kind = prov[0]
-    if kind == "mon":
-        return f"mon({prov[1]})"
-    if kind == "incl":
-        return f"incl({prov[1]},{prov[2]})"
-    return f"comp({prov[1]},{prov[2]},{prov[3]})"
+    return f"{prov[0]}({','.join(prov[1:1 + SCHEMA_FUNCTIONS[prov[0]]])})"
 
 
 def _clause_line(cl) -> str:
@@ -196,9 +191,7 @@ def _cmd_justify(args, fmt: str, text: str):
 
 
 def _axiom_text(ax) -> str:
-    if isinstance(ax, Inclusion):
-        return f"inclusion {ax.f} {ax.g}"
-    return f"composition {ax.f} {ax.g} {ax.h}"
+    return f"{ax.keyword} {' '.join(ax.fns)}"
 
 
 def _cmd_beth(args, fmt: str, text: str):

@@ -65,6 +65,7 @@ class RoleIncl(Frozen):
     sub: str
     sup: str
     label: str = ""
+    axiom = property(lambda ri: Inclusion(ri.sub, ri.sup))
 
 
 class RoleComp(Frozen):
@@ -74,6 +75,7 @@ class RoleComp(Frozen):
     second: str
     sup: str
     label: str = ""
+    axiom = property(lambda ri: Composition(ri.first, ri.second, ri.sup))
 
 
 RoleAxiom = RoleIncl | RoleComp
@@ -93,8 +95,7 @@ class CBox(Frozen):
                 roles = functions_in_order(gci.lhs, gci.rhs)
                 raise ValueError(f"undeclared role {next(r for r in roles if r not in declared)}")
         for ri in self.ris:
-            names = (ri.sub, ri.sup) if isinstance(ri, RoleIncl) else (ri.first, ri.second, ri.sup)
-            for r in names:
+            for r in ri.axiom.fns:
                 if r not in declared:
                     raise ValueError(f"undeclared role {r}")
 
@@ -205,21 +206,10 @@ def translate(p: ELProblem) -> Translated:
     goal still follows.
     """
     roles = list(dict.fromkeys((*p.cbox_a.roles, *p.cbox_b.roles)))
-    ris: list[RoleAxiom] = []
-    labels: list[str] = []
+    labels: dict = {}   # each distinct engine axiom, with the label of its first role axiom
     for ri in (*p.cbox_a.ris, *p.cbox_b.ris):
-        if any(_ri_key(x) == _ri_key(ri) for x in ris):
-            continue
-        ris.append(ri)
-        labels.append(ri.label or f"R{len(ris)}")
-    axioms = AxiomSet(
-        tuple(roles),
-        tuple(
-            Inclusion(ri.sub, ri.sup) if isinstance(ri, RoleIncl)
-            else Composition(ri.first, ri.second, ri.sup)
-            for ri in ris
-        ),
-    )
+        labels.setdefault(ri.axiom, ri.label or f"R{len(labels) + 1}")
+    axioms = AxiomSet(tuple(roles), tuple(labels))
     a_atoms = [Leq(g.lhs, g.rhs) for g in p.cbox_a.gcis]
     b_atoms = [Leq(g.lhs, g.rhs) for g in p.cbox_b.gcis]
     a_labels = [g.label or f"A{i + 1}" for i, g in enumerate(p.cbox_a.gcis)]
@@ -247,16 +237,10 @@ def translate(p: ELProblem) -> Translated:
         a_labels=tuple(a_labels),
         b_labels=tuple(b_labels),
         axioms=axioms,
-        axiom_labels=tuple(labels),
+        axiom_labels=tuple(labels.values()),
         goal=goal,
         roles=tuple(roles),
     )
-
-
-def _ri_key(ri: RoleAxiom):
-    if isinstance(ri, RoleIncl):
-        return ("incl", ri.sub, ri.sup)
-    return ("comp", ri.first, ri.second, ri.sup)
 
 
 def untranslate(t: Term, roles) -> Concept:

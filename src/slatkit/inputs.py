@@ -38,6 +38,8 @@ _SLP_DECLARATIONS = {
     "axiom": "axioms must precede the sides",
 }
 _MODEL_RESERVED = {"carrier", "meet", "fun", "const", "axiom", "atom"}
+# an axiom line's keyword: its class and how many function names it takes
+_AXIOMS = {ax.keyword: (ax, count) for ax, count in ((Inclusion, "two"), (Composition, "three"))}
 
 
 class SlpProblem(Frozen):
@@ -127,15 +129,12 @@ def _axiom_line(toks, raw: str, lineno: int):
     if not names:
         raise ParseError("expected 'inclusion' or 'composition'", lineno, 1)
     kind, args = names[0], names[1:]
-    if kind == "inclusion":
-        if len(args) != 2:
-            raise _error("inclusion takes two function names", lineno, raw, 1)
-        return Inclusion(args[0], args[1])
-    if kind == "composition":
-        if len(args) != 3:
-            raise _error("composition takes three function names", lineno, raw, 1)
-        return Composition(args[0], args[1], args[2])
-    raise _error(f"unknown axiom kind {kind!r}", lineno, raw, 1)
+    if kind not in _AXIOMS:
+        raise _error(f"unknown axiom kind {kind!r}", lineno, raw, 1)
+    axiom, count = _AXIOMS[kind]
+    if len(args) != len(axiom._fields):
+        raise _error(f"{kind} takes {count} function names", lineno, raw, 1)
+    return axiom(*args)
 
 
 def parse_slp(text: str) -> SlpProblem:
@@ -307,10 +306,7 @@ def parse_model(text: str) -> ModelSpec:
             for k in range(2, len(toks)):
                 if toks[k] not in funcs:
                     raise _error(f"uninterpreted function {toks[k]}", lineno, raw, k)
-            if isinstance(ax, Inclusion):
-                inclusions.append((ax.f, ax.g))
-            else:
-                compositions.append((ax.f, ax.g, ax.h))
+            (inclusions if isinstance(ax, Inclusion) else compositions).append(ax.fns)
         elif head == "atom":
             atom = _TermParser(toks, lineno, raw).atom(1)
             if not atom_functions(atom) <= funcs.keys():

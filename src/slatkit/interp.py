@@ -22,7 +22,7 @@ from enum import Enum
 
 from . import locality, slat
 from .kernel import Rejected
-from .locality import AxiomSet, Inclusion, NotEntailed, PurifiedProblem
+from .locality import AxiomSet, NotEntailed, PurifiedProblem
 from .slat import NoSharedWitness
 from .terms import (
     App,
@@ -160,11 +160,8 @@ def theta_sharing(axioms: AxiomSet, sigma_a, sigma_b) -> SharingMap:
             parent[ry] = rx
 
     for ax in axioms.axioms:
-        if isinstance(ax, Inclusion):
-            union(ax.f, ax.g)
-        else:
-            union(ax.f, ax.g)
-            union(ax.f, ax.h)
+        for g in ax.fns[1:]:
+            union(ax.f, g)
     groups: dict[str, set[str]] = {}
     for f in parent:
         groups.setdefault(find(f), set()).add(f)

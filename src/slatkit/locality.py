@@ -9,6 +9,8 @@ forward chaining loop that decides entailment live here.
 
 from __future__ import annotations
 
+from operator import attrgetter
+
 from . import slat
 from .kernel import Kernel, Rejected
 from .terms import (
@@ -39,19 +41,28 @@ class NotEntailed(Exception):
 # axioms
 
 
-class Inclusion(Frozen):
-    """forall x: f(x) <= g(x)"""
+# how many functions an instance's provenance names after its schema
+SCHEMA_FUNCTIONS = {"mon": 1, "incl": 2, "comp": 3}
 
+
+class Inclusion(Frozen):
+    """forall x: f(x) <= g(x); schema is its instances' provenance tag,
+    keyword its .slp name and fns its functions."""
+
+    schema, keyword = "incl", "inclusion"
     f: str
     g: str
+    fns = property(attrgetter("f", "g"))
 
 
 class Composition(Frozen):
     """forall x, y: y <= g(x) implies f(y) <= h(x)"""
 
+    schema, keyword = "comp", "composition"
     f: str
     g: str
     h: str
+    fns = property(attrgetter("f", "g", "h"))
 
 
 class AxiomSet(Frozen):
@@ -67,8 +78,7 @@ class AxiomSet(Frozen):
                 raise ValueError(f"function {f} declared twice")
             seen.add(f)
         for ax in self.axioms:
-            names = (ax.f, ax.g) if isinstance(ax, Inclusion) else (ax.f, ax.g, ax.h)
-            for f in names:
+            for f in ax.fns:
                 if f not in seen:
                     raise ValueError(f"axiom uses undeclared function {f}")
 
@@ -272,14 +282,9 @@ def psi_closure(flat_terms, axioms: AxiomSet) -> tuple[FlatTerm, ...]:
     axiom links two distinct functions every set is closed, and the set
     is only sorted.
     """
-    pairs = []
-    for ax in axioms.axioms:
-        if isinstance(ax, Inclusion):
-            pairs.append((ax.f, ax.g))
-        else:
-            pairs.append((ax.g, ax.h))
     linked: dict[str, set[str]] = {}
-    for f1, f2 in pairs:
+    for ax in axioms.axioms:
+        f1, f2 = ax.fns[-2:]
         if f1 != f2:
             linked.setdefault(f1, set()).add(f2)
             linked.setdefault(f2, set()).add(f1)
@@ -507,12 +512,13 @@ def input_owners(problem: PurifiedProblem, a_atoms, b_atoms) -> list[tuple[str, 
 
 def axiom_key(ax) -> tuple:
     """The schema and functions of an axiom, as instance provenance names them."""
-    return ("incl", ax.f, ax.g) if isinstance(ax, Inclusion) else ("comp", ax.f, ax.g, ax.h)
+    return (ax.schema, *ax.fns)
 
 
 def instance_axiom(clause: GroundHornClause) -> tuple:
     """The axiom_key of the axiom an incl or comp instance comes from."""
-    return clause.provenance[:3 if clause.provenance[0] == "incl" else 4]
+    prov = clause.provenance
+    return prov[:1 + SCHEMA_FUNCTIONS[prov[0]]]
 
 
 def proof_kernel(atoms, negatives, axioms: AxiomSet, definitions) -> Kernel:
@@ -532,9 +538,9 @@ class ProofBuilder:
     clause. An atom is an input step, a refl step when it is a binder atom
     (its name expands to its term), or its clause's instance over the
     steps of its premises.
-    reason(s, v) is the clause that made v true in the closure of s (None
-    for s itself, -1 for a pair not true): by default the run's cached
-    reasons, else a derivation's over the same atoms
+    closures(s) is the closure of s: each v true in it, with the clause
+    that made it true (None for s itself): by default the run's cached
+    closures (Entailer.reasons), else a derivation's over the same atoms
     (slat.SelectorProgram.reasons). Either names only atoms true before
     its pair, so the walk, an iterative depth-first search, ends; every
     pair and atom becomes one step, however many proofs use it. A proof
@@ -547,11 +553,11 @@ class ProofBuilder:
     """
 
     def __init__(self, problem: PurifiedProblem, ent: slat.Entailer, clauses, owner,
-                 reason=None, kept=lambda kind, i: True):
+                 closures=None, kept=lambda kind, i: True):
         if len(ent.atoms) != len(owner) + len(clauses):
             raise ValueError("a proof needs a run that added one atom per clause")
         self.problem, self.ent, self.clauses, self.owner = problem, ent, clauses, owner
-        self.reason, self.kept = reason or (lambda s, v: ent.reasons(s).get(v, -1)), kept
+        self.closures, self.kept = closures or ent.reasons, kept
         self.steps: list[tuple] = []
         self.leaf: dict[int, tuple] = {}
         self.made: dict[tuple[int, int], int | None] = {}
@@ -656,9 +662,9 @@ class ProofBuilder:
             leaf = None if prov[0] == "mon" else ("ax", instance_axiom(clause))
             deps = tuple((index[p.lhs], index[p.rhs]) for p in clause.premises)
             return prov[0], clause.conclusion, deps, prov[1:], leaf
-        problem, reason = self.ent.problem, self.reason
+        problem, closure = self.ent.problem, self.closures(s)
         terms = problem.terms
-        cid = reason(s, v)
+        cid = closure.get(v, -1)
         if cid is None:
             return "refl", node, (), (), None
         if cid < 0:
@@ -668,7 +674,7 @@ class ProofBuilder:
         if origin >= 0:
             # follow the chain of atom clauses back to s or to a meet clause
             chain = [(-1, origin)]
-            while (r := reason(s, x)) is not None and problem.origin[r] >= 0:
+            while (r := closure[x]) is not None and problem.origin[r] >= 0:
                 chain.append((-1, problem.origin[r]))
                 x = problem.clauses[r][0][0]
             if x != s:
@@ -718,7 +724,7 @@ def reachability_module(inputs: dict[str, tuple], goal: Leq) -> dict[str, list]:
         for i, x in enumerate(xs):
             # an entry holds its input until it joins: an atom, or an axiom's names
             if kind == "ax":
-                names = (x.f, x.g) if isinstance(x, Inclusion) else (x.f, x.g, x.h)
+                names = x.fns
                 trigger = [len(names) - 1, [ids, i, names]]
                 for name in names[:-1]:
                     waiting.setdefault(name, []).append(trigger)

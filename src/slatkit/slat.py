@@ -408,12 +408,17 @@ class SelectorProgram:
         return {k for k in seen if k < self.nodes and reason[k] is None}
 
     def reasons(self, reason):
-        """The pair lookup of a derivation: (s, v) to the clause that made v
-        true in the closure of s, None for v = s, -1 when not made true."""
-        def lookup(s: int, v: int) -> int | None:
-            e = reason[self.pair[s][v]] if v in self.pair.get(s, ()) else -1
-            return e if e is None or e < 0 else self.clause[e]
-        return lookup
+        """The closures of a derivation, as Entailer.reasons gives the cached
+        ones: per seed s, each v the derivation made true in the closure of
+        s, with the clause that did (None for s itself), built once."""
+        memo, clause = {}, self.clause
+
+        def closure(s: int) -> dict[int, int | None]:
+            if s not in memo:
+                memo[s] = {v: e if e is None else clause[e]
+                           for v, node in self.pair.get(s, {}).items() if (e := reason[node]) != -1}
+            return memo[s]
+        return closure
 
 
 # ---------------------------------------------------------------------------
