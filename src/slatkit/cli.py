@@ -8,9 +8,8 @@ Output is deterministic: identical input and flags give identical bytes.
 
 from __future__ import annotations
 
-import argparse
 import sys
-from pathlib import Path
+from types import SimpleNamespace
 
 from . import beth, el, interp, locality
 from .inputs import SlpProblem, parse_model, parse_slp
@@ -53,17 +52,40 @@ def _slp_goal(p: SlpProblem):
     return p.goal
 
 
+def _pure(path: str) -> str:
+    """str(PurePosixPath(path)): no empty or '.' names, so no trailing
+    slash; '.' for no name at all; two leading slashes stay a root of
+    their own, one or three or more become one."""
+    names = "/".join(n for n in path.split("/") if n and n != ".")
+    root = "//" if path[:2] == "//" and path[2:3] != "/" else "/" if path[:1] == "/" else ""
+    return root + names or "."
+
+
+def _suffix(path: str) -> str:
+    """PurePosixPath(path).suffix: the last name from its last dot, when
+    that dot neither starts nor ends the name."""
+    name = _pure(path).rpartition("/")[2]
+    i = name.rfind(".")
+    return name[i:] if 0 < i < len(name) - 1 else ""
+
+
 def _load(path: str) -> str:
+    """The string Path(path).read_text(encoding="utf-8-sig") returns: the
+    whole file decoded at once, a leading BOM dropped, then \r\n and \r
+    read as \n, as text mode reads them."""
     try:
-        return Path(path).read_text(encoding="utf-8-sig")
+        with open(_pure(path), "rb") as f:
+            data = f.read()
     except OSError as e:
         raise _InputError(f"cannot read {path}: {e.strerror or e}") from e
+    text = data.decode("utf-8-sig")
+    return text.replace("\r\n", "\n").replace("\r", "\n") if "\r" in text else text
 
 
 def _infer_format(path: str, override: str | None) -> str:
     if override:
         return override
-    ext = Path(path).suffix.lstrip(".").lower()
+    ext = _suffix(path).lstrip(".").lower()
     if ext in ("slp", "elp", "model"):
         return ext
     raise _InputError(
@@ -286,45 +308,107 @@ _COMMANDS = {
 
 
 def _depth(text: str) -> int:
-    """The --depth value: a nonnegative int, else a usage error (exit 2)."""
+    """The --depth value: a nonnegative int; the ValueError's message is
+    the usage error argparse prints (exit 2)."""
     try:
         depth = int(text)
     except ValueError:
-        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+        raise ValueError(f"invalid int value: {text!r}") from None
     if depth < 0:
-        raise argparse.ArgumentTypeError(f"must be nonnegative, got {depth}")
+        raise ValueError(f"must be nonnegative, got {depth}")
     return depth
 
 
-def _parser() -> argparse.ArgumentParser:
+# The command line, one row per argument: its name, its values, its
+# default and its help. Values are the choices, or the function that
+# converts the text (raising ValueError), or None: any text for a
+# positional, no value (a store_true flag) for an option.
+_ARGUMENTS = (
+    ("command", tuple(sorted(_COMMANDS)), None, None),
+    ("input", None, None, "problem file (.slp, .elp or .model)"),
+    ("--format", ("slp", "elp", "model"), None, "input format (default: by file extension)"),
+    ("--json", None, False, "emit JSON instead of text"),
+    ("--trace", None, False, "show fired instances and splits"),
+    ("--no-verify", None, False, "skip the certificate proof check"),
+    ("--depth", _depth, 3, "term depth bound for the definability search (default 3)"),
+    ("--sharing", ("theta", "intersection"), "theta",
+     "shared-operator policy for interpolate and beth"),
+)
+# option -> (its attribute, its values); attribute -> default, as argparse names them
+_OPTIONS = {name: (name[2:].replace("-", "_"), values)
+            for name, values, _, _ in _ARGUMENTS if name.startswith("--")}
+_DEFAULTS = {name.lstrip("-").replace("-", "_"): default for name, _, default, _ in _ARGUMENTS}
+
+
+def _read(argv) -> dict | None:
+    """vars() of what argparse makes of argv, when every token has its
+    exact spelling: the command, the input (not starting with -), then
+    options, each value option followed by a value it takes (the last
+    one wins). None for any other argv: help, abbreviations, --opt=value,
+    options before the input, --, unknown tokens, bad values and tokens
+    that are not str are read by argparse alone, which prints every
+    usage, help and error text."""
+    if len(argv) < 2 or not all(isinstance(a, str) for a in argv) \
+            or argv[0] not in _COMMANDS or argv[1].startswith("-"):
+        return None
+    args = {**_DEFAULTS, "command": argv[0], "input": argv[1]}
+    tokens = iter(argv[2:])
+    for token in tokens:
+        if token not in _OPTIONS:
+            return None
+        name, values = _OPTIONS[token]
+        if values is None:
+            args[name] = True
+            continue
+        value = next(tokens, "-")
+        if value.startswith("-"):   # argparse may read it as an option
+            return None
+        if callable(values):
+            try:
+                value = values(value)
+            except ValueError:
+                return None
+        elif value not in values:
+            return None
+        args[name] = value
+    return args
+
+
+def _parse(argv):
+    """argparse's reading of argv, from the same table; it exits 2 with a
+    usage line on an error and 0 after printing help."""
+    import argparse
+
+    def checked(convert):
+        def convert_or_refuse(text):
+            try:
+                return convert(text)
+            except ValueError as e:
+                raise argparse.ArgumentTypeError(str(e)) from None
+        return convert_or_refuse
+
     ap = argparse.ArgumentParser(
         prog="slatkit",
         description="Entailment, interpolation, justification and definability "
                     "for semilattices with monotone operators and EL ontologies.",
     )
-    ap.add_argument("command", choices=sorted(_COMMANDS))
-    ap.add_argument("input", help="problem file (.slp, .elp or .model)")
-    ap.add_argument("--format", choices=("slp", "elp", "model"),
-                    help="input format (default: by file extension)")
-    ap.add_argument("--json", action="store_true", help="emit JSON instead of text")
-    ap.add_argument("--trace", action="store_true",
-                    help="show fired instances and splits")
-    ap.add_argument("--no-verify", action="store_true",
-                    help="skip the certificate proof check")
-    ap.add_argument("--depth", type=_depth, default=3,
-                    help="term depth bound for the definability search (default 3)")
-    ap.add_argument("--sharing", choices=("theta", "intersection"), default="theta",
-                    help="shared-operator policy for interpolate and beth")
-    return ap
-
-
-# built once per process: building it costs over ten times what parsing
-# one command line does, and in-process callers run main many times
-_PARSER = _parser()
+    for name, values, default, doc in _ARGUMENTS:
+        if not name.startswith("-"):
+            ap.add_argument(name, choices=values, help=doc)
+        elif values is None:
+            ap.add_argument(name, action="store_true", help=doc)
+        elif callable(values):
+            ap.add_argument(name, type=checked(values), default=default, help=doc)
+        else:
+            ap.add_argument(name, choices=values, default=default, help=doc)
+    return ap.parse_args(argv)
 
 
 def main(argv=None) -> int:
-    args = _PARSER.parse_args(argv)
+    if argv is None:
+        argv = sys.argv[1:]
+    found = _read(argv)
+    args = _parse(argv) if found is None else SimpleNamespace(**found)
     try:
         fmt = _infer_format(args.input, args.format)
         run, allowed = _COMMANDS[args.command]

@@ -33,6 +33,7 @@ _set = object.__setattr__
 _NO_NAMES = frozenset()
 _FACTORY = object()   # the default of a record field that has a default factory
 MISSING = object()    # a field option that is not given
+REPR_LIMIT = 100_000  # characters of a term's repr before it is cut
 
 
 class field:
@@ -151,6 +152,33 @@ class Term(Frozen):
 
     def __hash__(self):
         return self._hash
+
+    def __repr__(self):
+        """The dataclass repr, written from a stack, so a deep term does not
+        recurse. A shared term's tree can be exponential in its size: past
+        REPR_LIMIT characters the text is cut there and ends in '...'."""
+        out, size, stack = [], 0, [self]
+        while stack:
+            t = stack.pop()
+            kind = t.__class__
+            if kind is str:
+                piece = t
+            elif kind is Const:
+                piece = f"Const(name={t.name!r})"
+            elif kind is App:
+                piece = f"App(fn={t.fn!r}, arg="
+                stack += (")", t.arg)
+            else:
+                piece, args = "Meet(args=(", t.args
+                stack.append("))")
+                for a in args[:0:-1]:
+                    stack += (a, ", ")
+                stack.append(args[0])
+            out.append(piece)
+            size += len(piece)
+            if size > REPR_LIMIT:
+                return "".join(out)[:REPR_LIMIT] + "..."
+        return "".join(out)
 
 
 class Const(Term):

@@ -197,6 +197,41 @@ def split_problem(rng: random.Random):
     return tuple(a_atoms), tuple(b_atoms), Leq(a[n], b[n]), AxiomSet(tuple(fns), tuple(axioms))
 
 
+def split_onto(rng: random.Random) -> str:
+    """split_problem's ladder as an .elp file.
+
+    A climbs C{i+1} <= ex r . C{i} and B climbs ex g . D{i} <= D{i+1} to
+    the goal C{n} <= D{n}, where g is r or r's partner in ri r <= s. The
+    bottom rungs meet through D0 (C0 <= D0 on A) or through a shared S0
+    (C0 <= S0 on A, S0 <= D0 on B). About 15% of the B rungs are
+    dropped; an optional ri r o r <= r and 0-3 noise GCIs vary the
+    instances.
+    """
+    n = rng.randint(1, 6)
+    g = rng.choice("rs")
+    ris = ["ri r <= s"] if g == "s" else []
+    if rng.random() < 0.5:
+        ris.append("ri r o r <= r")
+    side_a = [f"C{i + 1} <= ex r . C{i}" for i in range(n)]
+    side_b = [f"ex {g} . D{i} <= D{i + 1}" for i in range(n) if rng.random() >= 0.15]
+    if rng.random() < 0.5:
+        side_a.append("C0 <= D0")
+        shared = ["D0"]
+    else:
+        side_a.append("C0 <= S0")
+        side_b.append("S0 <= D0")
+        shared = ["S0"]
+    for _ in range(rng.randint(0, 3)):
+        side, prefix = (side_a, "C") if rng.random() < 0.5 else (side_b, "D")
+        x, y, z = (rng.choice([f"{prefix}{i}" for i in range(n + 1)] + shared) for _ in range(3))
+        role = rng.choice("rs")
+        side.append(rng.choice([f"{x} <= ex {role} . {y}", f"ex {role} . {x} <= {y}", f"{x} & {y} <= {z}"]))
+    rng.shuffle(side_a)
+    rng.shuffle(side_b)
+    return "\n".join(["roles r s", *ris, "side A", *side_a, "side B", *side_b,
+                      f"goal C{n} <= D{n}"]) + "\n"
+
+
 def slp_text(a_atoms, b_atoms, goal, axioms) -> str:
     """The problem as an .slp file."""
     lines = [f"functions {' '.join(axioms.functions)}"] if axioms.functions else []
