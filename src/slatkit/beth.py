@@ -26,6 +26,7 @@ from .terms import (
     atom_constants,
     atom_functions,
     mk_meet,
+    post_order,
     term_key,
 )
 
@@ -57,26 +58,16 @@ class DoubledProblem(Frozen):
 
 
 def _rename_term(t: Term, rename: dict[str, str], memo: dict[Term, Term] | None = None) -> Term:
-    """t with its names renamed, from an explicit stack. memo maps each
-    term renamed so far to its image: calls that share it rename each
-    distinct subterm once, however deep or shared their terms are."""
+    """t with its names renamed; memo maps each term renamed so far to its
+    image, so calls that share it rename each distinct subterm once."""
     memo = {} if memo is None else memo
-    stack = [t]
-    while stack:
-        x = stack[-1]
-        if x in memo:
-            stack.pop()
-        elif isinstance(x, Const):
+    for x in post_order(t, memo):
+        if x.__class__ is Const:
             memo[x] = Const(rename.get(x.name, x.name))
-        elif isinstance(x, App):
-            if x.arg in memo:
-                memo[x] = App(rename.get(x.fn, x.fn), memo[x.arg])
-            else:
-                stack.append(x.arg)
-        elif all(y in memo for y in x.args):
-            memo[x] = mk_meet([memo[y] for y in x.args])
+        elif x.__class__ is App:
+            memo[x] = App(rename.get(x.fn, x.fn), memo[x.arg])
         else:
-            stack += x.args
+            memo[x] = mk_meet([memo[y] for y in x.args])
     return memo[t]
 
 

@@ -39,6 +39,7 @@ from .terms import (
     format_atom,
     format_term,
     mk_meet,
+    post_order,
     term_constants,
     term_functions,
 )
@@ -292,36 +293,37 @@ def unfold(term: Term, names: dict[str, Term], memo: dict[str, Term] | None = No
     """Replace fresh names by their terms, depth first from a stack, not by recursion.
 
     memo maps names already unfolded to their terms; pass one dict to
-    every call over the same names to unfold each name once in all.
+    every call over the same names to unfold each name once in all. A
+    walk that meets a name not unfolded yet waits, on a stack of walks,
+    for the walk of that name's definition.
     """
+    if names.keys().isdisjoint(term._consts):
+        return term
     memo = {} if memo is None else memo
-
-    def refs(t: Term) -> list[str]:
-        if isinstance(t, Const):
-            return [t.name] if t.name in names else []
-        if isinstance(t, App):
-            return refs(t.arg)
-        return [n for x in t.args for n in refs(x)]
-
-    def subst(t: Term) -> Term:
-        if isinstance(t, Const):
-            return memo.get(t.name, t)
-        if isinstance(t, App):
-            return App(t.fn, subst(t.arg))
-        return mk_meet(subst(x) for x in t.args)
-
-    path = []
-    todo = [(n, False) for n in reversed(refs(term))]
-    while todo:
-        n, done = todo.pop()
-        if done:
-            memo[path.pop()] = subst(names[n])
-        elif n not in memo:
-            if n in path:
-                raise RuntimeError(f"cyclic definition through {n}")
-            path.append(n)
-            todo += [(n, True), *((m, False) for m in reversed(refs(names[n])))]
-    return subst(term)
+    image: dict[Term, Term] = {}   # every subterm walked so far, to its image
+    path: dict[str, Const] = {}    # the names being unfolded, innermost last
+    walks = [post_order(term, image)]
+    while walks:
+        for x in walks[-1]:
+            if x.__class__ is Const:
+                n = x.name
+                if n in names and n not in memo:
+                    if n in path:
+                        raise RuntimeError(f"cyclic definition through {n}")
+                    path[n] = x
+                    walks.append(post_order(names[n], image))
+                    break
+                image[x] = memo.get(n, x)
+            elif x.__class__ is App:
+                image[x] = App(x.fn, image[x.arg])
+            else:
+                image[x] = mk_meet([image[y] for y in x.args])
+        else:
+            walks.pop()
+            if path:
+                n, x = path.popitem()
+                image[x] = memo[n] = image[names[n]]
+    return image[term]
 
 
 def interpolate(a_atoms, b_atoms, goal: Leq, axioms: AxiomSet, *,

@@ -21,7 +21,6 @@ from .terms import (
     Frozen,
     GroundHornClause,
     Leq,
-    Meet,
     Record,
     Term,
     expand_eqs,
@@ -159,30 +158,32 @@ class _Purifier:
     def pure(self, t: Term) -> Term:
         """t with every application named, bottom up, from a stack: a
         constant, or an application to one, is a base case; any other node
-        leaves a marker under its children, its function or its arity, so
-        names are made left to right, inside out. out holds pure terms.
-        A term with no function symbol is pure already and comes back as
-        it is, unwalked."""
+        waits, in a 1-tuple, under its children, so names are made left to
+        right, inside out. out holds pure terms; memo, made at the first
+        such node, holds each one's pure term, so a shared one is walked
+        once. A term with no function symbol comes back as it is, unwalked."""
         if not t._fns:
             return t
-        stack, out = [t], []
+        stack, out, memo = [t], [], None
         while stack:
             x = stack.pop()
-            if isinstance(x, Const):
+            if x.__class__ is Const:
                 out.append(x)
-            elif isinstance(x, App) and isinstance(x.arg, Const):
+            elif x.__class__ is App and x.arg.__class__ is Const:
                 out.append(Const(self.name_for(x.fn, x.arg)))
-            elif isinstance(x, App):
-                stack += (x.fn, x.arg)
-            elif isinstance(x, Meet):
-                stack += (len(x.args), *reversed(x.args))
-            elif isinstance(x, str):
-                arg = out.pop()
-                out.append(Const(self.name_for(x, arg if isinstance(arg, Const) else self.bind(arg))))
+            elif x.__class__ is tuple:
+                x, = x
+                if x.__class__ is App:
+                    arg = out.pop()
+                    out.append(Const(self.name_for(x.fn, arg if arg.__class__ is Const else self.bind(arg))))
+                else:
+                    out[-len(x.args):] = [mk_meet(out[-len(x.args):])]
+                memo[x] = out[-1]
+            elif memo is not None and x in memo:
+                out.append(memo[x])
             else:
-                args = out[-x:]
-                del out[-x:]
-                out.append(mk_meet(args))
+                memo = {} if memo is None else memo
+                stack += ((x,), x.arg) if x.__class__ is App else ((x,), *x.args[::-1])
         return out[0]
 
     def pure_atom(self, a: Atom) -> Atom:

@@ -29,6 +29,8 @@ from .terms import (
     format_atom,
     format_term,
     mk_meet,
+    post_order,
+    pre_order,
     term_key,
 )
 
@@ -483,36 +485,28 @@ class FiniteModel(Record):
 
 
 def eval_term(model: FiniteModel, t: Term) -> str:
-    """Value of a ground term; constants must be bound in the model.
-
-    Evaluated from a stack, as _Purifier.pure walks: a node is checked
-    when it is popped, outside in and left to right, and leaves a marker
-    under its children, its function or its arity. out holds values.
-    """
+    """Value of a ground term, one per distinct subterm, children first.
+    Its symbols must be bound in the model: a term with an unbound one is
+    walked outside in, left to right, to name the first one met."""
     consts, funcs, meet = model.consts, model.funcs, model.meet
-    stack, out = [t], []
-    while stack:
-        x = stack.pop()
-        kind = x.__class__
-        if kind is Const:
-            if x.name not in consts:
+    if not (consts.keys() >= t._consts and funcs.keys() >= t._fns):
+        for x in pre_order(t):
+            if x.__class__ is Const and x.name not in consts:
                 raise ValueError(f"unbound constant {x.name}")
-            out.append(consts[x.name])
-        elif kind is App:
-            if x.fn not in funcs:
+            if x.__class__ is App and x.fn not in funcs:
                 raise ValueError(f"uninterpreted function {x.fn}")
-            stack += (x.fn, x.arg)
-        elif kind is str:
-            out[-1] = funcs[x][out[-1]]
-        elif kind is Meet:
-            stack += (len(x.args), *reversed(x.args))
+    value: dict[Term, str] = {}
+    for x in post_order(t, value):
+        if x.__class__ is Const:
+            value[x] = consts[x.name]
+        elif x.__class__ is App:
+            value[x] = funcs[x.fn][value[x.arg]]
         else:
-            value = out[-x]
-            for v in out[1 - x:]:
-                value = meet[(value, v)]
-            del out[-x:]
-            out.append(value)
-    return out[0]
+            v = value[x.args[0]]
+            for a in x.args[1:]:
+                v = meet[(v, value[a])]
+            value[x] = v
+    return value[t]
 
 
 class ModelCheck(Frozen):

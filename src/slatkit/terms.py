@@ -154,31 +154,9 @@ class Term(Frozen):
         return self._hash
 
     def __repr__(self):
-        """The dataclass repr, written from a stack, so a deep term does not
-        recurse. A shared term's tree can be exponential in its size: past
-        REPR_LIMIT characters the text is cut there and ends in '...'."""
-        out, size, stack = [], 0, [self]
-        while stack:
-            t = stack.pop()
-            kind = t.__class__
-            if kind is str:
-                piece = t
-            elif kind is Const:
-                piece = f"Const(name={t.name!r})"
-            elif kind is App:
-                piece = f"App(fn={t.fn!r}, arg="
-                stack += (")", t.arg)
-            else:
-                piece, args = "Meet(args=(", t.args
-                stack.append("))")
-                for a in args[:0:-1]:
-                    stack += (a, ", ")
-                stack.append(args[0])
-            out.append(piece)
-            size += len(piece)
-            if size > REPR_LIMIT:
-                return "".join(out)[:REPR_LIMIT] + "..."
-        return "".join(out)
+        """The dataclass repr, cut at REPR_LIMIT characters (see write_term)."""
+        return write_term(self, lambda fn, arg: (f"App(fn={fn!r}, arg=", ")"),
+                          lambda name: f"Const(name={name!r})", ("Meet(args=(", ", ", "))"), REPR_LIMIT)
 
 
 class Const(Term):
@@ -273,17 +251,37 @@ def term_functions(t: Term) -> frozenset[str]:
     return t._fns
 
 
-def functions_in_order(*terms):
-    """The terms' function names, repeats included, depth first, left to
-    right: the order error messages name offenders in, not the hash seed's."""
-    stack = [*reversed(terms)]
+def post_order(t: Term, memo):
+    """Each distinct subterm of t that memo does not hold, children first,
+    left to right, from a stack where a node waits, in a 1-tuple, under its
+    children. The caller enters each term it is given in memo before asking
+    for the next, so a shared subterm is given once."""
+    stack = [t]
     while stack:
-        t = stack.pop()
-        if isinstance(t, App):
-            yield t.fn
-            stack.append(t.arg)
-        elif isinstance(t, Meet):
-            stack += reversed(t.args)
+        x = stack.pop()
+        if x.__class__ is tuple:
+            yield x[0]
+        elif x not in memo:
+            stack.append((x,))
+            stack += (x.arg,) if x.__class__ is App else x.args[::-1] if x.__class__ is Meet else ()
+
+
+def pre_order(*terms):
+    """Each distinct subterm of the terms once, parents first, left to right:
+    the first occurrences in a depth-first walk of their trees."""
+    seen, stack = set(), [*reversed(terms)]
+    while stack:
+        x = stack.pop()
+        if x not in seen:
+            seen.add(x)
+            yield x
+            stack += (x.arg,) if x.__class__ is App else x.args[::-1] if x.__class__ is Meet else ()
+
+
+def functions_in_order(*terms):
+    """The terms' function names, depth first, left to right: the order
+    error messages name offenders in, not the hash seed's."""
+    return (x.fn for x in pre_order(*terms) if x.__class__ is App)
 
 
 # ---------------------------------------------------------------------------
@@ -530,27 +528,35 @@ def parse_atom(text: str, line: int = 1) -> Atom:
     return _TermParser(words(text, line), line, text).atom()
 
 
-def write_term(t: Term, app) -> str:
-    """Concrete syntax of t, written from a stack of pending pieces.
-
-    app(fn, arg) gives the text before and after the argument of an
-    application.
+def write_term(t: Term, app, const=str, meet=("", " & ", ""), limit=None) -> str:
+    """Text of t, written pre-order from a stack of pending pieces: const(name)
+    gives a constant's text, app(fn, arg) the text before and after an
+    application's argument, meet the text before, between and after a meet's
+    arguments. Past limit characters the text is cut there and ends in '...'.
     """
-    out: list[str] = []
-    stack: list = [t]
+    out, size, stack = [], 0, [t]
     while stack:
         x = stack.pop()
-        if isinstance(x, str):
-            out.append(x)
-        elif isinstance(x, Const):
-            out.append(x.name)
-        elif isinstance(x, App):
-            before, after = app(x.fn, x.arg)
-            out.append(before)
-            stack += [after, x.arg]
+        kind = x.__class__
+        if kind is str:
+            piece = x
+        elif kind is Const:
+            piece = const(x.name)
+        elif kind is App:
+            piece, after = app(x.fn, x.arg)
+            stack += (after, x.arg)
         else:
-            for k in range(len(x.args) - 1, -1, -1):
-                stack += [x.args[k], " & "] if k else [x.args[k]]
+            piece, sep, close = meet
+            args = x.args
+            stack.append(close)
+            for a in args[:0:-1]:
+                stack += (a, sep)
+            stack.append(args[0])
+        out.append(piece)
+        if limit is not None:
+            size += len(piece)
+            if size > limit:
+                return "".join(out)[:limit] + "..."
     return "".join(out)
 
 
