@@ -16,7 +16,7 @@ from .inputs import SlpProblem, parse_model, parse_slp
 from .interp import VerificationFailed
 from .locality import SCHEMA_FUNCTIONS, NotEntailed
 from .slat import NoSharedWitness, check_finite_model
-from .terms import Const, Leq, ParseError, format_atom, format_term
+from .terms import App, Const, Leq, ParseError, format_atom, format_term, mk_meet, term_key
 
 EXIT_OK = 0
 EXIT_NEGATIVE = 1
@@ -253,19 +253,25 @@ def _cmd_beth(args, fmt: str, text: str):
 
 
 def _search_definition(p: SlpProblem, depth: int):
-    """Exhaustive fallback: test every sigma-term up to the depth bound."""
-    sigma = set(p.sigma)
-    fns = sorted(sigma & set(p.functions))
-    consts = sorted(sigma - set(p.functions))
+    """Exhaustive fallback: a sigma-term up to the depth is a meet of generators, sigma's
+    constants and f(m) for m of the level below. Single ones go first, then t*, the meet of
+    those above the target, which defines it iff a meet does (README, "How it works")."""
+    fns = sorted(set(p.sigma) & set(p.functions))
+    consts = sorted(set(p.sigma) - set(p.functions))
     try:
-        candidates = beth.enumerate_terms(fns, consts, depth, limit=_SEARCH_LIMIT)
-    except ValueError:
+        below = beth.enumerate_terms(fns, consts, depth - 1, limit=_SEARCH_LIMIT) if depth else []
+    except ValueError:   # each level holds the one below, so this one is over the limit too
         return None, f"search skipped: more than {_SEARCH_LIMIT} terms at depth {depth}"
     target = Const(p.target)
-    for t in candidates:
-        if locality.entails(p.a_pos, (), Leq(target, t), p.axioms, neg_a=p.a_neg) and \
-           locality.entails(p.a_pos, (), Leq(t, target), p.axioms, neg_a=p.a_neg):
-            return t, ""
+    leq = lambda s, t: locality.entails(p.a_pos, (), Leq(s, t), p.axioms, neg_a=p.a_neg)
+    above = []
+    for g in sorted([*map(Const, consts), *(App(f, m) for f in fns for m in below)], key=term_key):
+        if leq(target, g):
+            if leq(g, target):
+                return g, ""
+            above.append(g)
+    if len(above) > 1 and leq(mk_meet(above), target):
+        return mk_meet(above), ""
     return None, f"no defining term up to depth {depth}"
 
 

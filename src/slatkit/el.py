@@ -29,7 +29,6 @@ from .terms import (
     atom_constants,
     functions_in_order,
     mk_meet,
-    term_constants,
     term_functions,
     write_term,
 )
@@ -214,11 +213,7 @@ def translate(p: ELProblem) -> Translated:
     b_atoms = [Leq(g.lhs, g.rhs) for g in p.cbox_b.gcis]
     a_labels = [g.label or f"A{i + 1}" for i, g in enumerate(p.cbox_a.gcis)]
     b_labels = [g.label or f"B{i + 1}" for i, g in enumerate(p.cbox_b.gcis)]
-    used = set(roles)
-    for atoms in (a_atoms, b_atoms):
-        for x in atoms:
-            used |= atom_constants(x)
-    used |= term_constants(p.goal_c) | term_constants(p.goal_d)
+    used = locality.check_input((*a_atoms, *b_atoms), Leq(p.goal_c, p.goal_d), None) | set(roles)
 
     def bind(t: Concept, base: str, atoms: list) -> Term:
         if isinstance(t, Const):
@@ -306,7 +301,7 @@ def el_interpolation(p: ELProblem, *, minimize: bool = True, verify: bool = True
     check the proofs of both certificates, read off the interpolation
     run, once, against the kept premises. Together they prove the goal
     from the kept inputs, so the justification's own proof is not built;
-    without verification minimize_axioms builds and checks it. The kernel
+    without verification _minimize's check_proof builds and checks it. The kernel
     is monotone in its premises, so the same proofs hold against the
     full translated premises, and the returned certificates number their
     input steps by those. Fresh names avoid the symbols of the dropped
@@ -317,10 +312,9 @@ def el_interpolation(p: ELProblem, *, minimize: bool = True, verify: bool = True
     kept_labels: tuple[str, ...] | None = None
     a_atoms, b_atoms, axioms, reserved = t.a_atoms, t.b_atoms, t.axioms, set()
     if minimize:
-        if verify:
-            j, _ = locality._minimize(t.a_atoms, t.b_atoms, t.goal, t.axioms, (), ())
-        else:
-            j = locality.minimize_axioms(t.a_atoms, t.b_atoms, t.goal, t.axioms)
+        j, check_proof = locality._minimize(t.a_atoms, t.b_atoms, t.goal, t.axioms, (), ())
+        if not verify:
+            check_proof()
         a_atoms = tuple(t.a_atoms[i] for i in j.kept_a)
         b_atoms = tuple(t.b_atoms[i] for i in j.kept_b)
         axioms = AxiomSet(

@@ -364,6 +364,8 @@ def interpolate(a_atoms, b_atoms, goal: Leq, axioms: AxiomSet, *,
     fn_colors = _fn_colors(smap, sigma_a, sigma_b)
     colors = color_problem((*a_in, *neg_a), (*b_in, *neg_b), goal)
     problem = locality.prepare_problem(a_in, b_in, goal, axioms, neg_a=neg_a, neg_b=neg_b, reserved=reserved)
+    if intersection and not locality.saturate(problem, lambda clause, ent: (clause.conclusion,)).result:
+        raise NotEntailed(f"goal not entailed: {format_atom(goal)}")
     try:
         color_names(problem, colors, fn_colors, problem.purifier.made)
     except ColorClash as e:
@@ -449,7 +451,7 @@ def check_certificates(res: InterpolationResult, a_atoms, b_atoms, axioms: Axiom
 def _fire_split(clause: GroundHornClause, state: SeparationState, ent: slat.Entailer) -> tuple[Leq, Leq]:
     """Separate a mixed instance at an intermediate term; return the atoms added.
 
-    For the unary schemas there is exactly one premise c <= d, and the
+    A mon or comp instance has exactly one premise c <= d, and the
     premise owner's atoms give a shared term t between them (ent, the
     saturation's Entailer, holds both sides' atoms; the owner's closure
     of c is read off it). A fresh shared constant u names f(t) for the
@@ -462,8 +464,6 @@ def _fire_split(clause: GroundHornClause, state: SeparationState, ent: slat.Enta
     problem, colors = state.problem, state.colors
     if not clause.premises:
         raise NoSharedWitness("mixed unit instance cannot be separated")
-    if len(clause.premises) != 1:
-        raise NoSharedWitness(f"cannot separate instance with {len(clause.premises)} premises")
     p = clause.premises[0]
     owner = _owner_side(clause, p, colors)
     t = slat.intermediate_term(ent, ent, p.lhs, p.rhs, state.candidates, state.sides, owner)

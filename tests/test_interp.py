@@ -6,8 +6,8 @@ import sys
 
 import pytest
 
-from conftest import onto_text, rand_slo_problem, read_data
-from slatkit import el, locality
+from conftest import onto_text, rand_slo_problem, read_data, slp_text, split_problem
+from slatkit import cli, el, locality
 from slatkit.interp import (
     Color,
     NoSharedWitness,
@@ -364,3 +364,34 @@ def test_raw_meet_inputs_give_the_results_of_parsed_ones():
         parsed = _rebuilt(problem, lambda x: parse_atom(format_atom(x)))
         raw = _rebuilt(problem, lambda x: type(x)(_raw(x.lhs), _raw(x.rhs)))
         assert _engine_outcomes(*raw) == _engine_outcomes(*parsed)
+
+
+def test_intersection_sharing_answers_not_entailed_as_theta_does():
+    # a goal that does not follow is NotEntailed under either sharing, even
+    # where coloring under intersection sharing would clash
+    seen = set()
+    for draw, seeds in ((rand_slo_problem, (1, 3)), (split_problem, (1, 2, 3))):
+        for seed in seeds:
+            rng = random.Random(seed)
+            for _ in range(300):
+                a, b, goal, axioms = draw(rng)
+                try:
+                    interpolate(a, b, goal, axioms, intersection=True)
+                    got = "interpolant"
+                except (NotEntailed, NoSharedWitness) as e:
+                    got = type(e).__name__
+                assert (got == "NotEntailed") == (not locality.entails(a, b, goal, axioms)), (a, b, goal)
+                seen.add(got)
+    assert seen == {"interpolant", "NotEntailed", "NoSharedWitness"}
+
+
+def test_the_cli_prints_not_entailed_under_intersection_sharing(tmp_path, capsys):
+    # draw 2 of rand_slo_problem(random.Random(1)): coloring its psi-closure clashes
+    rng = random.Random(1)
+    for _ in range(3):
+        problem = rand_slo_problem(rng)
+    path = tmp_path / "draw2.slp"
+    path.write_text(slp_text(*problem), encoding="utf-8")
+    for sharing in ("theta", "intersection"):
+        assert cli.main(["interpolate", str(path), "--sharing", sharing]) == cli.EXIT_NEGATIVE
+        assert capsys.readouterr().out == "NOT-ENTAILED\n"
