@@ -253,25 +253,28 @@ def _cmd_beth(args, fmt: str, text: str):
 
 
 def _search_definition(p: SlpProblem, depth: int):
-    """Exhaustive fallback: a sigma-term up to the depth is a meet of generators, sigma's
-    constants and f(m) for m of the level below. Single ones go first, then t*, the meet of
-    those above the target, which defines it iff a meet does (README, "How it works")."""
+    """Exhaustive fallback: a sigma-term up to the depth is a meet of generators, sigma's constants
+    and f(m) for m of the level below, all read off one run (as B atoms g <= g). Single ones go first,
+    then t*, the meet of those above the target, which defines it iff a meet does (README, "How it works")."""
     fns = sorted(set(p.sigma) & set(p.functions))
     consts = sorted(set(p.sigma) - set(p.functions))
     try:
         below = beth.enumerate_terms(fns, consts, depth - 1, limit=_SEARCH_LIMIT) if depth else []
     except ValueError:   # each level holds the one below, so this one is over the limit too
         return None, f"search skipped: more than {_SEARCH_LIMIT} terms at depth {depth}"
-    target = Const(p.target)
-    leq = lambda s, t: locality.entails(p.a_pos, (), Leq(s, t), p.axioms, neg_a=p.a_neg)
-    above = []
-    for g in sorted([*map(Const, consts), *(App(f, m) for f in fns for m in below)], key=term_key):
-        if leq(target, g):
-            if leq(g, target):
-                return g, ""
-            above.append(g)
-    if len(above) > 1 and leq(mk_meet(above), target):
-        return mk_meet(above), ""
+    gens = sorted([*map(Const, consts), *(App(f, m) for f in fns for m in below)], key=term_key)
+    target, above = Const(p.target), []
+    if gens:   # g <= g purifies to n <= n, n the name of g; a contradicted negative literal entails all
+        problem = locality.prepare_problem(p.a_pos, [Leq(g, g) for g in gens], Leq(target, target),
+                                           p.axioms, neg_a=p.a_neg)
+        ent = locality.saturate(problem, to_fixpoint=True).entailer
+        leq = lambda s, t: ent.derives(ent.var(s), ent.var(t)) or any(map(ent.holds, problem.neg_a))
+        above = [(g, x.lhs) for g, x in zip(gens, problem.b0) if leq(target, x.lhs)]
+    for g, n in above:
+        if leq(n, target):
+            return g, ""
+    if len(above) > 1 and leq(mk_meet(n for _, n in above), target):
+        return mk_meet(g for g, _ in above), ""
     return None, f"no defining term up to depth {depth}"
 
 

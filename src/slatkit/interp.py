@@ -349,6 +349,8 @@ def interpolate(a_atoms, b_atoms, goal: Leq, axioms: AxiomSet, *,
     when no shared candidate lies above the goal's left side or a mixed
     instance cannot be separated, and ValueError on inconsistent
     premises, which entail everything but admit no intermediate term.
+    A run that cannot separate decides the prepared problem once, so a
+    goal that does not follow is NotEntailed under either sharing.
     """
     a_in, b_in = expand_eqs(a_atoms), expand_eqs(b_atoms)
     neg_a, neg_b = tuple(neg_a), tuple(neg_b)
@@ -364,34 +366,34 @@ def interpolate(a_atoms, b_atoms, goal: Leq, axioms: AxiomSet, *,
     fn_colors = _fn_colors(smap, sigma_a, sigma_b)
     colors = color_problem((*a_in, *neg_a), (*b_in, *neg_b), goal)
     problem = locality.prepare_problem(a_in, b_in, goal, axioms, neg_a=neg_a, neg_b=neg_b, reserved=reserved)
-    if intersection and not locality.saturate(problem, lambda clause, ent: (clause.conclusion,)).result:
-        raise NotEntailed(f"goal not entailed: {format_atom(goal)}")
     try:
-        color_names(problem, colors, fn_colors, problem.purifier.made)
-    except ColorClash as e:
-        raise NoSharedWitness(
-            f"sides cannot be purified apart under this sharing: {e}"
-        ) from e
+        try:
+            color_names(problem, colors, fn_colors, problem.purifier.made)
+        except ColorClash as e:
+            raise NoSharedWitness(f"sides cannot be purified apart under this sharing: {e}") from e
+        # input constants and fresh names: every function is declared
+        consts = set(colors) - set(axioms.functions)
+        state = SeparationState(
+            problem=problem,
+            colors=colors,
+            fn_colors=fn_colors,
+            sides=[Color.A] * len(problem.a0) + [Color.B] * len(problem.b0),
+            candidates={Const(c) for c in consts if colors[c] is Color.SHARED},
+        )
 
-    # input constants and fresh names: every function is declared
-    consts = set(colors) - set(axioms.functions)
-    state = SeparationState(
-        problem=problem,
-        colors=colors,
-        fn_colors=fn_colors,
-        sides=[Color.A] * len(problem.a0) + [Color.B] * len(problem.b0),
-        candidates={Const(c) for c in consts if colors[c] is Color.SHARED},
-    )
+        def fire(clause: GroundHornClause, ent: slat.Entailer) -> tuple[Leq, ...]:
+            strict = _clause_strict_colors(clause, colors)
+            if Color.A in strict and Color.B in strict:
+                return _fire_split(clause, state, ent)
+            state.sides.append(Color.B if strict == {Color.B} else Color.A)
+            state.fired.append(clause)
+            return (clause.conclusion,)
 
-    def fire(clause: GroundHornClause, ent: slat.Entailer) -> tuple[Leq, ...]:
-        strict = _clause_strict_colors(clause, colors)
-        if Color.A in strict and Color.B in strict:
-            return _fire_split(clause, state, ent)
-        state.sides.append(Color.B if strict == {Color.B} else Color.A)
-        state.fired.append(clause)
-        return (clause.conclusion,)
-
-    trace = locality.saturate(problem, fire)
+        trace = locality.saturate(problem, fire)
+    except NoSharedWitness:   # not separated: decided once, with the default fire
+        if not locality.saturate(problem, lambda clause, ent: (clause.conclusion,)).result:
+            raise NotEntailed(f"goal not entailed: {format_atom(goal)}") from None
+        raise
     if trace.inconsistent is not None:
         raise ValueError(
             f"premises are inconsistent (derived {format_atom(trace.inconsistent)}); "
@@ -405,12 +407,9 @@ def interpolate(a_atoms, b_atoms, goal: Leq, axioms: AxiomSet, *,
                                state.candidates, state.sides, own)
     names = problem.unfold_map()
     term = unfold(t, names)
-    _check_signature(term, smap, colors, consts - set(names))
-    shared_consts = frozenset(
-        c for c in consts - set(names)
-        if colors[c] is Color.SHARED
-    )
+    shared_consts = frozenset(c for c in consts - set(names) if colors[c] is Color.SHARED)
     smap = SharingMap(smap.classes, smap.shared_functions, shared_consts, smap.intersection)
+    _check_signature(term, smap)
 
     certificates = None
     if verify:
@@ -497,10 +496,10 @@ def _fire_split(clause: GroundHornClause, state: SeparationState, ent: slat.Enta
     return c_a.conclusion, c_b.conclusion
 
 
-def _check_signature(term: Term, smap: SharingMap, colors, real_consts) -> None:
+def _check_signature(term: Term, smap: SharingMap) -> None:
     for f in term_functions(term):
         if f not in smap.shared_functions:
             raise RuntimeError(f"interpolant uses non-shared function {f}")
     for c in term_constants(term):
-        if c not in real_consts or colors.get(c) is not Color.SHARED:
+        if c not in smap.shared_constants:
             raise RuntimeError(f"interpolant uses non-shared constant {c}")

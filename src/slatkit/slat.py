@@ -16,6 +16,7 @@ from __future__ import annotations
 from collections import defaultdict
 
 from .terms import (
+    REPR_LIMIT,
     App,
     Atom,
     Const,
@@ -32,6 +33,7 @@ from .terms import (
     post_order,
     pre_order,
     term_key,
+    write_term,
 )
 
 
@@ -588,12 +590,11 @@ def check_finite_model(model: FiniteModel, inclusions=(), compositions=(), atoms
         ))
     for a in atoms:
         lv, rv = eval_term(model, a.lhs), eval_term(model, a.rhs)
-        if isinstance(a, Eq):
-            ok = lv == rv
-        else:
-            ok = model.leq(lv, rv)
+        op, ok = ("=", lv == rv) if isinstance(a, Eq) else ("<=", model.leq(lv, rv))
         detail = "" if ok else f"lhs = {lv}, rhs = {rv}"
-        checks.append(ModelCheck(f"atom({format_atom(a)})", ok, detail))
+        # format_atom's text with each side cut at REPR_LIMIT, so a shared side costs at most that
+        lhs, rhs = (write_term(x, lambda fn, arg: (f"{fn}(", ")"), limit=REPR_LIMIT) for x in (a.lhs, a.rhs))
+        checks.append(ModelCheck(f"atom({lhs} {op} {rhs})", ok, detail))
     return checks
 
 

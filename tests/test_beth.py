@@ -162,12 +162,12 @@ def test_definability_prepares_once_per_entailment_it_needs(monkeypatch):
     assert len(calls) == 1
     calls.clear()
     # the one implicit check, then the interpolation, whose certificates the kernel checks;
-    # the depth-2 search then decides a <= g for each of its 4 generators g: e and g(m)
-    # for the 3 {g, e}-terms m of depth 1; none is above a, so no meet is decided
+    # under intersection sharing the depth-2 search then prepares one problem holding all
+    # 4 generators g (e and g(m) for the 3 {g, e}-terms m of depth 1) and reads a <= g off it
     assert isinstance(explicit_definition(atoms, axioms, {"g", "e"}, "a"), Term)
     assert len(calls) == 2
     for argv, want in ((["beth", str(DATA / "beth_fe.slp")], 2),
-                       (["beth", str(DATA / "beth_fe.slp"), "--sharing", "intersection", "--depth", "2"], 6)):
+                       (["beth", str(DATA / "beth_fe.slp"), "--sharing", "intersection", "--depth", "2"], 3)):
         calls.clear()
         cli.main(argv)
         assert len(calls) == want, argv

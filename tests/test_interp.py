@@ -6,7 +6,7 @@ import sys
 
 import pytest
 
-from conftest import onto_text, rand_slo_problem, read_data, slp_text, split_problem
+from conftest import DATA, onto_text, rand_slo_problem, read_data, slp_text, split_problem
 from slatkit import cli, el, locality
 from slatkit.interp import (
     Color,
@@ -368,21 +368,50 @@ def test_raw_meet_inputs_give_the_results_of_parsed_ones():
 
 def test_intersection_sharing_answers_not_entailed_as_theta_does():
     # a goal that does not follow is NotEntailed under either sharing, even
-    # where coloring under intersection sharing would clash
-    seen = set()
+    # where coloring under intersection sharing would clash: both sharings
+    # have one failure rule, a decision once separation fails
+    seen = {False: set(), True: set()}
     for draw, seeds in ((rand_slo_problem, (1, 3)), (split_problem, (1, 2, 3))):
         for seed in seeds:
             rng = random.Random(seed)
             for _ in range(300):
                 a, b, goal, axioms = draw(rng)
-                try:
-                    interpolate(a, b, goal, axioms, intersection=True)
-                    got = "interpolant"
-                except (NotEntailed, NoSharedWitness) as e:
-                    got = type(e).__name__
-                assert (got == "NotEntailed") == (not locality.entails(a, b, goal, axioms)), (a, b, goal)
-                seen.add(got)
-    assert seen == {"interpolant", "NotEntailed", "NoSharedWitness"}
+                entailed = locality.entails(a, b, goal, axioms)
+                for intersection in (False, True):
+                    try:
+                        interpolate(a, b, goal, axioms, intersection=intersection)
+                        got = "interpolant"
+                    except (NotEntailed, NoSharedWitness) as e:
+                        got = type(e).__name__
+                    assert (got == "NotEntailed") == (not entailed), (a, b, goal, intersection)
+                    seen[intersection].add(got)
+    assert seen == {False: {"interpolant", "NotEntailed"},
+                    True: {"interpolant", "NotEntailed", "NoSharedWitness"}}
+
+
+def test_one_run_per_question(monkeypatch):
+    # (locality.saturate runs, locality.prepare_problem calls): beth decides the doubled
+    # goal once and interpolates; under intersection sharing the failed extraction is
+    # decided once more and the search reads every generator off one run of its own
+    made = []
+    for name in ("saturate", "prepare_problem"):
+        def counted(*args, run=getattr(locality, name), name=name, **kwargs):
+            made.append(name)
+            return run(*args, **kwargs)
+        monkeypatch.setattr(locality, name, counted)
+
+    def runs(call):
+        made.clear()
+        call()
+        return made.count("saturate"), made.count("prepare_problem")
+
+    beth = ["beth", str(DATA / "beth_fe.slp")]
+    assert runs(lambda: cli.main(beth)) == (2, 2)
+    for depth in ("3", "2"):
+        assert runs(lambda: cli.main([*beth, "--sharing", "intersection", "--depth", depth])) == (4, 3)
+    # a successful intersection interpolation is its splitting run alone
+    a, b, goal, axioms = rand_slo_problem(random.Random(1))
+    assert runs(lambda: interpolate(a, b, goal, axioms, intersection=True)) == (1, 1)
 
 
 def test_the_cli_prints_not_entailed_under_intersection_sharing(tmp_path, capsys):

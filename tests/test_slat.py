@@ -2,6 +2,7 @@
 finite models."""
 
 import random
+import time
 
 import pytest
 from hypothesis import given, strategies as st
@@ -16,7 +17,7 @@ from slatkit.slat import (
     eval_term,
     intermediate_term,
 )
-from slatkit.terms import App, Const, Eq, Leq, mk_meet, parse_atom, parse_term
+from slatkit.terms import REPR_LIMIT, App, Const, Eq, Leq, format_atom, mk_meet, parse_atom, parse_term
 
 names = st.sampled_from("uvwxyz")
 consts = names.map(Const)
@@ -305,6 +306,24 @@ def test_model_check_evaluates_a_10000_level_atom_without_recursion():
     checks = check_finite_model(model4(), atoms=[Leq(t, Const("a")), Leq(t, Const("e"))])
     assert [(c.passed, c.detail) for c in checks[-2:]] == [(True, ""), (False, "lhs = a, rhs = e")]
     assert eval_term(model4(), mk_meet([t, App("g", t)])) == "d"
+
+
+def test_model_check_names_an_atom_over_a_shared_term_within_the_repr_limit():
+    # t' = f(t) & g(t): n + 1 levels hold 2n + 1 distinct subterms, and a tree of 2^n leaves
+    def shared(levels):
+        t = Const("e")
+        for _ in range(levels):
+            t = mk_meet([App("f", t), App("g", t)])
+        return t
+
+    small = Leq(shared(12), Const("a"))    # 40,951 characters a side: written in full
+    assert check_finite_model(model4(), atoms=[small])[-1].law == f"atom({format_atom(small)})"
+    start = time.perf_counter()
+    check = check_finite_model(model4(), atoms=[Leq(shared(60), Const("a"))])[-1]
+    assert time.perf_counter() - start < 0.5
+    assert check.passed
+    assert check.law.startswith("atom(f(f(f(") and check.law.endswith("... <= a)")
+    assert len(check.law) == len("atom(... <= a)") + REPR_LIMIT
 
 
 def test_eval_names_the_first_unbound_symbol_in_written_order():
