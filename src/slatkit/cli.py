@@ -140,10 +140,10 @@ def _cmd_interpolate(args, fmt: str, text: str):
                 neg_a=p.a_neg, neg_b=p.b_neg,
                 verify=verify, intersection=intersection,
             )
-            shown = format_term(res.term)
+            shown = format_term(res.term)   # written once; the certificate lines reuse it
             cert = [
-                f"certificate A: {format_atom(Leq(goal.lhs, res.term))}",
-                f"certificate B: {format_atom(Leq(res.term, goal.rhs))}",
+                f"certificate A: {format_term(goal.lhs)} <= {shown}",
+                f"certificate B: {shown} <= {format_term(goal.rhs)}",
             ]
             splits = res.splits
         else:

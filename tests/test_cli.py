@@ -1,12 +1,13 @@
 """CLI surface: golden outputs, exit codes, schema conformance."""
 
 import json
+import random
 from pathlib import Path
 
 import jsonschema
 import pytest
 
-from conftest import DATA, read_data
+from conftest import DATA, read_data, slp_text, split_problem
 from golden_cases import CASES, run_cli
 from slatkit import cli, terms
 from slatkit.terms import MAX_NESTING
@@ -189,6 +190,27 @@ def test_interpolate_no_verify_flag(capsys):
     assert code == 0
     assert "not verified" in out
     assert "interpolant: d & f(d)" in out
+
+
+def test_interpolate_writes_the_interpolant_once(tmp_path, monkeypatch, capsys):
+    """The certificate lines reuse the interpolant's text: of every
+    format_term call, in cli or through terms.format_atom, one writes
+    the interpolant and one each goal side."""
+    rng = random.Random(1)
+    draw = [split_problem(rng) for _ in range(6)][5]   # interpolant f(f(s0) & g(s0)) & g(f(s0) & g(s0))
+    drawn = tmp_path / "draw5.slp"
+    drawn.write_text(slp_text(*draw), encoding="utf-8")
+    writes, write = [], terms.format_term
+    counting = lambda t: writes.append(write(t)) or writes[-1]
+    monkeypatch.setattr(cli, "format_term", counting)
+    monkeypatch.setattr(terms, "format_term", counting)
+    for path, goal in ((DATA / "slo.slp", ["b", "a"]), (drawn, ["a2", "b2"])):
+        writes.clear()
+        code, out, _ = in_process(["interpolate", path], capsys)
+        assert code == 0
+        shown = out.splitlines()[0].removeprefix("interpolant: ")
+        assert sorted(writes) == sorted([shown, *goal])
+        assert f"certificate A: {goal[0]} <= {shown}" in out
 
 
 def test_check_trace_lists_fired_instances(capsys):

@@ -158,18 +158,26 @@ def test_load_reads_what_read_text_reads(tmp_path, data):
 
 
 def test_import_and_an_exact_command_load_no_argparse_or_pathlib():
+    """An exact .slp command loads neither argparse nor pathlib, and runs
+    neither the EL front end nor definability: slatkit.el and slatkit.beth
+    stay lazy modules until an .elp command or beth touches them. The
+    child runs under -B, so it writes no bytecode into the source tree."""
     script = (
-        "import sys\n"
+        "import sys, types\n"
         "before = set(sys.modules)\n"
         "import slatkit.cli\n"
         "imported = set(sys.modules) - before\n"
+        "ran = lambda: [type(sys.modules[m]) is types.ModuleType for m in ('slatkit.el', 'slatkit.beth')]\n"
         "sys.argv = ['slatkit', 'check', 'slo.slp']\n"
         "code = slatkit.cli.main()\n"
-        "ran = set(sys.modules) - before\n"
+        "after_check = set(sys.modules) - before\n"
         "banned = {'argparse', 'gettext', 'locale', 'pathlib'}\n"
-        "print(code, sorted(banned & imported), sorted(banned & ran))\n"
+        "print(code, sorted(banned & imported), sorted(banned & after_check), ran(), file=sys.stderr)\n"
+        "for argv in (['interpolate', 'med.elp'], ['beth', 'beth_fe.slp']):\n"
+        "    print(slatkit.cli.main(argv), ran(), file=sys.stderr)\n"
     )
-    proc = subprocess.run([sys.executable, "-c", script], cwd=DATA, capture_output=True,
+    proc = subprocess.run([sys.executable, "-B", "-c", script], cwd=DATA, capture_output=True,
                           env={"PYTHONPATH": str(PACKAGE_ROOT)})
     assert proc.returncode == 0, proc.stderr.decode()
-    assert proc.stdout.decode().splitlines()[-1] == "0 [] []"
+    assert proc.stderr.decode().splitlines() == [
+        "0 [] [] [False, False]", "0 [True, False]", "0 [True, True]"]
